@@ -135,32 +135,39 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _dispatch(inst: Instance, algo: str, trace: bool) -> tuple[Optional[Solution], SearchStats]:
-    stats = SearchStats()
-    trace_fn = (lambda line: print(line, file=sys.stderr)) if trace else None
+def _resolve(inst: Instance, algo: str) -> str:
+    """The algorithm that ``algo`` names for this instance."""
     if algo == "auto":
-        algo = "branch" if inst.mode == MLCE else "xp"
+        return "branch" if inst.mode == MLCE else "xp"
+    return algo
+
+
+def _dispatch(inst: Instance, algo: str, trace: bool = False,
+              stats: Optional[SearchStats] = None) -> Optional[Solution]:
+    """Run one algorithm; the branch search counts its nodes into ``stats``."""
+    algo = _resolve(inst, algo)
     if algo == "branch":
         if inst.mode != MLCE:
             raise InputError("--algo branch requires an mlce instance")
-        return solve_mlce(inst, trace=trace_fn, stats=stats), stats
+        trace_fn = (lambda line: print(line, file=sys.stderr)) if trace else None
+        return solve_mlce(inst, trace=trace_fn, stats=stats)
     if algo == "xp":
         if inst.mode != TCE:
             raise InputError("--algo xp requires a tce instance")
-        return solve_tce_xp(inst), stats
+        return solve_tce_xp(inst)
     if algo == "structured":
         if inst.mode != MLCE:
             raise InputError("--algo structured requires an mlce instance")
-        return structured_mlce(inst), stats
+        return structured_mlce(inst)
     if algo == "oracle":
         solver = oracle_mlce if inst.mode == MLCE else oracle_tce
-        return solver(inst), stats
+        return solver(inst)
     raise InputError(f"unknown algorithm {algo!r}")
 
 
 def _cmd_solve(args, algo: str, trace: bool) -> int:
     inst = parse_instance(_read(args.instance))
-    sol, _ = _dispatch(inst, algo, trace)
+    sol = _dispatch(inst, algo, trace)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -213,23 +220,13 @@ def _cmd_generate(args) -> int:
 def _bench_worker(inst: Instance, algo: str, queue) -> None:
     stats = SearchStats()
     try:
-        if algo == "branch":
-            sol = solve_mlce(inst, stats=stats)
-        elif algo == "xp":
-            sol = solve_tce_xp(inst)
-        elif algo == "structured":
-            sol = structured_mlce(inst)
-        elif algo == "oracle":
-            sol = oracle_mlce(inst) if inst.mode == MLCE else oracle_tce(inst)
-        else:
-            raise InputError(f"unknown algorithm {algo!r}")
+        sol = _dispatch(inst, algo, stats=stats)
         queue.put(("yes" if sol is not None else "no", stats.nodes))
     except Exception as exc:  # noqa: BLE001 - reported as a row, not a crash
         queue.put((f"error:{type(exc).__name__}", stats.nodes))
 
 
 def _cmd_bench(args) -> int:
-    algo = args.algo
     rows = []
     ctx = multiprocessing.get_context("fork")
     for n in args.n:
@@ -243,9 +240,7 @@ def _cmd_bench(args) -> int:
                             seed=seed)
                         inst, _ = generate_planted_logged(params, args.mode)
                         inst = dataclasses.replace(inst, k=k, d=d)
-                        resolved = algo
-                        if resolved == "auto":
-                            resolved = "branch" if inst.mode == MLCE else "xp"
+                        resolved = _resolve(inst, args.algo)
                         queue = ctx.Queue()
                         proc = ctx.Process(target=_bench_worker,
                                            args=(inst, resolved, queue))

@@ -442,4 +442,6 @@ def parse_formula(text: str) -> Formula223:
             raise ParseError(line_no, "literal 0 is not allowed")
         clauses.append(clause)
         max_var = max(max_var, *(abs(l) for l in clause))
+    if not clauses:
+        raise ParseError(len(text.splitlines()) + 1, "formula has no clauses")
     return Formula223(max_var, tuple(clauses))

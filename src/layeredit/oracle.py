@@ -159,20 +159,16 @@ def oracle_mlce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Opti
     return _solve_mlce_exhaustive(inst.n, inst.layers, bud, inst.d)
 
 
-def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None,
-               gap_method: str = "enumerate") -> Optional[Solution]:
+def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Optional[Solution]:
     """Exhaustive temporal solver.
 
     Consecutive pairs of edited layers are connected when some mark set of
-    size at most d hides their disagreements; by default that set is found
-    by plain subset enumeration over the endpoints of disagreeing pairs
-    (keeping this oracle independent of the matching-based solver), with
-    ``gap_method="matching"`` as the alternative.
+    size at most d hides their disagreements; that set is found by plain
+    subset enumeration over the endpoints of disagreeing pairs, keeping this
+    oracle independent of the matching-based solver.
     """
     if inst.mode != TCE:
         raise InputError("oracle_tce expects a tce instance")
-    if gap_method not in ("enumerate", "matching"):
-        raise InputError(f"unknown gap method {gap_method!r}")
     _guard_common(inst)
     bud = list(budgets) if budgets is not None else [inst.k] * inst.ell
     if any(b < 0 for b in bud):
@@ -188,11 +184,6 @@ def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None,
         diff = es1 ^ es2
         if not diff:
             return frozenset()
-        if gap_method == "matching":
-            from .core import LayerGraph
-            from .twolayer import solve_two_layer_zero_edit
-            return solve_two_layer_zero_edit(
-                LayerGraph(inst.n, es1), LayerGraph(inst.n, es2), inst.d)
         endpoints = sorted({v for p in diff for v in p})
         work = sum(comb(len(endpoints), j)
                    for j in range(min(inst.d, len(endpoints)) + 1))

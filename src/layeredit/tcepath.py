@@ -10,7 +10,6 @@ reaches the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -45,35 +44,6 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     return [m for _, m in found]
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
-    """Materialized search graph: one node list per layer, edges only
-    between consecutive parts (as index-pair sets)."""
-
-    parts: tuple[tuple[frozenset[Pair], ...], ...]
-    edges: tuple[frozenset[tuple[int, int]], ...]
-
-
-def build_compatibility_graph(inst: Instance,
-                              layer_budgets: Optional[Sequence[int]] = None) -> CompatibilityGraph:
-    if inst.mode != TCE:
-        raise InputError("compatibility graph is defined for tce instances")
-    budgets = _budgets(inst, layer_budgets)
-    parts = tuple(tuple(enumerate_cluster_editing_sets(g, b))
-                  for g, b in zip(inst.layers, budgets))
-    edges = []
-    for i in range(inst.ell - 1):
-        left = [apply_edits(inst.layers[i], m) for m in parts[i]]
-        right = [apply_edits(inst.layers[i + 1], m) for m in parts[i + 1]]
-        here = set()
-        for a, ga in enumerate(left):
-            for b, gb in enumerate(right):
-                if solve_two_layer_zero_edit(ga, gb, inst.d) is not None:
-                    here.add((a, b))
-        edges.append(frozenset(here))
-    return CompatibilityGraph(parts, tuple(edges))
-
-
 def _budgets(inst: Instance, layer_budgets: Optional[Sequence[int]]) -> list[int]:
     if layer_budgets is None:
         return [inst.k] * inst.ell
@@ -93,19 +63,18 @@ def solve_tce_xp(inst: Instance,
         raise InputError("solve_tce_xp expects a tce instance")
     budgets = _budgets(inst, layer_budgets)
 
-    # Parts are materialized one layer at a time (enumeration is
-    # deterministic, so the path layers are re-enumerated afterwards);
-    # across the sweep only predecessor links and the current frontier live.
-    part = enumerate_cluster_editing_sets(inst.layers[0], budgets[0])
-    prev_graphs = [apply_edits(inst.layers[0], m) for m in part]
-    reachable = list(range(len(part)))
+    # Every layer's part is kept, so the path's edit sets are read back from
+    # it; only the current frontier's edited graphs live across the sweep.
+    parts = [enumerate_cluster_editing_sets(inst.layers[0], budgets[0])]
+    prev_graphs = [apply_edits(inst.layers[0], m) for m in parts[0]]
+    reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
-    predecessors: list[list[Optional[int]]] = [[None] * len(part)]
+    predecessors: list[list[Optional[int]]] = [[None] * len(parts[0])]
 
     for i in range(1, inst.ell):
-        part = enumerate_cluster_editing_sets(inst.layers[i], budgets[i])
-        graphs = [apply_edits(inst.layers[i], m) for m in part]
+        parts.append(enumerate_cluster_editing_sets(inst.layers[i], budgets[i]))
+        graphs = [apply_edits(inst.layers[i], m) for m in parts[i]]
         preds: list[Optional[int]] = []
         for g in graphs:
             hit = next((j for j in reachable
@@ -127,8 +96,7 @@ def solve_tce_xp(inst: Instance,
         path.append(node)
     path.reverse()
 
-    edits = tuple(enumerate_cluster_editing_sets(inst.layers[i], budgets[i])[j]
-                  for i, j in enumerate(path))
+    edits = tuple(part[j] for part, j in zip(parts, path))
     edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
     marks = []
     for ga, gb in zip(edited, edited[1:]):

@@ -5,15 +5,17 @@ graph holds one node per connected component (maximal clique); edge weights
 are intersection sizes.  A marking set of size at most d exists iff the
 maximum matching weight is at least n - d, and the marked set is the
 complement of the union of matched-clique intersections.
+
+The assignment is solved by successive shortest augmenting paths, one row
+at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
+with Bellman-Ford label correction in place of dual potentials.  The graph
+has at most n edges, so no dense n x n matrix is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import InputError, LayerGraph, is_cluster_graph
 
@@ -48,6 +50,57 @@ def build_clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedB
     return WeightedBipartiteGraph(left, right, weights)
 
 
+def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> int:
+    """Largest total weight of a matching whose edges are the keys of
+    ``weights`` (all values positive); rows and columns may stay unmatched.
+
+    Rows are added one at a time.  The matching stays optimal for the rows
+    added so far, so each new row needs only the best alternating path from
+    it: one that ends at a free column, or at a matched row that gives its
+    column up.  Labels are corrected Bellman-Ford style; the optimality
+    invariant rules out gaining cycles, so the search ends.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), w in weights.items():
+        adj.setdefault(i, []).append((j, w))
+    mate_l: dict[int, int] = {}
+    mate_r: dict[int, int] = {}
+    total = 0
+    for root in adj:
+        # Best gain of a path from root to each row and to each column;
+        # via[j] is the row the best path to column j comes from.
+        gain_l = {root: 0}
+        gain_r: dict[int, int] = {}
+        via: dict[int, int] = {}
+        queue = [root]
+        for i in queue:  # FIFO: rows appended below are visited in turn
+            for j, w in adj[i]:
+                gain = gain_l[i] + w
+                if mate_l.get(i) == j or (j in gain_r and gain <= gain_r[j]):
+                    continue
+                gain_r[j], via[j] = gain, i
+                row = mate_r.get(j)
+                if row is not None and (row not in gain_l
+                                        or gain - weights[row, j] > gain_l[row]):
+                    gain_l[row] = gain - weights[row, j]
+                    queue.append(row)
+        # Path ends: a free column j, or the column j of a row left unmatched.
+        gain, j = max([(g, j) for j, g in gain_r.items() if j not in mate_r]
+                      + [(g, mate_l[i]) for i, g in gain_l.items() if i != root],
+                      default=(0, None))
+        if gain <= 0:
+            continue
+        total += gain
+        if j in mate_r:
+            del mate_l[mate_r[j]]
+        while j is not None:  # flip the path back to root
+            i = via[j]
+            previous = mate_l.get(i)
+            mate_l[i], mate_r[j] = j, i
+            j = previous
+    return total
+
+
 def max_weight_matching(h: WeightedBipartiteGraph) -> tuple[tuple[tuple[int, int], ...], int]:
     """Maximum-weight matching of the clique-intersection graph.
 
@@ -56,39 +109,23 @@ def max_weight_matching(h: WeightedBipartiteGraph) -> tuple[tuple[tuple[int, int
     smallest one (by sorted pair list) is returned, so downstream mark-set
     extraction is deterministic.
     """
-    nl, nr = len(h.left_cliques), len(h.right_cliques)
-    if not h.weights:
-        return (), 0
-    w = np.zeros((nl, nr), dtype=np.int64)
-    for (i, j), val in h.weights.items():
-        w[i, j] = val
-    best = _assignment_weight(w)
+    best = linear_sum_assignment(h.weights)
 
-    # Greedy lexicographic fixing: a positive-weight edge is kept exactly
-    # when some maximum-weight matching contains it together with all
-    # previously fixed edges.
+    # Greedy lexicographic fixing: a pair is kept exactly when some
+    # maximum-weight matching contains it together with all previously
+    # kept pairs, i.e. when the rows and columns still free carry the rest.
     chosen: list[tuple[int, int]] = []
-    used_l: set[int] = set()
-    used_r: set[int] = set()
-    bonus = int(w.sum()) + 1
-    forced = np.zeros_like(w)
-    for (i, j) in sorted(h.weights):
-        if i in used_l or j in used_r:
-            continue
-        forced[i, j] = bonus
-        trial = _assignment_weight(w + forced)
-        if trial == best + bonus * (len(chosen) + 1):
+    free = h.weights
+    fixed = 0
+    for i, j in sorted(h.weights):
+        if (i, j) not in free:
+            continue  # its row or column is already taken
+        rest = {(a, b): w for (a, b), w in free.items() if a != i and b != j}
+        if fixed + h.weights[i, j] + linear_sum_assignment(rest) == best:
             chosen.append((i, j))
-            used_l.add(i)
-            used_r.add(j)
-        else:
-            forced[i, j] = 0
+            free = rest
+            fixed += h.weights[i, j]
     return tuple(chosen), best
-
-
-def _assignment_weight(w: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    return int(w[rows, cols].sum())
 
 
 def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optional[frozenset[int]]:
@@ -102,10 +139,10 @@ def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optiona
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         return None
     h = build_clique_intersection_graph(g1, g2)
-    matching, weight = max_weight_matching(h)
-    if weight < g1.n - d:
+    # The weight alone decides; the canonical matching is built only for a yes.
+    if linear_sum_assignment(h.weights) < g1.n - d:
         return None
     kept: set[int] = set()
-    for i, j in matching:
+    for i, j in max_weight_matching(h)[0]:
         kept |= h.left_cliques[i] & h.right_cliques[j]
     return frozenset(range(1, g1.n + 1)) - kept

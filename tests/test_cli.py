@@ -136,6 +136,14 @@ def test_generate_sat(files, capsys):
     assert inst.n == 24 and inst.d == 14 and inst.k == 0
 
 
+def test_generate_sat_empty_formula(files, capsys):
+    write, tmp = files
+    formula_file = write("empty.cnf", "# no clauses\n\n")
+    assert run(["generate", "sat", formula_file, "--out", str(tmp / "s.mlg")]) == 2
+    assert "no clauses" in capsys.readouterr().err
+    assert not (tmp / "s.mlg").exists()
+
+
 def test_bench_csv_schema(files, capsys):
     write, tmp = files
     out = str(tmp / "bench.csv")

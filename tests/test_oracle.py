@@ -108,13 +108,6 @@ class TestOracleAgreement:
                 assert verify(inst, a).ok
                 assert verify(inst, b).ok
 
-    def test_tce_gap_methods_agree(self, rng):
-        for _ in range(80):
-            inst = random_instance(rng, "tce", max_ell=3)
-            a = oracle_tce(inst)
-            b = oracle_tce(inst, gap_method="matching")
-            assert (a is None) == (b is None)
-
     def test_monotone_in_budgets(self, rng):
         for _ in range(40):
             inst = random_instance(rng, "mlce", max_k=1, max_d=1)

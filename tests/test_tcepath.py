@@ -5,11 +5,7 @@ import pytest
 
 from layeredit.core import Instance, InputError, apply_edits, is_cluster_graph, layer_from_edges, verify
 from layeredit.oracle import oracle_tce
-from layeredit.tcepath import (
-    build_compatibility_graph,
-    enumerate_cluster_editing_sets,
-    solve_tce_xp,
-)
+from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
 
 from conftest import ref_instance, random_instance, random_layers
 
@@ -62,33 +58,6 @@ class TestEnumeration:
         assert frozenset({(1, 3), (1, 4), (2, 3), (2, 4)}) in sets
 
 
-class TestCompatibilityGraph:
-    def test_single_layer(self):
-        g = layer_from_edges(3, [(1, 2), (2, 3)])
-        inst = Instance("tce", 3, (g,), 1, 0)
-        cg = build_compatibility_graph(inst)
-        assert len(cg.parts) == 1 and cg.edges == ()
-        assert len(cg.parts[0]) == 3
-
-    def test_identical_cluster_layers(self):
-        g = layer_from_edges(3, [(1, 2)])
-        inst = Instance("tce", 3, (g, g), 0, 0)
-        cg = build_compatibility_graph(inst)
-        assert [len(p) for p in cg.parts] == [1, 1]
-        assert cg.edges == (frozenset({(0, 0)}),)
-
-    def test_ref_has_spanning_path(self):
-        cg = build_compatibility_graph(ref_instance("tce", 1, 1))
-        reachable = set(range(len(cg.parts[0])))
-        for gap in cg.edges:
-            reachable = {b for (a, b) in gap if a in reachable}
-        assert reachable
-
-    def test_mode_checked(self):
-        with pytest.raises(InputError):
-            build_compatibility_graph(ref_instance("mlce", 1, 1))
-
-
 class TestSolveTceXp:
     def test_ref_yes(self):
         inst = ref_instance("tce", 1, 1)
@@ -101,6 +70,10 @@ class TestSolveTceXp:
 
     def test_ref_no_without_marks(self):
         assert solve_tce_xp(ref_instance("tce", 3, 0)) is None
+
+    def test_mode_checked(self):
+        with pytest.raises(InputError):
+            solve_tce_xp(ref_instance("mlce", 1, 1))
 
     def test_single_layer_reduces_to_cluster_editing(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import layeredit
 from layeredit.core import consistent_after_removal, layer_from_edges
 from layeredit.twolayer import (
     build_clique_intersection_graph,
@@ -85,7 +90,7 @@ class TestMatching:
 
     def test_matches_exhaustive_matching(self, rng):
         for _ in range(80):
-            n = rng.randint(1, 6)
+            n = rng.randint(1, 9)
             h = build_clique_intersection_graph(
                 random_cluster_graph(rng, n), random_cluster_graph(rng, n))
             _, weight = max_weight_matching(h)
@@ -146,3 +151,12 @@ class TestSolveTwoLayer:
             g2 = random_cluster_graph(rng, 6)
             assert solve_two_layer_zero_edit(g1, g2, 3) == \
                 solve_two_layer_zero_edit(g1, g2, 3)
+
+
+def test_import_loads_no_numeric_stack():
+    src = str(Path(layeredit.__file__).resolve().parents[1])
+    code = "import sys, layeredit; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
