@@ -53,6 +53,8 @@ class SearchStats:
 
 TraceFn = Callable[[str], None]
 
+FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~35 MB at n = 24
+
 
 def edited_layers_of(inst: Instance, c: Constraint) -> tuple[LayerGraph, ...]:
     return tuple(apply_edits(g, m) for g, m in zip(inst.layers, c.edits))
@@ -139,16 +141,14 @@ def branching_rule_1(inst: Instance, c: Constraint) -> Optional[list[Constraint]
     """Destroy an induced P3 among unmarked vertices.
 
     None if every edited layer restricted to the unmarked vertices is a
-    cluster graph.  Otherwise up to six children: toggle-and-freeze each of
-    the three pairs not yet permanent, and mark each of the three vertices
-    that carry no permanent pair.  An empty list signals a dead branch.
+    cluster graph.  The constraint aligns the edited layers there, so the
+    first one decides.  Otherwise up to six children: toggle-and-freeze each
+    of the three pairs not yet permanent, and mark each of the three
+    vertices that carry no permanent pair.  An empty list signals a dead
+    branch.
     """
-    unmarked = frozenset(v for v in range(1, inst.n + 1) if v not in c.marked)
-    witness = None
-    for g in edited_layers_of(inst, c):
-        witness = find_p3(g, unmarked)
-        if witness is not None:
-            break
+    unmarked = inst.vertices() - c.marked
+    witness = find_p3(apply_edits(inst.layers[0], c.edits[0]), unmarked)
     if witness is None:
         return None
     children: list[Constraint] = []
@@ -378,7 +378,7 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
     root = greedy_initial_constraint(inst)
     if check_invariants and not is_aligning(inst, root):
         raise InvariantViolation("greedy constraint is not aligning")
-    sol = _search(inst, root, 0, trace, check_invariants, stats)
+    sol = _search(inst, root, 0, trace, check_invariants, stats, set())
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -387,7 +387,10 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
 
 
 def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
-            check: bool, stats: Optional[SearchStats]) -> Optional[Solution]:
+            check: bool, stats: Optional[SearchStats],
+            failed: set[Constraint]) -> Optional[Solution]:
+    """Depth-first search below ``c``.  A constraint's subtree depends on it
+    alone, so one in ``failed`` is not expanded again."""
     if stats is not None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
@@ -396,6 +399,10 @@ def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
             trace(f"TRACE {depth} rule0 reject |D|={len(c.marked)}")
         return None
     c = cleanup(c)
+    if c in failed:
+        if trace:
+            trace(f"TRACE {depth} seen")
+        return None
 
     children = branching_rule_1(inst, c)
     rule = "rule1"
@@ -415,9 +422,11 @@ def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
     if check:
         _check_children(inst, c, children, depth)
     for child in children:
-        found = _search(inst, child, depth + 1, trace, check, stats)
+        found = _search(inst, child, depth + 1, trace, check, stats, failed)
         if found is not None:
             return found
+    if len(failed) < FAILED_CAP:
+        failed.add(c)
     return None
 
 

@@ -93,7 +93,13 @@ def apply_edits(g: LayerGraph, m: frozenset[Pair] | set[Pair]) -> LayerGraph:
     for u, v in m:
         if not (1 <= u < v <= g.n):
             raise InputError(f"edit pair ({u}, {v}) out of range for n={g.n}")
-    return LayerGraph(g.n, g.edges ^ frozenset(m))
+    edited = LayerGraph(g.n, g.edges ^ frozenset(m))
+    adj = list(g.adj)  # O(n + |m|) from g's, not a rebuild from every edge
+    for u, v in m:
+        adj[u] = adj[u] ^ {v}
+        adj[v] = adj[v] ^ {u}
+    edited.__dict__["adj"] = tuple(adj)
+    return edited
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,14 @@ def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optiona
     else:
         members = sorted(restrict)
         inside = restrict
+    adj = g.adj
     for b in members:
-        nbrs = sorted(x for x in g.adj[b] if inside is None or x in inside)
-        for i, a in enumerate(nbrs):
-            for c in nbrs[i + 1:]:
-                if c not in g.adj[a]:
-                    return P3Witness(a, b, c)
+        nbrs = adj[b] if inside is None else adj[b] & inside
+        for a in sorted(nbrs):
+            # Every c < a that a misses would have come first, missing a.
+            missing = nbrs - adj[a] - {a}
+            if missing:
+                return P3Witness(a, b, min(missing))
     return None
 
 
@@ -154,10 +162,6 @@ def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,
         if u not in removed and v not in removed:
             return False
     return True
-
-
-def restricted_edges(g: LayerGraph, removed: frozenset[int] | set[int]) -> frozenset[Pair]:
-    return frozenset(p for p in g.edges if p[0] not in removed and p[1] not in removed)
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,13 @@ def apply_rule(sb: SeparateBudgetInstance,
         return NOT_APPLICABLE, None, ""
 
     if rule_id == 5:
-        inter = _intersection_graph(sb)
+        # A union component is connected in the intersection graph iff it is
+        # one of that graph's components, which refine the union's.
+        inter_comps = set(_intersection_graph(sb).components())
         for comp in _union_graph(sb).components():
             if comp & dirty_all:
                 continue
-            if _connected_within(inter, comp):
+            if comp in inter_comps:
                 return APPLIED, _remove_vertices(sb, comp), \
                     f"rule 5: removed shared component {sorted(comp)}"
         return NOT_APPLICABLE, None, ""
@@ -215,19 +217,6 @@ def apply_rule(sb: SeparateBudgetInstance,
         return NOT_APPLICABLE, None, ""
 
     raise ValueError(f"unknown rule id {rule_id}")
-
-
-def _connected_within(g: LayerGraph, comp: frozenset[int]) -> bool:
-    start = min(comp)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y in comp and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == comp
 
 
 def back_transform(sb: SeparateBudgetInstance) -> Instance:

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from layeredit import branching
 from layeredit.branching import (
     Constraint,
     SearchStats,
@@ -321,6 +322,22 @@ class TestSolveMlce:
             if got is not None:
                 assert verify(inst, got).ok
         assert stats.nodes > 0
+
+    def test_skipping_failed_repeats_keeps_the_solution(self, rng, monkeypatch):
+        insts = [ref_instance("mlce", k, d) for k in range(4) for d in range(4)]
+        insts += [random_instance(rng, "mlce", max_n=6) for _ in range(60)]
+        with_memo = []
+        for inst in insts:
+            stats = SearchStats()
+            with_memo.append((solve_mlce(inst, stats=stats), stats.nodes))
+        monkeypatch.setattr(branching, "FAILED_CAP", 0)
+        skipped = 0
+        for inst, (sol, nodes) in zip(insts, with_memo):
+            stats = SearchStats()
+            assert solve_mlce(inst, stats=stats) == sol
+            assert stats.nodes >= nodes
+            skipped += stats.nodes - nodes
+        assert skipped > 0
 
     def test_trace_emits_lines(self):
         lines = []

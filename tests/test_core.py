@@ -5,6 +5,7 @@ import pytest
 from layeredit.core import (
     InputError,
     Instance,
+    LayerGraph,
     P3Witness,
     Solution,
     apply_edits,
@@ -36,6 +37,16 @@ def brute_force_p3_free(g, restrict=None):
     return True
 
 
+def first_p3_in_scan_order(g, restrict=None):
+    """find_p3's contract spelled out: centers, then neighbour pairs, ascending."""
+    verts = sorted(restrict) if restrict is not None else range(1, g.n + 1)
+    for b in verts:
+        for a, c in combinations([v for v in verts if v != b], 2):
+            if g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c):
+                return P3Witness(a, b, c)
+    return None
+
+
 class TestApplyEdits:
     def test_empty_edit_is_identity(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
@@ -46,6 +57,13 @@ class TestApplyEdits:
             g = random_layers(rng, 5, 1)[0]
             m = frozenset({(1, 2), (2, 5), (3, 4)})
             assert apply_edits(apply_edits(g, m), m) == g
+
+    def test_adjacency_matches_a_rebuild(self, rng):
+        for _ in range(50):
+            g = random_layers(rng, 6, 1)[0]
+            m = frozenset(p for p in combinations(range(1, 7), 2) if rng.random() < 0.3)
+            edited = apply_edits(g, m)
+            assert edited.adj == LayerGraph(6, g.edges ^ m).adj
 
     def test_ref_layer3_plus_45_is_clique(self):
         g = ref_instance("mlce", 1, 1).layers[2]
@@ -82,6 +100,13 @@ class TestFindP3:
             g = random_layers(rng, rng.randint(2, 8), 1)[0]
             restrict = frozenset(v for v in range(1, g.n + 1) if rng.random() < 0.7)
             assert (find_p3(g, restrict) is None) == brute_force_p3_free(g, restrict)
+
+    def test_witness_is_first_in_scan_order(self, rng):
+        for _ in range(200):
+            g = random_layers(rng, rng.randint(2, 9), 1)[0]
+            restrict = frozenset(v for v in range(1, g.n + 1) if rng.random() < 0.7)
+            assert find_p3(g) == first_p3_in_scan_order(g)
+            assert find_p3(g, restrict) == first_p3_in_scan_order(g, restrict)
 
     def test_deterministic(self, rng):
         g = random_layers(rng, 7, 1)[0]
