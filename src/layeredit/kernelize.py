@@ -20,6 +20,7 @@ Rules, in application order (lower id first, restart after every change):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .core import (
@@ -27,7 +28,6 @@ from .core import (
     Instance,
     LayerGraph,
     Pair,
-    all_pairs,
     count_p3_through_pair,
     pair,
     pairs_of,
@@ -91,16 +91,15 @@ def to_separate_budgets(inst: Instance) -> SeparateBudgetInstance:
     )
 
 
+def _induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
+    """Every induced P3 a - b - c of the layer, with a < c."""
+    return [(a, b, c) for b in range(1, g.n + 1)
+            for a, c in combinations(sorted(g.adj[b]), 2) if c not in g.adj[a]]
+
+
 def dirty_vertices(g: LayerGraph) -> frozenset[int]:
     """Vertices that appear in some induced P3 of the layer."""
-    dirty: set[int] = set()
-    for b in range(1, g.n + 1):
-        nbrs = sorted(g.adj[b])
-        for i, a in enumerate(nbrs):
-            for c in nbrs[i + 1:]:
-                if c not in g.adj[a]:
-                    dirty.update((a, b, c))
-    return frozenset(dirty)
+    return frozenset(v for p3 in _induced_p3s(g) for v in p3)
 
 
 def _union_graph(sb: SeparateBudgetInstance) -> LayerGraph:
@@ -157,8 +156,9 @@ def apply_rule(sb: SeparateBudgetInstance,
     if rule_id in (2, 3):
         want_edge = rule_id == 2
         for i, g in enumerate(sb.layers):
+            # a non-edge lies in one P3 per common neighbour, so needs one
             candidates = sorted(g.edges) if want_edge else \
-                sorted(p for p in all_pairs(sb.n) if p not in g.edges)
+                sorted({(a, c) for a, _, c in _induced_p3s(g)})
             for p in candidates:
                 if count_p3_through_pair(g, p) >= sb.budgets[i] + 1:
                     verb = "deleted" if want_edge else "added"

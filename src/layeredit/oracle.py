@@ -25,11 +25,14 @@ from .core import (
     TCE,
     InputError,
     Instance,
+    LayerGraph,
     Pair,
     Solution,
+    all_pairs,
+    apply_edits,
+    is_cluster_graph,
     pair,
 )
-from .tcepath import enumerate_cluster_editing_sets
 
 MAX_ORACLE_K = 4
 MAX_ORACLE_ELL = 4
@@ -58,6 +61,17 @@ def _guard_enummed(n: int, budgets: Sequence[int]) -> None:
     work = max(_enum_work(n, b) for b in budgets)
     if work > ENUM_WORK_CAP:
         raise CapabilityError(f"oracle guard: edit enumeration needs {work} subset checks")
+
+
+def _cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
+    """Every edit set of size at most k that turns g into a cluster graph, in
+    lexicographic order, by testing each subset of the pairs.  A copy of its
+    own, so the ground truth shares no enumeration with the xp solver."""
+    found = [combo for size in range(k + 1)
+             for combo in combinations(all_pairs(g.n), size)
+             if is_cluster_graph(apply_edits(g, frozenset(combo)))]
+    found.sort()
+    return [frozenset(combo) for combo in found]
 
 
 def _mark_candidates(vertices: Sequence[int], d: int) -> Iterator[frozenset[int]]:
@@ -99,7 +113,7 @@ def _solve_mlce_exhaustive(mode_n: int, layers, budgets: Sequence[int],
                            d: int) -> Optional[Solution]:
     n = mode_n
     _guard_enummed(n, budgets)
-    cands = [enumerate_cluster_editing_sets(g, b) for g, b in zip(layers, budgets)]
+    cands = [_cluster_editing_sets(g, b) for g, b in zip(layers, budgets)]
     edited = [[g.edges ^ m for m in layer_cands]
               for g, layer_cands in zip(layers, cands)]
 
@@ -175,7 +189,7 @@ def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Optio
         return None
     _guard_enummed(inst.n, bud)
 
-    cands = [enumerate_cluster_editing_sets(g, b)
+    cands = [_cluster_editing_sets(g, b)
              for g, b in zip(inst.layers, bud)]
     edited = [[g.edges ^ m for m in layer_cands]
               for g, layer_cands in zip(inst.layers, cands)]

@@ -2,15 +2,15 @@
 
 Every cluster editing set of size at most k is a node of its layer's part
 (non-minimal sets included on purpose: a later layer may only be reachable
-after splitting clusters that were locally fine).  Consecutive nodes are
+after splitting clusters that were locally fine), enumerated by placing the
+vertices one by one into clusters within budget.  Consecutive nodes are
 compatible when the edited graphs agree up to d marked vertices, decided by
-the zero-edit two-layer solver.  The instance is a yes iff the first part
-reaches the last.
+matching weight alone; only the final path's gaps get a mark set.  The
+instance is a yes iff the first part reaches the last.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import (
@@ -20,12 +20,10 @@ from .core import (
     LayerGraph,
     Pair,
     Solution,
-    all_pairs,
     apply_edits,
-    is_cluster_graph,
     verify,
 )
-from .twolayer import solve_two_layer_zero_edit
+from .twolayer import clusterings_compatible, solve_two_layer_zero_edit
 
 
 def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
@@ -33,23 +31,33 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     each exactly once, ordered lexicographically by sorted pair list."""
     if k < 0:
         raise InputError("negative edit budget")
-    found: list[tuple[tuple[Pair, ...], frozenset[Pair]]] = []
-    universe = all_pairs(g.n)
-    for size in range(k + 1):
-        for combo in combinations(universe, size):
-            m = frozenset(combo)
-            if is_cluster_graph(apply_edits(g, m)):
-                found.append((combo, m))
-    found.sort(key=lambda item: item[0])
-    return [m for _, m in found]
+    # below[v]: bitmask of v's neighbours u < v, the vertices placed before v
+    below = [sum(1 << u for u in g.adj[v] if u < v) for v in range(g.n + 1)]
+    found = []
+    # Depth-first without recursion; a partition fixes its edited graph, so
+    # each set is reached once.  Entry: (vertices placed, edits spent, pairs
+    # toggled, clusters as bitmasks).
+    stack = [(0, 0, (), ())]
+    while stack:
+        placed, spent, toggles, clusters = stack.pop()
+        if placed == g.n:
+            found.append(tuple(sorted(toggles)))
+            continue
+        v = placed + 1
+        for idx, members in enumerate(clusters + (0,)):  # 0 opens a new cluster
+            mask = members ^ below[v]  # non-edges inside, edges leaving it
+            if spent + mask.bit_count() <= k:
+                toggled = tuple((u, v) for u in range(1, v) if mask >> u & 1)
+                stack.append((v, spent + len(toggled), toggles + toggled,
+                              clusters[:idx] + (members | 1 << v,) + clusters[idx + 1:]))
+    return [frozenset(t) for t in sorted(found)]
 
 
-def _budgets(inst: Instance, layer_budgets: Optional[Sequence[int]]) -> list[int]:
-    if layer_budgets is None:
-        return [inst.k] * inst.ell
-    if len(layer_budgets) != inst.ell:
-        raise InputError("one edit budget per layer required")
-    return list(layer_budgets)
+def _clusters(g: LayerGraph, m: frozenset[Pair]) -> tuple[int, ...]:
+    """Each vertex's cluster in g edited by m, a cluster graph, named by the
+    cluster's smallest vertex."""
+    adj = apply_edits(g, m).adj
+    return tuple(min(adj[v] | {v}) for v in range(1, g.n + 1))
 
 
 def solve_tce_xp(inst: Instance,
@@ -61,12 +69,14 @@ def solve_tce_xp(inst: Instance,
     """
     if inst.mode != TCE:
         raise InputError("solve_tce_xp expects a tce instance")
-    budgets = _budgets(inst, layer_budgets)
+    budgets = [inst.k] * inst.ell if layer_budgets is None else list(layer_budgets)
+    if len(budgets) != inst.ell:
+        raise InputError("one edit budget per layer required")
 
     # Every layer's part is kept, so the path's edit sets are read back from
-    # it; only the current frontier's edited graphs live across the sweep.
+    # it; only the current frontier's clusterings live across the sweep.
     parts = [enumerate_cluster_editing_sets(inst.layers[0], budgets[0])]
-    prev_graphs = [apply_edits(inst.layers[0], m) for m in parts[0]]
+    prev_clusters = [_clusters(inst.layers[0], m) for m in parts[0]]
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
@@ -74,16 +84,16 @@ def solve_tce_xp(inst: Instance,
 
     for i in range(1, inst.ell):
         parts.append(enumerate_cluster_editing_sets(inst.layers[i], budgets[i]))
-        graphs = [apply_edits(inst.layers[i], m) for m in parts[i]]
+        clusters = [_clusters(inst.layers[i], m) for m in parts[i]]
         preds: list[Optional[int]] = []
-        for g in graphs:
+        for c in clusters:
             hit = next((j for j in reachable
-                        if solve_two_layer_zero_edit(prev_graphs[j], g, inst.d) is not None),
+                        if clusterings_compatible(prev_clusters[j], c, inst.d)),
                        None)
             preds.append(hit)
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
-        prev_graphs = graphs
+        prev_clusters = clusters
         if not reachable:
             return None
 

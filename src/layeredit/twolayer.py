@@ -14,8 +14,9 @@ has at most n edges, so no dense n x n matrix is ever built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import InputError, LayerGraph, is_cluster_graph
 
@@ -43,10 +44,7 @@ def build_clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedB
     right = tuple(sorted(g2.components(), key=min))
     left_of = {v: i for i, comp in enumerate(left) for v in comp}
     right_of = {v: i for i, comp in enumerate(right) for v in comp}
-    weights: dict[tuple[int, int], int] = {}
-    for v in range(1, g1.n + 1):
-        key = (left_of[v], right_of[v])
-        weights[key] = weights.get(key, 0) + 1
+    weights = dict(Counter((left_of[v], right_of[v]) for v in range(1, g1.n + 1)))
     return WeightedBipartiteGraph(left, right, weights)
 
 
@@ -126,6 +124,12 @@ def max_weight_matching(h: WeightedBipartiteGraph) -> tuple[tuple[tuple[int, int
             free = rest
             fixed += h.weights[i, j]
     return tuple(chosen), best
+
+
+def clusterings_compatible(left: Sequence[int], right: Sequence[int], d: int) -> bool:
+    """Whether solve_two_layer_zero_edit finds a marking set for two cluster
+    graphs given by each vertex's cluster, decided by matching weight alone."""
+    return left == right or linear_sum_assignment(Counter(zip(left, right))) >= len(left) - d
 
 
 def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optional[frozenset[int]]:

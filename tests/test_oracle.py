@@ -1,4 +1,8 @@
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from layeredit.core import Instance, InputError, layer_from_edges, verify
@@ -140,3 +144,17 @@ class TestSeparateBudgets:
         g = layer_from_edges(2, [])
         inst = Instance("mlce", 2, (g,), 0, 0)
         assert oracle_mlce(inst, budgets=[-1]) is None
+
+
+def test_oracle_does_not_import_the_xp_solver():
+    # the ground truth must not share enumeration code with tcepath
+    source = Path(importlib.import_module("layeredit.oracle").__file__)
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("tcepath" in name for name in imported)

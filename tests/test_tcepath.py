@@ -4,10 +4,11 @@ from math import comb
 import pytest
 
 from layeredit.core import Instance, InputError, apply_edits, is_cluster_graph, layer_from_edges, verify
-from layeredit.oracle import oracle_tce
-from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
+from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
+from layeredit.tcepath import _clusters, enumerate_cluster_editing_sets, solve_tce_xp
+from layeredit.twolayer import clusterings_compatible, solve_two_layer_zero_edit
 
-from conftest import ref_instance, random_instance, random_layers
+from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
 
 
 class TestEnumeration:
@@ -56,6 +57,55 @@ class TestEnumeration:
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         sets = enumerate_cluster_editing_sets(g, 4)
         assert frozenset({(1, 3), (1, 4), (2, 3), (2, 4)}) in sets
+
+
+    def test_same_list_as_the_oracle_brute_force(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            k = rng.randint(0, 3)
+            g = random_layers(rng, n, 1, density=rng.choice((0.2, 0.5, 0.8)))[0]
+            assert enumerate_cluster_editing_sets(g, k) == brute_force_editing_sets(g, k)
+
+    def test_budget_above_all_pairs(self):
+        g = layer_from_edges(3, [(1, 2)])
+        sets = enumerate_cluster_editing_sets(g, 10)
+        # all five partitions of three vertices are reachable
+        assert len(sets) == 5
+        assert sets == brute_force_editing_sets(g, 3)
+
+    def test_single_vertex(self):
+        g = layer_from_edges(1, [])
+        assert enumerate_cluster_editing_sets(g, 0) == [frozenset()]
+        assert enumerate_cluster_editing_sets(g, 3) == [frozenset()]
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError):
+            enumerate_cluster_editing_sets(layer_from_edges(2, []), -1)
+
+    def test_large_cluster_graph_at_zero_needs_no_deep_recursion(self, rng):
+        g = random_cluster_graph(rng, 2000)
+        assert enumerate_cluster_editing_sets(g, 0) == [frozenset()]
+
+
+class TestSweepCheck:
+    def test_weight_decision_matches_the_two_layer_solver(self, rng):
+        empty = frozenset()
+        for _ in range(600):
+            n = rng.randint(1, 10)
+            d = rng.randint(0, 3)
+            g1, g2 = random_cluster_graph(rng, n), random_cluster_graph(rng, n)
+            if rng.random() < 0.3:
+                g2 = g1
+            got = clusterings_compatible(_clusters(g1, empty),
+                                         _clusters(g2, empty), d)
+            assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
+
+    def test_clusters_follow_the_edits(self):
+        g = layer_from_edges(4, [(1, 2), (3, 4)])
+        assert _clusters(g, frozenset()) == (1, 1, 3, 3)
+        assert _clusters(g, frozenset({(1, 2), (3, 4)})) == (1, 2, 3, 4)
+        merged = frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
+        assert _clusters(g, merged) == (1, 1, 1, 1)
 
 
 class TestSolveTceXp:
