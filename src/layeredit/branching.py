@@ -7,12 +7,24 @@ alignment, it applies, in order: a budget reject, a clean-up pass, and
 three branching rules (destroy a P3, repair an edit-budget overflow,
 repair a layer that cannot be completed by marked-only edits).  When no
 rule applies, a full solution is assembled from the constraint.
+
+Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
+(bit v for vertex v); each edit set and the permanent set is a bitmask over
+pair indices, a pair's index being its position in ``all_pairs(n)``, so
+ascending bits are lexicographic pair order.  A ``SearchContext`` holds the
+tables of one instance that the search needs, built once per solve: the
+pair list, each pair's bit, the pairs touching each vertex, every layer's
+edge set as a pair bitmask and layer 0's adjacency as vertex bitmasks.
+Rules 0-2, clean-up and the failed-constraint memo work on the ints alone;
+rule 3, solution extraction and the invariant checks decode to frozensets
+and ``LayerGraph`` values at their boundary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     MLCE,
@@ -21,6 +33,7 @@ from .core import (
     LayerGraph,
     Pair,
     Solution,
+    all_pairs,
     apply_edits,
     find_p3,
     pair,
@@ -33,16 +46,13 @@ class InvariantViolation(RuntimeError):
     """An instrumented run observed a broken search invariant."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Branching state: marked vertices, per-layer edits, permanent pairs."""
+class Constraint(NamedTuple):
+    """Branching state: marked vertices, per-layer edits, permanent pairs,
+    as bitmasks (see the module docstring)."""
 
-    marked: frozenset[int]
-    edits: tuple[frozenset[Pair], ...]
-    permanent: frozenset[Pair]
-
-    def has_permanent_pair(self, x: int) -> bool:
-        return any(x in p for p in self.permanent)
+    marked: int
+    edits: tuple[int, ...]
+    permanent: int
 
 
 @dataclass
@@ -53,91 +63,154 @@ class SearchStats:
 
 TraceFn = Callable[[str], None]
 
-FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~35 MB at n = 24
+FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 24, ell = 5
 
 
-def edited_layers_of(inst: Instance, c: Constraint) -> tuple[LayerGraph, ...]:
-    return tuple(apply_edits(g, m) for g, m in zip(inst.layers, c.edits))
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def is_aligning(inst: Instance, c: Constraint) -> bool:
+class SearchContext:
+    """Tables of one instance for the int-encoded search, built once."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.pairs = all_pairs(inst.n)
+        # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
+        pair_bit = [[0] * (inst.n + 1) for _ in range(inst.n + 1)]
+        touching = [0] * (inst.n + 1)
+        for i, (u, v) in enumerate(self.pairs):
+            pair_bit[u][v] = pair_bit[v][u] = 1 << i
+            touching[u] |= 1 << i
+            touching[v] |= 1 << i
+        self.pair_bit = pair_bit
+        self.touching = touching
+        self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
+        self.adj0 = [self.vertex_mask(nbrs) for nbrs in inst.layers[0].adj]
+        self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
+        self._touching_cache: dict[int, int] = {}
+
+    def pair_mask(self, pairs: Iterable[Pair]) -> int:
+        mask = 0
+        for p in pairs:
+            mask |= self.pair_bit[p[0]][p[1]]
+        return mask
+
+    def pair_set(self, mask: int) -> frozenset[Pair]:
+        return frozenset(self.pairs[i] for i in _bits(mask))
+
+    @staticmethod
+    def vertex_mask(vertices: Iterable[int]) -> int:
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        return mask
+
+    @staticmethod
+    def vertex_set(mask: int) -> frozenset[int]:
+        return frozenset(_bits(mask))
+
+    def touching_mask(self, marked: int) -> int:
+        """All pairs with an endpoint among the marked vertices."""
+        mask = self._touching_cache.get(marked)
+        if mask is None:
+            mask = 0
+            for v in _bits(marked):
+                mask |= self.touching[v]
+            self._touching_cache[marked] = mask
+        return mask
+
+
+def edited_layers_of(ctx: SearchContext, c: Constraint) -> tuple[LayerGraph, ...]:
+    return tuple(apply_edits(g, ctx.pair_set(m)) for g, m in zip(ctx.inst.layers, c.edits))
+
+
+def is_aligning(ctx: SearchContext, c: Constraint) -> bool:
     """All edited layers agree on the unmarked vertices."""
-    rest = None
-    for g in edited_layers_of(inst, c):
-        cur = frozenset(p for p in g.edges
-                        if p[0] not in c.marked and p[1] not in c.marked)
-        if rest is None:
-            rest = cur
-        elif cur != rest:
-            return False
-    return True
+    keep = ~ctx.touching_mask(c.marked)
+    return len({(e ^ m) & keep for e, m in zip(ctx.layer_masks, c.edits)}) == 1
 
 
 def extends(child: Constraint, parent: Constraint) -> bool:
     """Marked and permanent sets grow; edits agree on the parent's permanent pairs."""
-    if not (child.marked >= parent.marked and child.permanent >= parent.permanent):
+    if parent.marked & ~child.marked or parent.permanent & ~child.permanent:
         return False
-    return all(cm & parent.permanent == pm & parent.permanent
-               for cm, pm in zip(child.edits, parent.edits))
+    return not any((cm ^ pm) & parent.permanent for cm, pm in zip(child.edits, parent.edits))
 
 
 def constraint_quality(c: Constraint) -> int:
     """Progress measure of a constraint: marked vertices plus permanent pairs."""
-    return len(c.marked) + len(c.permanent)
+    return c.marked.bit_count() + c.permanent.bit_count()
 
 
-def greedy_initial_constraint(inst: Instance) -> Constraint:
+def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     """Majority-vote alignment: a pair present in at least half of the layers
     is added everywhere, any other pair is deleted everywhere."""
+    inst = ctx.inst
     if inst.mode != MLCE:
         raise InputError("greedy alignment is defined for mlce instances")
-    ell = inst.ell
-    counts: dict[Pair, int] = {}
-    for g in inst.layers:
-        for p in g.edges:
-            counts[p] = counts.get(p, 0) + 1
-    edits: list[set[Pair]] = [set() for _ in range(ell)]
-    for p, cnt in counts.items():
-        if 2 * cnt >= ell:
-            for i, g in enumerate(inst.layers):
-                if p not in g.edges:
-                    edits[i].add(p)
-        else:
-            for i, g in enumerate(inst.layers):
-                if p in g.edges:
-                    edits[i].add(p)
-    return Constraint(frozenset(), tuple(frozenset(m) for m in edits), frozenset())
+    counts = Counter(p for g in inst.layers for p in g.edges)
+    majority = ctx.pair_mask(p for p, cnt in counts.items() if 2 * cnt >= inst.ell)
+    return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
 
 
 def rule0_rejects(c: Constraint, k: int, d: int) -> bool:
     """Dead branch: too many marks, or some layer has over k frozen edits."""
-    if len(c.marked) > d:
+    if c.marked.bit_count() > d:
         return True
-    return any(len(m & c.permanent) > k for m in c.edits)
+    permanent = c.permanent
+    if permanent:
+        for m in c.edits:
+            if (m & permanent).bit_count() > k:
+                return True
+    return False
 
 
-def cleanup(c: Constraint) -> Constraint:
+def cleanup(ctx: SearchContext, c: Constraint) -> Constraint:
     """Drop every edit pair that touches a marked vertex.  Idempotent."""
     if not c.marked:
         return c
-    new_edits = tuple(
-        frozenset(p for p in m if p[0] not in c.marked and p[1] not in c.marked)
-        for m in c.edits)
-    return Constraint(c.marked, new_edits, c.permanent)
+    keep = ~ctx.touching_mask(c.marked)
+    return Constraint(c.marked, tuple([m & keep for m in c.edits]), c.permanent)
 
 
-def _toggle_child(c: Constraint, p: Pair) -> Constraint:
-    return Constraint(c.marked,
-                      tuple(m ^ {p} for m in c.edits),
-                      c.permanent | {p})
+def _toggle_child(c: Constraint, bit: int) -> Constraint:
+    return Constraint(c.marked, tuple([m ^ bit for m in c.edits]), c.permanent | bit)
 
 
-def _mark_child(c: Constraint, x: int, drop: Optional[Pair] = None) -> Constraint:
-    edits = c.edits if drop is None else tuple(m - {drop} for m in c.edits)
-    return Constraint(c.marked | {x}, edits, c.permanent)
+def _mark_child(c: Constraint, x: int, drop: int = 0) -> Constraint:
+    edits = tuple([m & ~drop for m in c.edits]) if drop else c.edits
+    return Constraint(c.marked | 1 << x, edits, c.permanent)
 
 
-def branching_rule_1(inst: Instance, c: Constraint) -> Optional[list[Constraint]]:
+def _first_p3(adj: list[int], inside: int) -> Optional[tuple[int, int, int]]:
+    """``core.find_p3`` on int adjacency (index 0 unused): the first induced
+    P3 (a, b, c) of the graph restricted to ``inside``, centers b ascending,
+    then their neighbours a ascending, then the smallest vertex c that b
+    sees and a misses."""
+    for b in range(1, len(adj)):
+        if not inside >> b & 1:
+            continue
+        nbrs = adj[b] & inside
+        if not nbrs & (nbrs - 1):
+            continue  # fewer than two neighbours: b centers no P3
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            missing = nbrs & ~adj[low.bit_length() - 1] & ~low
+            if missing:
+                return low.bit_length() - 1, b, (missing & -missing).bit_length() - 1
+    return None
+
+
+def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
     """Destroy an induced P3 among unmarked vertices.
 
     None if every edited layer restricted to the unmarked vertices is a
@@ -147,21 +220,31 @@ def branching_rule_1(inst: Instance, c: Constraint) -> Optional[list[Constraint]
     vertices that carry no permanent pair.  An empty list signals a dead
     branch.
     """
-    unmarked = inst.vertices() - c.marked
-    witness = find_p3(apply_edits(inst.layers[0], c.edits[0]), unmarked)
+    adj = ctx.adj0.copy()
+    pairs = ctx.pairs
+    rest = c.edits[0]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    witness = _first_p3(adj, ctx.vertices & ~c.marked)
     if witness is None:
         return None
+    a, b, w = witness
+    pair_bit, touching, permanent = ctx.pair_bit, ctx.touching, c.permanent
     children: list[Constraint] = []
-    for p in witness.pairs():
-        if p not in c.permanent:
-            children.append(_toggle_child(c, p))
-    for x in (witness.a, witness.b, witness.c):
-        if not c.has_permanent_pair(x):
+    for bit in (pair_bit[a][b], pair_bit[b][w], pair_bit[a][w]):
+        if not permanent & bit:
+            children.append(_toggle_child(c, bit))
+    for x in witness:
+        if not permanent & touching[x]:
             children.append(_mark_child(c, x))
     return children
 
 
-def branching_rule_2(inst: Instance, c: Constraint, k: int) -> Optional[list[Constraint]]:
+def branching_rule_2(ctx: SearchContext, c: Constraint, k: int) -> Optional[list[Constraint]]:
     """Repair the first layer whose edit set exceeds the budget.
 
     Picks the lexicographically smallest non-permanent pairs so that,
@@ -169,17 +252,17 @@ def branching_rule_2(inst: Instance, c: Constraint, k: int) -> Optional[list[Con
     and branches on undoing each of them: either freeze the edit, or mark
     one endpoint and drop the edit everywhere.
     """
-    over = next((i for i, m in enumerate(c.edits) if len(m) > k), None)
+    over = next((m for m in c.edits if m.bit_count() > k), None)
     if over is None:
         return None
-    m_i = c.edits[over]
-    need = k + 1 - len(m_i & c.permanent)
-    loose = sorted(m_i - c.permanent)[:need]
-    children = [_toggle_child(c, p) for p in loose]
-    for p in loose:
-        for x in p:
-            if not c.has_permanent_pair(x):
-                children.append(_mark_child(c, x, drop=p))
+    permanent = c.permanent
+    need = k + 1 - (over & permanent).bit_count()
+    loose = _bits(over & ~permanent)[:need]
+    children = [_toggle_child(c, 1 << i) for i in loose]
+    for i in loose:
+        for x in ctx.pairs[i]:
+            if not permanent & ctx.touching[x]:
+                children.append(_mark_child(c, x, drop=1 << i))
     return children
 
 
@@ -312,7 +395,7 @@ def _complete(g: LayerGraph, marked: frozenset[int], budget: int) -> Optional[li
     return None
 
 
-def branching_rule_3(inst: Instance, c: Constraint, k: int) -> Optional[list[Constraint]]:
+def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list[Constraint]]:
     """Repair the first layer that cannot be finished with marked-only edits.
 
     None when every layer admits a marked-only completion within its
@@ -321,10 +404,11 @@ def branching_rule_3(inst: Instance, c: Constraint, k: int) -> Optional[list[Con
     on committing all kernel decisions at once, and on each open kernel
     pair.  An empty list signals a dead branch.
     """
-    edited = edited_layers_of(inst, c)
+    marked = ctx.vertex_set(c.marked)
+    edited = edited_layers_of(ctx, c)
     offending = None
     for i, g in enumerate(edited):
-        if min_marked_completion(g, c.marked, k - len(c.edits[i])) is None:
+        if min_marked_completion(g, marked, k - c.edits[i].bit_count()) is None:
             offending = i
             break
     if offending is None:
@@ -332,15 +416,15 @@ def branching_rule_3(inst: Instance, c: Constraint, k: int) -> Optional[list[Con
 
     i = offending
     m_i = c.edits[i]
-    loose = sorted(m_i - c.permanent)
-    kernel = kernel_k(edited[i], k - len(m_i), c.marked, frozenset(m_i & c.permanent))
+    permanent, touching = c.permanent, ctx.touching
+    kernel = kernel_k(edited[i], k - m_i.bit_count(), marked, ctx.pair_set(m_i & permanent))
 
     children: list[Constraint] = []
-    for p in loose:
-        for x in p:
-            if not c.has_permanent_pair(x):
-                children.append(_mark_child(c, x, drop=p))
-        children.append(_toggle_child(c, p))
+    for j in _bits(m_i & ~permanent):
+        for x in ctx.pairs[j]:
+            if not permanent & touching[x]:
+                children.append(_mark_child(c, x, drop=1 << j))
+        children.append(_toggle_child(c, 1 << j))
 
     if kernel is None:
         return children  # empty when no loose edits exist: dead branch
@@ -350,17 +434,18 @@ def branching_rule_3(inst: Instance, c: Constraint, k: int) -> Optional[list[Con
     extra: list[Constraint] = []
     for p in sorted(forced):
         for x in p:
-            if x not in c.marked and not c.has_permanent_pair(x):
-                extra.append(_mark_child(c, x, drop=p))
+            if x not in marked and not permanent & touching[x]:
+                extra.append(_mark_child(c, x, drop=ctx.pair_bit[p[0]][p[1]]))
     if forced:
+        forced_mask = ctx.pair_mask(forced)
         extra.append(Constraint(c.marked,
-                                tuple(m ^ forced for m in c.edits),
-                                c.permanent | m_i | forced))
+                                tuple(m ^ forced_mask for m in c.edits),
+                                permanent | m_i | forced_mask))
     for p in sorted(open_pairs):
         for x in p:
-            if not c.has_permanent_pair(x):
+            if not permanent & touching[x]:
                 extra.append(_mark_child(c, x))
-        extra.append(_toggle_child(c, p))
+        extra.append(_toggle_child(c, ctx.pair_bit[p[0]][p[1]]))
     # The kernel ignores permanent pairs it was not told about, so on dead
     # branches it can propose undoing one; such children neither extend the
     # parent nor make progress and are never needed for completeness.
@@ -375,10 +460,11 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
     """Full search: returns a verified solution or None when none exists."""
     if inst.mode != MLCE:
         raise InputError("solve_mlce expects an mlce instance")
-    root = greedy_initial_constraint(inst)
-    if check_invariants and not is_aligning(inst, root):
+    ctx = SearchContext(inst)
+    root = greedy_initial_constraint(ctx)
+    if check_invariants and not is_aligning(ctx, root):
         raise InvariantViolation("greedy constraint is not aligning")
-    sol = _search(inst, root, 0, trace, check_invariants, stats, set())
+    sol = _search(ctx, root, 0, trace, check_invariants, stats, set())
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -386,7 +472,7 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
     return sol
 
 
-def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
+def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[TraceFn],
             check: bool, stats: Optional[SearchStats],
             failed: set[Constraint]) -> Optional[Solution]:
     """Depth-first search below ``c``.  A constraint's subtree depends on it
@@ -394,35 +480,37 @@ def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
     if stats is not None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-    if rule0_rejects(c, inst.k, inst.d):
+    k = ctx.inst.k
+    if rule0_rejects(c, k, ctx.inst.d):
         if trace:
-            trace(f"TRACE {depth} rule0 reject |D|={len(c.marked)}")
+            trace(f"TRACE {depth} rule0 reject |D|={c.marked.bit_count()}")
         return None
-    c = cleanup(c)
+    c = cleanup(ctx, c)
     if c in failed:
         if trace:
             trace(f"TRACE {depth} seen")
         return None
 
-    children = branching_rule_1(inst, c)
+    children = branching_rule_1(ctx, c)
     rule = "rule1"
     if children is None:
-        children = branching_rule_2(inst, c, inst.k)
+        children = branching_rule_2(ctx, c, k)
         rule = "rule2"
     if children is None:
-        children = branching_rule_3(inst, c, inst.k)
+        children = branching_rule_3(ctx, c, k)
         rule = "rule3"
     if children is None:
         if trace:
-            trace(f"TRACE {depth} accept |D|={len(c.marked)} |B|={len(c.permanent)}")
-        return _extract_solution(inst, c)
+            trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
+                  f"|B|={c.permanent.bit_count()}")
+        return _extract_solution(ctx, c)
 
     if trace:
         trace(f"TRACE {depth} {rule} children={len(children)}")
     if check:
-        _check_children(inst, c, children, depth)
+        _check_children(ctx, c, children, depth)
     for child in children:
-        found = _search(inst, child, depth + 1, trace, check, stats, failed)
+        found = _search(ctx, child, depth + 1, trace, check, stats, failed)
         if found is not None:
             return found
     if len(failed) < FAILED_CAP:
@@ -430,41 +518,42 @@ def _search(inst: Instance, c: Constraint, depth: int, trace: Optional[TraceFn],
     return None
 
 
-def _extract_solution(inst: Instance, c: Constraint) -> Solution:
+def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
+    marked = ctx.vertex_set(c.marked)
     edits = []
-    for i, g in enumerate(edited_layers_of(inst, c)):
-        completion = min_marked_completion(g, c.marked, inst.k - len(c.edits[i]))
+    for m, g in zip(c.edits, edited_layers_of(ctx, c)):
+        completion = min_marked_completion(g, marked, ctx.inst.k - m.bit_count())
         if completion is None:
             raise RuntimeError("completion vanished after rules stopped applying")
-        edits.append(c.edits[i] | completion)
-    return Solution(tuple(edits), marked=c.marked)
+        edits.append(ctx.pair_set(m) | completion)
+    return Solution(tuple(edits), marked=marked)
 
 
-def _check_children(inst: Instance, parent: Constraint,
+def _check_children(ctx: SearchContext, parent: Constraint,
                     children: list[Constraint], depth: int) -> None:
+    inst = ctx.inst
     limit = 2 * inst.k + inst.d + 1
     if depth + 1 > limit and children:
         raise InvariantViolation(f"search depth {depth + 1} exceeds {limit}")
     pq = constraint_quality(parent)
     for child in children:
-        if not is_aligning(inst, child):
+        if not is_aligning(ctx, child):
             raise InvariantViolation("child constraint is not aligning")
         if not extends(child, parent):
             raise InvariantViolation("child does not extend its parent")
         if constraint_quality(child) <= pq:
             raise InvariantViolation("child quality did not increase")
-        _check_loose_edit_spread(inst, child)
+        _check_loose_edit_spread(ctx, child)
 
 
-def _check_loose_edit_spread(inst: Instance, c: Constraint) -> None:
+def _check_loose_edit_spread(ctx: SearchContext, c: Constraint) -> None:
     """A non-permanent unmarked edit may occur in at most half of the layers."""
-    seen: set[Pair] = set()
+    keep = ~c.permanent & ~ctx.touching_mask(c.marked)
+    loose = 0
     for m in c.edits:
-        for p in m - c.permanent:
-            if p[0] in c.marked or p[1] in c.marked or p in seen:
-                continue
-            seen.add(p)
-            occurrences = sum(1 for mm in c.edits if p in mm)
-            if 2 * occurrences > inst.ell:
-                raise InvariantViolation(
-                    f"loose edit {p} occurs in {occurrences} of {inst.ell} layers")
+        loose |= m & keep
+    for i in _bits(loose):
+        occurrences = sum(m >> i & 1 for m in c.edits)
+        if 2 * occurrences > ctx.inst.ell:
+            raise InvariantViolation(
+                f"loose edit {ctx.pairs[i]} occurs in {occurrences} of {ctx.inst.ell} layers")

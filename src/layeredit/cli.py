@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 for yes / valid, 10 for no, 1 for an
-invalid solution under ``verify``, 2 for usage or input errors.
+invalid solution under ``verify``, 2 for usage or input errors, 3 for an
+internal error (a solver's own output failed verification).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_YES = 0
 EXIT_NO = 10
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 ALGOS = ("auto", "branch", "xp", "oracle", "structured")
 
@@ -116,6 +118,8 @@ def run(argv: Sequence[str]) -> int:
     except (InputError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a solver rejected its own result
+        return _internal_error(str(exc))
 
 
 def main() -> None:
@@ -133,6 +137,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _internal_error(message: str) -> int:
+    print("internal error: " + "; ".join(message.splitlines()), file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _resolve(inst: Instance, algo: str) -> str:
@@ -171,9 +180,7 @@ def _cmd_solve(args, algo: str, trace: bool) -> int:
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
-            print(f"internal error: solver output failed verification:\n{report}",
-                  file=sys.stderr)
-            return EXIT_INVALID
+            return _internal_error(f"solver output failed verification: {report}")
     _emit(serialize_solution(sol, inst), getattr(args, "out", None))
     return EXIT_YES if sol is not None else EXIT_NO
 

@@ -20,6 +20,7 @@ Rules, in application order (lower id first, restart after every change):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -66,6 +67,15 @@ class SeparateBudgetInstance:
     @property
     def d_effective(self) -> int:
         return self.d * self.ell if self.mode == TCE else self.d
+
+    @cached_property
+    def dirty_per_layer(self) -> tuple[frozenset[int], ...]:
+        """``dirty_vertices`` of each layer, computed once per instance."""
+        return tuple(dirty_vertices(g) for g in self.layers)
+
+    @cached_property
+    def dirty_all(self) -> frozenset[int]:
+        return frozenset().union(*self.dirty_per_layer)
 
 
 @dataclass(frozen=True)
@@ -166,11 +176,10 @@ def apply_rule(sb: SeparateBudgetInstance,
                         f"rule {rule_id}: {verb} {p} in layer {i + 1}"
         return NOT_APPLICABLE, None, ""
 
-    dirty_per_layer = [dirty_vertices(g) for g in sb.layers]
-    dirty_all = frozenset().union(*dirty_per_layer) if dirty_per_layer else frozenset()
+    dirty_all = sb.dirty_all
 
     if rule_id == 4:
-        for i, r_i in enumerate(dirty_per_layer):
+        for i, r_i in enumerate(sb.dirty_per_layer):
             k_i = sb.budgets[i]
             if len(r_i) > k_i * k_i + 2 * k_i:
                 return TRIVIAL_NO, None, \

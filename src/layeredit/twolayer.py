@@ -40,6 +40,11 @@ def build_clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedB
         raise InputError("layer size mismatch")
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         raise ValueError("both layers must be cluster graphs")
+    return _clique_intersection_graph(g1, g2)
+
+
+def _clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedBipartiteGraph:
+    """build_clique_intersection_graph for layers known to be cluster graphs."""
     left = tuple(sorted(g1.components(), key=min))
     right = tuple(sorted(g2.components(), key=min))
     left_of = {v: i for i, comp in enumerate(left) for v in comp}
@@ -142,7 +147,7 @@ def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optiona
         raise InputError("layer size mismatch")
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         return None
-    h = build_clique_intersection_graph(g1, g2)
+    h = _clique_intersection_graph(g1, g2)
     # The weight alone decides; the canonical matching is built only for a yes.
     if linear_sum_assignment(h.weights) < g1.n - d:
         return None

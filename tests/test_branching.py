@@ -5,6 +5,7 @@ import pytest
 from layeredit import branching
 from layeredit.branching import (
     Constraint,
+    SearchContext,
     SearchStats,
     branching_rule_1,
     branching_rule_2,
@@ -19,39 +20,92 @@ from layeredit.branching import (
     rule0_rejects,
     solve_mlce,
 )
-from layeredit.core import Instance, apply_edits, is_cluster_graph, layer_from_edges, verify
+from layeredit.core import (
+    Instance,
+    apply_edits,
+    find_p3,
+    is_cluster_graph,
+    layer_from_edges,
+    verify,
+)
 from layeredit.oracle import oracle_mlce
 
-from conftest import ref_instance, random_instance
+from conftest import ref_instance, random_instance, random_layers
 
 
 def empty_constraint(ell):
-    return Constraint(frozenset(), (frozenset(),) * ell, frozenset())
+    return Constraint(0, (0,) * ell, 0)
+
+
+def context(n, ell=1):
+    """Search tables for n vertices and ell edgeless layers."""
+    g = layer_from_edges(n, [])
+    return SearchContext(Instance("mlce", n, (g,) * ell, 0, 0))
+
+
+def encode(ctx, marked=(), edits=None, permanent=()):
+    """The constraint with these marked vertices, per-layer edit pairs
+    (default: none) and permanent pairs."""
+    if edits is None:
+        edits = [()] * ctx.inst.ell
+    return Constraint(ctx.vertex_mask(marked),
+                      tuple(ctx.pair_mask(m) for m in edits),
+                      ctx.pair_mask(permanent))
+
+
+class TestEncoding:
+    def test_pair_bits_follow_lexicographic_order(self):
+        ctx = context(5)
+        bits = [ctx.pair_mask([p]) for p in sorted(combinations(range(1, 6), 2))]
+        assert bits == [1 << i for i in range(10)]
+
+    def test_round_trip(self, rng):
+        ctx = context(7, 2)
+        for _ in range(30):
+            marked = frozenset(v for v in range(1, 8) if rng.random() < 0.3)
+            edits = tuple(frozenset(p for p in combinations(range(1, 8), 2)
+                                    if rng.random() < 0.3) for _ in range(2))
+            permanent = frozenset(p for p in combinations(range(1, 8), 2) if rng.random() < 0.2)
+            c = encode(ctx, marked, edits, permanent)
+            assert ctx.vertex_set(c.marked) == marked
+            assert tuple(ctx.pair_set(m) for m in c.edits) == edits
+            assert ctx.pair_set(c.permanent) == permanent
+
+    def test_touching_mask(self):
+        ctx = context(4)
+        assert ctx.pair_set(ctx.touching_mask(ctx.vertex_mask({1, 3}))) == \
+            frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)})
+        assert ctx.touching_mask(0) == 0
 
 
 class TestGreedy:
     def test_identical_layers_produce_no_edits(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         inst = Instance("mlce", 4, (g, g, g), 1, 1)
-        c = greedy_initial_constraint(inst)
-        assert all(m == frozenset() for m in c.edits)
+        ctx = SearchContext(inst)
+        c = greedy_initial_constraint(ctx)
+        assert all(ctx.pair_set(m) == frozenset() for m in c.edits)
 
     def test_ref_minority_pair_deleted(self):
-        c = greedy_initial_constraint(ref_instance("mlce", 1, 1))
-        assert (1, 2) in c.edits[0]  # present only in layer 1, below half
+        ctx = SearchContext(ref_instance("mlce", 1, 1))
+        c = greedy_initial_constraint(ctx)
+        assert (1, 2) in ctx.pair_set(c.edits[0])  # present only in layer 1, below half
 
     def test_ref_majority_pair_untouched(self):
-        c = greedy_initial_constraint(ref_instance("mlce", 1, 1))
-        assert all((2, 3) not in m for m in c.edits)
+        ctx = SearchContext(ref_instance("mlce", 1, 1))
+        c = greedy_initial_constraint(ctx)
+        assert all((2, 3) not in ctx.pair_set(m) for m in c.edits)
 
     def test_ref_full_alignment(self):
         inst = ref_instance("mlce", 1, 1)
-        c = greedy_initial_constraint(inst)
-        assert c.edits == (frozenset({(1, 2), (1, 3), (1, 4)}),
-                           frozenset(),
-                           frozenset({(4, 5), (2, 5), (3, 5)}))
-        assert is_aligning(inst, c)
-        assert c.marked == frozenset() and c.permanent == frozenset()
+        ctx = SearchContext(inst)
+        c = greedy_initial_constraint(ctx)
+        assert tuple(ctx.pair_set(m) for m in c.edits) == (
+            frozenset({(1, 2), (1, 3), (1, 4)}),
+            frozenset(),
+            frozenset({(4, 5), (2, 5), (3, 5)}))
+        assert is_aligning(ctx, c)
+        assert ctx.vertex_set(c.marked) == frozenset() and ctx.pair_set(c.permanent) == frozenset()
 
 
 class TestRule0:
@@ -59,79 +113,93 @@ class TestRule0:
         assert not rule0_rejects(empty_constraint(2), 0, 0)
 
     def test_too_many_marks(self):
-        c = Constraint(frozenset({1, 2}), (frozenset(),), frozenset())
+        c = encode(context(2), {1, 2})
         assert rule0_rejects(c, 5, 1)
 
     def test_too_many_permanent_edits(self):
         m = frozenset({(1, 2), (3, 4)})
-        c = Constraint(frozenset(), (m,), m)
+        c = encode(context(4), (), (m,), m)
         assert rule0_rejects(c, 1, 5)
         assert not rule0_rejects(c, 2, 5)
 
 
 class TestCleanup:
     def test_untouched_without_marks(self):
-        c = Constraint(frozenset(), (frozenset({(1, 2)}),), frozenset())
-        assert cleanup(c) == c
+        ctx = context(2)
+        c = encode(ctx, (), (frozenset({(1, 2)}),))
+        assert cleanup(ctx, c) == c
 
     def test_drops_marked_pairs(self):
-        c = Constraint(frozenset({1}),
-                       (frozenset({(1, 2), (3, 4)}),),
-                       frozenset())
-        assert cleanup(c).edits == (frozenset({(3, 4)}),)
+        ctx = context(4)
+        c = encode(ctx, {1}, (frozenset({(1, 2), (3, 4)}),))
+        assert tuple(ctx.pair_set(m) for m in cleanup(ctx, c).edits) == (frozenset({(3, 4)}),)
 
     def test_idempotent(self, rng):
         for _ in range(30):
             inst = random_instance(rng, "mlce")
-            c = Constraint(frozenset({1}),
-                           tuple(frozenset(p for p in combinations(range(1, inst.n + 1), 2)
-                                           if rng.random() < 0.3)
-                                 for _ in range(inst.ell)),
-                           frozenset())
-            once = cleanup(c)
-            assert cleanup(once) == once
+            ctx = SearchContext(inst)
+            c = encode(ctx, {1},
+                       tuple(frozenset(p for p in combinations(range(1, inst.n + 1), 2)
+                                       if rng.random() < 0.3)
+                             for _ in range(inst.ell)))
+            once = cleanup(ctx, c)
+            assert cleanup(ctx, once) == once
 
 
 class TestRule1:
     def test_absent_on_cluster_layers(self):
         g = layer_from_edges(3, [(1, 2)])
         inst = Instance("mlce", 3, (g, g), 1, 1)
-        assert branching_rule_1(inst, empty_constraint(2)) is None
+        assert branching_rule_1(SearchContext(inst), empty_constraint(2)) is None
 
     def test_ref_after_greedy_six_children(self):
         inst = ref_instance("mlce", 1, 1)
-        c = greedy_initial_constraint(inst)
-        children = branching_rule_1(inst, c)
+        ctx = SearchContext(inst)
+        c = greedy_initial_constraint(ctx)
+        children = branching_rule_1(ctx, c)
         assert children is not None and len(children) == 6
-        toggles = [ch for ch in children if ch.permanent > c.permanent]
-        marks = [ch for ch in children if ch.marked > c.marked]
+        toggles = [ch for ch in children
+                   if ctx.pair_set(ch.permanent) > ctx.pair_set(c.permanent)]
+        marks = [ch for ch in children
+                 if ctx.vertex_set(ch.marked) > ctx.vertex_set(c.marked)]
         assert len(toggles) == 3 and len(marks) == 3
         for ch in children:
-            assert is_aligning(inst, cleanup(ch))
+            assert is_aligning(ctx, cleanup(ctx, ch))
             assert extends(ch, c)
             assert constraint_quality(ch) == 1
+
+    def test_witness_matches_core_find_p3(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            g = random_layers(rng, n, 1, density=rng.random())[0]
+            ctx = SearchContext(Instance("mlce", n, (g,), 0, 0))
+            inside = frozenset(v for v in range(1, n + 1) if rng.random() < 0.8)
+            want = find_p3(g, inside)
+            got = branching._first_p3(ctx.adj0, ctx.vertex_mask(inside))
+            assert got == (None if want is None else (want.a, want.b, want.c))
 
     def test_fully_blocked_p3_rejects(self):
         # one layer, a P3 whose pairs are all permanent and whose vertices
         # all carry permanent pairs: no case applies
         g = layer_from_edges(3, [(1, 2), (2, 3)])
         inst = Instance("mlce", 3, (g,), 1, 1)
-        blocked = Constraint(frozenset(), (frozenset(),),
-                             frozenset({(1, 2), (2, 3), (1, 3)}))
-        assert branching_rule_1(inst, blocked) == []
+        ctx = SearchContext(inst)
+        blocked = encode(ctx, (), None, frozenset({(1, 2), (2, 3), (1, 3)}))
+        assert branching_rule_1(ctx, blocked) == []
 
 
 class TestRule2:
     def test_absent_when_budgets_fit(self):
-        inst = ref_instance("mlce", 3, 1)
-        c = greedy_initial_constraint(inst)
-        assert branching_rule_2(inst, c, 3) is None
+        ctx = SearchContext(ref_instance("mlce", 3, 1))
+        c = greedy_initial_constraint(ctx)
+        assert branching_rule_2(ctx, c, 3) is None
 
     def test_child_counts(self):
         g = layer_from_edges(4, [])
         inst = Instance("mlce", 4, (g,), 1, 1)
-        c = Constraint(frozenset(), (frozenset({(1, 2), (3, 4)}),), frozenset())
-        children = branching_rule_2(inst, c, 1)
+        ctx = SearchContext(inst)
+        c = encode(ctx, (), (frozenset({(1, 2), (3, 4)}),))
+        children = branching_rule_2(ctx, c, 1)
         toggles = [ch for ch in children if ch.permanent]
         marks = [ch for ch in children if ch.marked]
         assert len(toggles) == 2          # k + 1
@@ -143,11 +211,12 @@ class TestRule2:
         inst = Instance("mlce", 2,
                         (layer_from_edges(2, [(1, 2)]), layer_from_edges(2, [])),
                         0, 1)
-        c = greedy_initial_constraint(inst)
-        assert c.edits[1] == frozenset({(1, 2)})
-        children = branching_rule_2(inst, c, 0)
+        ctx = SearchContext(inst)
+        c = greedy_initial_constraint(ctx)
+        assert ctx.pair_set(c.edits[1]) == frozenset({(1, 2)})
+        children = branching_rule_2(ctx, c, 0)
         assert children
-        assert any((1, 2) not in ch.edits[1] for ch in children)
+        assert any((1, 2) not in ctx.pair_set(ch.edits[1]) for ch in children)
         # ... and the instance as a whole is solvable by marking one endpoint
         assert solve_mlce(inst) is not None
 
@@ -242,8 +311,9 @@ class TestRule3:
     def test_absent_when_all_layers_completable(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         inst = Instance("mlce", 4, (g, g), 2, 1)
-        c = cleanup(greedy_initial_constraint(inst))
-        assert branching_rule_3(inst, c, 2) is None
+        ctx = SearchContext(inst)
+        c = cleanup(ctx, greedy_initial_constraint(ctx))
+        assert branching_rule_3(ctx, c, 2) is None
 
     def test_straddling_marked_vertex_rejects(self):
         # vertex 7 sits astride two triangles; with zero budget and no loose
@@ -252,9 +322,10 @@ class TestRule3:
         edges += [(1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)]
         g = layer_from_edges(7, edges)
         inst = Instance("mlce", 7, (g,), 0, 1)
-        c = Constraint(frozenset({7}), (frozenset(),), frozenset())
+        ctx = SearchContext(inst)
+        c = encode(ctx, {7})
         assert min_marked_completion(g, frozenset({7}), 0) is None
-        assert branching_rule_3(inst, c, 0) == []
+        assert branching_rule_3(ctx, c, 0) == []
 
     def test_children_extend_and_progress(self):
         # single layer 1-4, 3-4 with vertex 4 marked and a loose recorded
@@ -262,25 +333,27 @@ class TestRule3:
         # the remaining budget, so the rule branches on undoing that edit
         g = layer_from_edges(4, [(1, 2), (1, 4), (3, 4)])
         inst = Instance("mlce", 4, (g,), 1, 2)
-        c = Constraint(frozenset({4}), (frozenset({(1, 2)}),), frozenset())
+        ctx = SearchContext(inst)
+        c = encode(ctx, {4}, (frozenset({(1, 2)}),))
         assert min_marked_completion(
             apply_edits(g, frozenset({(1, 2)})), frozenset({4}), 0) is None
-        children = branching_rule_3(inst, c, 1)
+        children = branching_rule_3(ctx, c, 1)
         assert children
         for ch in children:
             assert extends(ch, c)
             assert constraint_quality(ch) > constraint_quality(c)
         # the undo options: mark 1, mark 2, or freeze the deletion
-        assert any(ch.marked == frozenset({1, 4}) for ch in children)
-        assert any(ch.marked == frozenset({2, 4}) for ch in children)
-        assert any((1, 2) in ch.permanent for ch in children)
+        assert any(ctx.vertex_set(ch.marked) == frozenset({1, 4}) for ch in children)
+        assert any(ctx.vertex_set(ch.marked) == frozenset({2, 4}) for ch in children)
+        assert any((1, 2) in ctx.pair_set(ch.permanent) for ch in children)
 
     def test_child_count_bound(self):
         # children never exceed 3k + 2|forced| + 1 + 3|open|
         g = layer_from_edges(4, [(1, 2), (1, 4), (3, 4)])
         inst = Instance("mlce", 4, (g,), 1, 2)
-        c = Constraint(frozenset({4}), (frozenset({(1, 2)}),), frozenset())
-        children = branching_rule_3(inst, c, 1)
+        ctx = SearchContext(inst)
+        c = encode(ctx, {4}, (frozenset({(1, 2)}),))
+        children = branching_rule_3(ctx, c, 1)
         kernel = kernel_k(apply_edits(g, frozenset({(1, 2)})), 0,
                           frozenset({4}), frozenset())
         bound = 3 * 1 + 1
@@ -295,8 +368,7 @@ class TestQuality:
         assert constraint_quality(empty_constraint(2)) == 0
 
     def test_counts_marks_and_permanent(self):
-        c = Constraint(frozenset({1, 2}), (frozenset(),),
-                       frozenset({(1, 2), (1, 3), (2, 3)}))
+        c = encode(context(3), {1, 2}, None, frozenset({(1, 2), (1, 3), (2, 3)}))
         assert constraint_quality(c) == 5
 
 

@@ -3,8 +3,9 @@ import io
 
 import pytest
 
+from layeredit import branching, cli
 from layeredit.cli import run
-from layeredit.core import verify
+from layeredit.core import Solution, verify
 from layeredit.fileio import parse_instance, parse_solution, serialize_instance, serialize_solution
 
 from conftest import ref_instance, ref_tce_solution
@@ -89,6 +90,34 @@ def test_verify_valid_and_corrupted(files, capsys):
     assert run(["verify", inst_file, bad]) == 1
     out = capsys.readouterr().out
     assert "P3" in out or "differ" in out
+
+
+def test_wrong_solver_output_is_an_internal_error(files, capsys, monkeypatch):
+    write, tmp = files
+    inst = ref_instance("mlce", 1, 2)
+    inst_file = write("f.mlg", serialize_instance(inst))
+    wrong = Solution((frozenset(),) * inst.ell, marked=frozenset())
+    assert not verify(inst, wrong).ok
+    monkeypatch.setattr(cli, "solve_mlce", lambda inst, **kwargs: wrong)
+    out_file = tmp / "out.sol"
+    assert run(["solve", "--algo", "branch", inst_file, "--out", str(out_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: solver output failed verification")
+    assert err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_solver_runtime_error_is_an_internal_error(files, capsys, monkeypatch):
+    # solve_mlce verifies the solution it extracts and raises when it fails
+    write, _ = files
+    inst = ref_instance("mlce", 1, 2)
+    inst_file = write("f.mlg", serialize_instance(inst))
+    wrong = Solution((frozenset(),) * inst.ell, marked=frozenset())
+    monkeypatch.setattr(branching, "_extract_solution", lambda ctx, c: wrong)
+    assert run(["solve", inst_file]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: extracted solution failed verification")
+    assert err.count("\n") == 1
 
 
 def test_oracle_subcommand(files, capsys):

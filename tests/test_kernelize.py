@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,9 @@ from layeredit.kernelize import (
 from layeredit.oracle import oracle_mlce, oracle_tce
 
 from conftest import ref_instance, random_instance, random_layers
+
+# the package exports the kernelize function under the module's name
+kernelize_module = importlib.import_module("layeredit.kernelize")
 
 
 def sb_from(mode, layers, budgets, d):
@@ -218,6 +222,19 @@ class TestKernelize:
         result = kernelize(ref_instance("mlce", 0, 0))
         if not result.is_no:
             assert oracle_mlce(result.reduced) is None
+
+    def test_dirty_vertices_computed_once_per_instance(self, rng, monkeypatch):
+        calls = []
+        real = kernelize_module.dirty_vertices
+        monkeypatch.setattr(kernelize_module, "dirty_vertices",
+                            lambda g: calls.append(g) or real(g))
+        for _ in range(20):
+            sb = to_separate_budgets(random_instance(rng, "mlce", max_n=8, max_ell=3))
+            del calls[:]
+            for rule_id in range(4, 9):
+                apply_rule(sb, rule_id)
+            assert len(calls) == sb.ell
+            assert sb.dirty_per_layer == tuple(real(g) for g in sb.layers)
 
     def test_id_map_injective(self, rng):
         for _ in range(40):

@@ -1,0 +1,98 @@
+"""Pinned search behaviour of the branch solver.
+
+Node counts, search depth, the number of trace lines of each kind and the
+serialized solution of ``solve_mlce`` are fixed for a set of planted and
+SAT-reduction instances.  A change to how the search stores or tests its
+constraints must leave every value here as it is; a change that means to
+alter the search updates the table and says why.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+from collections import Counter
+
+import pytest
+
+from layeredit.branching import SearchStats, solve_mlce
+from layeredit.fileio import (
+    Formula223,
+    PlantedParams,
+    generate_planted,
+    generate_sat_reduction,
+    serialize_solution,
+)
+
+KINDS = ("rule0", "rule1", "rule2", "rule3", "accept", "seen")
+
+NO = "33d1589fe9b3e131"  # digest of the "answer no" solution file
+
+# seed -> (nodes, max_depth, trace lines per kind in KINDS order, solution digest, yes)
+PLANTED = [
+    (0, (161, 4, (109, 22, 22, 1, 1, 6), "91689b6135131f2f", True)),
+    (1, (660, 5, (420, 97, 63, 2, 0, 78), NO, False)),
+    (2, (37, 3, (26, 2, 8, 0, 0, 1), NO, False)),
+    (3, (755, 7, (499, 132, 94, 4, 1, 25), "8b0e030c90ef8657", True)),
+    (4, (29, 3, (20, 5, 3, 0, 1, 0), "b8b6c4cfe8548a80", True)),
+    (5, (883, 5, (607, 88, 139, 3, 0, 46), NO, False)),
+    (6, (146, 4, (105, 17, 23, 0, 1, 0), "ee03f98a856990f5", True)),
+    (7, (126, 4, (83, 29, 8, 0, 1, 5), "91d0e5e3c1f17cad", True)),
+    (8, (22, 3, (15, 0, 7, 0, 0, 0), NO, False)),
+    (9, (57, 6, (29, 9, 10, 8, 1, 0), "d56a7f51cd196a9e", True)),
+    (10, (53, 3, (38, 8, 5, 0, 0, 2), NO, False)),
+    (11, (220, 4, (156, 28, 22, 0, 0, 14), NO, False)),
+    (12, (67, 4, (42, 4, 16, 3, 1, 1), "694d3ab0ace1c93d", True)),
+    (13, (222, 6, (137, 48, 29, 1, 1, 6), "3413a013295edc26", True)),
+    (14, (22, 3, (15, 0, 7, 0, 0, 0), NO, False)),
+    (15, (155, 6, (102, 33, 13, 0, 1, 6), "f97bb6556e2ddb4a", True)),
+    (16, (16, 3, (10, 2, 3, 0, 1, 0), "79b5ecb95fb88a2e", True)),
+    (17, (1037, 6, (740, 94, 159, 0, 0, 44), NO, False)),
+    (18, (49, 4, (32, 8, 7, 0, 1, 1), "2ca7f52056d8ecbe", True)),
+    (19, (937, 6, (599, 144, 127, 2, 0, 65), NO, False)),
+]
+
+# clauses -> same fields; the first formula is satisfiable, the second is not
+SAT = [
+    (((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3)),
+     (2061, 15, (1236, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
+    (((1, 2), (1, -2), (-1, 2), (-1, -2)),
+     (1534, 9, (1023, 0, 511, 0, 0, 0), NO, False)),
+]
+
+
+def planted_instance(seed: int):
+    """n 8-16, ell 3-4; the stored budgets, one mark fewer, or one edit fewer."""
+    n = 8 + seed % 9
+    params = PlantedParams(n=n, ell=3 + seed % 2, cluster_count=n // 2 + 1,
+                           drift_per_layer=1, noise_edits=1 + seed % 2, seed=seed)
+    inst = generate_planted(params, "mlce")
+    dk, dd = ((0, 0), (0, -1), (-1, 0))[seed % 3]
+    return dataclasses.replace(inst, k=inst.k + dk, d=inst.d + dd)
+
+
+def observe(inst):
+    lines: list[str] = []
+    stats = SearchStats()
+    sol = solve_mlce(inst, trace=lines.append, stats=stats)
+    kinds = Counter(line.split()[2] for line in lines)
+    assert set(kinds) <= set(KINDS)
+    digest = hashlib.sha256(serialize_solution(sol, inst).encode()).hexdigest()[:16]
+    return stats.nodes, stats.max_depth, tuple(kinds[k] for k in KINDS), digest, sol is not None
+
+
+@pytest.mark.parametrize("seed,expected", PLANTED, ids=[f"seed{s}" for s, _ in PLANTED])
+def test_planted_search_is_pinned(seed, expected):
+    assert observe(planted_instance(seed)) == expected
+
+
+@pytest.mark.parametrize("clauses,expected", SAT, ids=["satisfiable", "unsatisfiable"])
+def test_sat_reduction_search_is_pinned(clauses, expected):
+    formula = Formula223(max(abs(lit) for c in clauses for lit in c), clauses)
+    assert formula.satisfiable() == expected[4]
+    assert observe(generate_sat_reduction(formula)) == expected
+
+
+def test_pinned_set_has_both_answers():
+    answers = [yes for _, (*_, yes) in PLANTED]
+    assert 0 < sum(answers) < len(answers)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import layeredit
+from layeredit import twolayer
 from layeredit.core import consistent_after_removal, layer_from_edges
 from layeredit.twolayer import (
     build_clique_intersection_graph,
@@ -129,6 +130,15 @@ class TestSolveTwoLayer:
     def test_non_cluster_input_is_no(self):
         path = layer_from_edges(3, [(1, 2), (2, 3)])
         assert solve_two_layer_zero_edit(path, path, 3) is None
+
+    def test_each_layer_tested_once(self, monkeypatch):
+        tested = []
+        real = twolayer.is_cluster_graph
+        monkeypatch.setattr(twolayer, "is_cluster_graph", lambda g: tested.append(g) or real(g))
+        g1 = clusters(3, [1, 2], [3])
+        g2 = clusters(3, [1], [2, 3])
+        assert solve_two_layer_zero_edit(g1, g2, 1) is not None
+        assert tested == [g1, g2]
 
     def test_against_subset_enumeration(self, rng):
         # decision and minimal mark count match brute force for every d
