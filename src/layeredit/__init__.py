@@ -22,12 +22,7 @@ from .branching import Constraint, SearchStats, solve_mlce
 from .kernelize import KernelResult, SeparateBudgetInstance, back_transform, kernelize
 from .oracle import CapabilityError, oracle_mlce, oracle_tce, structured_mlce
 from .tcepath import enumerate_cluster_editing_sets, solve_tce_xp
-from .twolayer import (
-    WeightedBipartiteGraph,
-    build_clique_intersection_graph,
-    max_weight_matching,
-    solve_two_layer_zero_edit,
-)
+from .twolayer import max_weight_matching, solve_two_layer_zero_edit
 from .fileio import (
     Formula223,
     ParseError,

@@ -35,7 +35,10 @@ from .core import (
     Solution,
     all_pairs,
     apply_edits,
+    count_p3_through_pair,
+    edited_layers,
     find_p3,
+    induced_p3s,
     pair,
     pairs_of,
     verify,
@@ -125,10 +128,6 @@ class SearchContext:
                 mask |= self.touching[v]
             self._touching_cache[marked] = mask
         return mask
-
-
-def edited_layers_of(ctx: SearchContext, c: Constraint) -> tuple[LayerGraph, ...]:
-    return tuple(apply_edits(g, ctx.pair_set(m)) for g, m in zip(ctx.inst.layers, c.edits))
 
 
 def is_aligning(ctx: SearchContext, c: Constraint) -> bool:
@@ -271,95 +270,41 @@ def kernel_k(g: LayerGraph, budget: int, marked: frozenset[int],
     """Per-layer cluster-editing kernel with frozen (obligatory) pairs.
 
     Repeatedly applies, first match wins: fail when the budget is negative
-    or an all-obligatory P3 exists; force-toggle a pair sitting in more
-    induced P3s than the remaining budget allows (fail if it is obligatory);
-    remove isolated cliques.  Fails if more than budget**2 + 2*budget
-    vertices remain.  Returns (forced unmarked edits, remaining unmarked
-    non-obligatory pairs), or None for failure.
+    or an all-obligatory P3 exists; force-toggle the first pair (in sorted
+    order) sitting in more induced P3s than the remaining budget allows
+    (fail if it is obligatory).  The kernel's vertices are then the
+    vertices of the remaining P3s; fails if there are more than
+    budget**2 + 2*budget of them.  Returns (forced unmarked edits,
+    remaining unmarked non-obligatory pairs), or None for failure.
     """
-    verts = set(range(1, g.n + 1))
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in verts}
     oblig = set(obligatory)
-    s = budget
     forced: set[Pair] = set()
-
-    def p3_count(u: int, v: int) -> int:
-        if v in adj[u]:
-            return sum(1 for w in adj[u] ^ adj[v] if w not in (u, v))
-        return sum(1 for w in adj[u] & adj[v] if w not in (u, v))
-
     while True:
-        if s < 0:
+        if budget < 0:
             return None
-        if _all_obligatory_p3(verts, adj, oblig):
+        p3s = induced_p3s(g)
+        if any(pair(a, b) in oblig and pair(b, c) in oblig and (a, c) in oblig
+               for a, b, c in p3s):
             return None
-        hit = next((p for p in pairs_of(verts) if p3_count(*p) >= s + 1), None)
-        if hit is not None:
-            if hit in oblig:
-                return None
-            u, v = hit
-            if v in adj[u]:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            else:
-                adj[u].add(v)
-                adj[v].add(u)
-            oblig.add(hit)
-            s -= 1
-            if u not in marked and v not in marked:
-                forced.add(hit)
-            continue
-        clique = _first_isolated_clique(verts, adj)
-        if clique is not None:
-            for v in clique:
-                verts.discard(v)
-                del adj[v]
-            for v in verts:
-                adj[v] -= clique
-            continue
-        break
+        candidates = sorted({p for a, b, c in p3s for p in (pair(a, b), pair(b, c), (a, c))})
+        hit = next((p for p in candidates if count_p3_through_pair(g, p) > budget), None)
+        if hit is None:
+            break
+        if hit in oblig:
+            return None
+        g = apply_edits(g, {hit})
+        oblig.add(hit)
+        budget -= 1
+        if hit[0] not in marked and hit[1] not in marked:
+            forced.add(hit)
 
-    if len(verts) > s * s + 2 * s:
+    verts = {v for p3 in p3s for v in p3}
+    if len(verts) > budget * budget + 2 * budget:
         return None
     open_pairs = frozenset(
         p for p in pairs_of(verts)
         if p[0] not in marked and p[1] not in marked and p not in oblig)
     return frozenset(forced), open_pairs
-
-
-def _all_obligatory_p3(verts: set[int], adj: dict[int, set[int]],
-                       oblig: set[Pair]) -> bool:
-    if len(oblig) < 3:
-        return False
-    for a, b in oblig:
-        if a not in verts or b not in verts:
-            continue
-        for w in verts:
-            if w in (a, b) or pair(a, w) not in oblig or pair(b, w) not in oblig:
-                continue
-            edges = (b in adj[a]) + (w in adj[a]) + (w in adj[b])
-            if edges == 2:
-                return True
-    return False
-
-
-def _first_isolated_clique(verts: set[int], adj: dict[int, set[int]]) -> Optional[set[int]]:
-    seen: set[int] = set()
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        if all(len(adj[v] & comp) == len(comp) - 1 for v in comp):
-            return comp
-    return None
 
 
 def min_marked_completion(g: LayerGraph, marked: frozenset[int],
@@ -405,7 +350,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list
     pair.  An empty list signals a dead branch.
     """
     marked = ctx.vertex_set(c.marked)
-    edited = edited_layers_of(ctx, c)
+    edited = edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))
     offending = None
     for i, g in enumerate(edited):
         if min_marked_completion(g, marked, k - c.edits[i].bit_count()) is None:
@@ -521,7 +466,7 @@ def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[Trace
 def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
     marked = ctx.vertex_set(c.marked)
     edits = []
-    for m, g in zip(c.edits, edited_layers_of(ctx, c)):
+    for m, g in zip(c.edits, edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))):
         completion = min_marked_completion(g, marked, ctx.inst.k - m.bit_count())
         if completion is None:
             raise RuntimeError("completion vanished after rules stopped applying")

@@ -102,6 +102,12 @@ def apply_edits(g: LayerGraph, m: frozenset[Pair] | set[Pair]) -> LayerGraph:
     return edited
 
 
+def edited_layers(layers: Iterable[LayerGraph],
+                  edit_sets: Iterable[frozenset[Pair]]) -> tuple[LayerGraph, ...]:
+    """Each layer with its own edit set applied."""
+    return tuple(apply_edits(g, m) for g, m in zip(layers, edit_sets))
+
+
 @dataclass(frozen=True)
 class P3Witness:
     """An induced path a - b - c (edge a-b, edge b-c, non-edge a-c)."""
@@ -138,6 +144,14 @@ def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optiona
 def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> bool:
     """True iff every connected component of g[restrict] is a clique."""
     return find_p3(g, restrict) is None
+
+
+def induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
+    """Every induced P3 a - b - c of the layer, with a < c, centers b
+    ascending."""
+    adj = g.adj
+    return [(a, b, c) for b in range(1, g.n + 1)
+            for a, c in combinations(sorted(adj[b]), 2) if c not in adj[a]]
 
 
 def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
@@ -224,10 +238,6 @@ class VerifyReport:
         return "\n".join(self.violations)
 
 
-def edited_layers(inst: Instance, sol: Solution) -> tuple[LayerGraph, ...]:
-    return tuple(apply_edits(g, m) for g, m in zip(inst.layers, sol.edits))
-
-
 def verify(inst: Instance, sol: Solution) -> VerifyReport:
     """Check a solution against every condition of the problem definition.
 
@@ -258,7 +268,7 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
             where = "" if inst.mode == MLCE else f" at gap {i}"
             violations.append(f"mark budget exceeded{where}: {len(dset)} > d={inst.d}")
 
-    edited = edited_layers(inst, sol)
+    edited = edited_layers(inst.layers, sol.edits)
     for i, g in enumerate(edited, start=1):
         w = find_p3(g)
         if w is not None:

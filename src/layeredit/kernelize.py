@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     LayerGraph,
     Pair,
     count_p3_through_pair,
+    induced_p3s,
     pair,
     pairs_of,
 )
@@ -69,9 +69,14 @@ class SeparateBudgetInstance:
         return self.d * self.ell if self.mode == TCE else self.d
 
     @cached_property
+    def p3s_per_layer(self) -> tuple[list[tuple[int, int, int]], ...]:
+        """``induced_p3s`` of each layer, scanned once per instance."""
+        return tuple(induced_p3s(g) for g in self.layers)
+
+    @cached_property
     def dirty_per_layer(self) -> tuple[frozenset[int], ...]:
-        """``dirty_vertices`` of each layer, computed once per instance."""
-        return tuple(dirty_vertices(g) for g in self.layers)
+        """Vertices that appear in some induced P3, per layer."""
+        return tuple(frozenset(v for p3 in p3s for v in p3) for p3s in self.p3s_per_layer)
 
     @cached_property
     def dirty_all(self) -> frozenset[int]:
@@ -99,17 +104,6 @@ def to_separate_budgets(inst: Instance) -> SeparateBudgetInstance:
         d=inst.d,
         orig_ids=tuple(range(1, inst.n + 1)),
     )
-
-
-def _induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
-    """Every induced P3 a - b - c of the layer, with a < c."""
-    return [(a, b, c) for b in range(1, g.n + 1)
-            for a, c in combinations(sorted(g.adj[b]), 2) if c not in g.adj[a]]
-
-
-def dirty_vertices(g: LayerGraph) -> frozenset[int]:
-    """Vertices that appear in some induced P3 of the layer."""
-    return frozenset(v for p3 in _induced_p3s(g) for v in p3)
 
 
 def _union_graph(sb: SeparateBudgetInstance) -> LayerGraph:
@@ -168,7 +162,7 @@ def apply_rule(sb: SeparateBudgetInstance,
         for i, g in enumerate(sb.layers):
             # a non-edge lies in one P3 per common neighbour, so needs one
             candidates = sorted(g.edges) if want_edge else \
-                sorted({(a, c) for a, _, c in _induced_p3s(g)})
+                sorted({(a, c) for a, _, c in sb.p3s_per_layer[i]})
             for p in candidates:
                 if count_p3_through_pair(g, p) >= sb.budgets[i] + 1:
                     verb = "deleted" if want_edge else "added"

@@ -21,9 +21,10 @@ from .core import (
     Pair,
     Solution,
     apply_edits,
+    edited_layers,
     verify,
 )
-from .twolayer import clusterings_compatible, solve_two_layer_zero_edit
+from .twolayer import cluster_labels, clusterings_compatible, solve_two_layer_zero_edit
 
 
 def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
@@ -53,13 +54,6 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     return [frozenset(t) for t in sorted(found)]
 
 
-def _clusters(g: LayerGraph, m: frozenset[Pair]) -> tuple[int, ...]:
-    """Each vertex's cluster in g edited by m, a cluster graph, named by the
-    cluster's smallest vertex."""
-    adj = apply_edits(g, m).adj
-    return tuple(min(adj[v] | {v}) for v in range(1, g.n + 1))
-
-
 def solve_tce_xp(inst: Instance,
                  layer_budgets: Optional[Sequence[int]] = None) -> Optional[Solution]:
     """Path search over the compatibility structure, one frontier at a time.
@@ -76,7 +70,7 @@ def solve_tce_xp(inst: Instance,
     # Every layer's part is kept, so the path's edit sets are read back from
     # it; only the current frontier's clusterings live across the sweep.
     parts = [enumerate_cluster_editing_sets(inst.layers[0], budgets[0])]
-    prev_clusters = [_clusters(inst.layers[0], m) for m in parts[0]]
+    prev_clusters = [cluster_labels(apply_edits(inst.layers[0], m)) for m in parts[0]]
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
@@ -84,7 +78,7 @@ def solve_tce_xp(inst: Instance,
 
     for i in range(1, inst.ell):
         parts.append(enumerate_cluster_editing_sets(inst.layers[i], budgets[i]))
-        clusters = [_clusters(inst.layers[i], m) for m in parts[i]]
+        clusters = [cluster_labels(apply_edits(inst.layers[i], m)) for m in parts[i]]
         preds: list[Optional[int]] = []
         for c in clusters:
             hit = next((j for j in reachable
@@ -107,7 +101,7 @@ def solve_tce_xp(inst: Instance,
     path.reverse()
 
     edits = tuple(part[j] for part, j in zip(parts, path))
-    edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
+    edited = edited_layers(inst.layers, edits)
     marks = []
     for ga, gb in zip(edited, edited[1:]):
         witness = solve_two_layer_zero_edit(ga, gb, inst.d)

@@ -1,10 +1,10 @@
 """Exact zero-edit two-layer solver via maximum-weight bipartite matching.
 
-Both layers must already be cluster graphs.  Each side of the bipartite
-graph holds one node per connected component (maximal clique); edge weights
-are intersection sizes.  A marking set of size at most d exists iff the
-maximum matching weight is at least n - d, and the marked set is the
-complement of the union of matched-clique intersections.
+Both layers must already be cluster graphs.  In each layer every vertex is
+named by its cluster's smallest vertex (``cluster_labels``), and the
+bipartite weights count the vertices of each (left label, right label) cell.  A marking set of size
+at most d exists iff the maximum matching weight is at least n - d, and the
+marked set is the vertices whose cell is not matched.
 
 The assignment is solved by successive shortest augmenting paths, one row
 at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
@@ -15,42 +15,16 @@ has at most n edges, so no dense n x n matrix is ever built.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import InputError, LayerGraph, is_cluster_graph
 
 
-@dataclass(frozen=True)
-class WeightedBipartiteGraph:
-    """Clique-intersection graph of two cluster graphs.
-
-    ``weights`` stores only pairs with nonempty intersection, keyed by
-    (left index, right index); at most n such pairs exist.
-    """
-
-    left_cliques: tuple[frozenset[int], ...]
-    right_cliques: tuple[frozenset[int], ...]
-    weights: dict[tuple[int, int], int]
-
-
-def build_clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedBipartiteGraph:
-    """One node per component of each layer; weight = intersection size."""
-    if g1.n != g2.n:
-        raise InputError("layer size mismatch")
-    if not is_cluster_graph(g1) or not is_cluster_graph(g2):
-        raise ValueError("both layers must be cluster graphs")
-    return _clique_intersection_graph(g1, g2)
-
-
-def _clique_intersection_graph(g1: LayerGraph, g2: LayerGraph) -> WeightedBipartiteGraph:
-    """build_clique_intersection_graph for layers known to be cluster graphs."""
-    left = tuple(sorted(g1.components(), key=min))
-    right = tuple(sorted(g2.components(), key=min))
-    left_of = {v: i for i, comp in enumerate(left) for v in comp}
-    right_of = {v: i for i, comp in enumerate(right) for v in comp}
-    weights = dict(Counter((left_of[v], right_of[v]) for v in range(1, g1.n + 1)))
-    return WeightedBipartiteGraph(left, right, weights)
+def cluster_labels(g: LayerGraph) -> tuple[int, ...]:
+    """Each vertex's cluster in the cluster graph g, named by the cluster's
+    smallest vertex."""
+    adj = g.adj
+    return tuple(min(adj[v] | {v}) for v in range(1, g.n + 1))
 
 
 def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> int:
@@ -104,36 +78,37 @@ def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> int:
     return total
 
 
-def max_weight_matching(h: WeightedBipartiteGraph) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Maximum-weight matching of the clique-intersection graph.
+def max_weight_matching(weights: dict[tuple[int, int], int]
+                        ) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Maximum-weight matching whose edges are the keys of ``weights``.
 
-    Returns the matching as (left, right) index pairs together with its
-    total weight.  Among all maximum-weight matchings the lexicographically
+    Returns the matching as (left, right) pairs together with its total
+    weight.  Among all maximum-weight matchings the lexicographically
     smallest one (by sorted pair list) is returned, so downstream mark-set
     extraction is deterministic.
     """
-    best = linear_sum_assignment(h.weights)
+    best = linear_sum_assignment(weights)
 
     # Greedy lexicographic fixing: a pair is kept exactly when some
     # maximum-weight matching contains it together with all previously
     # kept pairs, i.e. when the rows and columns still free carry the rest.
     chosen: list[tuple[int, int]] = []
-    free = h.weights
+    free = weights
     fixed = 0
-    for i, j in sorted(h.weights):
+    for i, j in sorted(weights):
         if (i, j) not in free:
             continue  # its row or column is already taken
         rest = {(a, b): w for (a, b), w in free.items() if a != i and b != j}
-        if fixed + h.weights[i, j] + linear_sum_assignment(rest) == best:
+        if fixed + weights[i, j] + linear_sum_assignment(rest) == best:
             chosen.append((i, j))
             free = rest
-            fixed += h.weights[i, j]
+            fixed += weights[i, j]
     return tuple(chosen), best
 
 
 def clusterings_compatible(left: Sequence[int], right: Sequence[int], d: int) -> bool:
     """Whether solve_two_layer_zero_edit finds a marking set for two cluster
-    graphs given by each vertex's cluster, decided by matching weight alone."""
+    graphs given by their ``cluster_labels``, decided by matching weight alone."""
     return left == right or linear_sum_assignment(Counter(zip(left, right))) >= len(left) - d
 
 
@@ -147,11 +122,10 @@ def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optiona
         raise InputError("layer size mismatch")
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         return None
-    h = _clique_intersection_graph(g1, g2)
+    cells = list(zip(cluster_labels(g1), cluster_labels(g2)))
+    weights = Counter(cells)
     # The weight alone decides; the canonical matching is built only for a yes.
-    if linear_sum_assignment(h.weights) < g1.n - d:
+    if linear_sum_assignment(weights) < g1.n - d:
         return None
-    kept: set[int] = set()
-    for i, j in max_weight_matching(h)[0]:
-        kept |= h.left_cliques[i] & h.right_cliques[j]
-    return frozenset(range(1, g1.n + 1)) - kept
+    matched = set(max_weight_matching(weights)[0])
+    return frozenset(v for v, cell in enumerate(cells, start=1) if cell not in matched)

@@ -224,17 +224,19 @@ class TestKernelize:
             assert oracle_mlce(result.reduced) is None
 
     def test_dirty_vertices_computed_once_per_instance(self, rng, monkeypatch):
+        # rule 3 and rules 4-8 share one P3 scan per layer
         calls = []
-        real = kernelize_module.dirty_vertices
-        monkeypatch.setattr(kernelize_module, "dirty_vertices",
+        real = kernelize_module.induced_p3s
+        monkeypatch.setattr(kernelize_module, "induced_p3s",
                             lambda g: calls.append(g) or real(g))
         for _ in range(20):
             sb = to_separate_budgets(random_instance(rng, "mlce", max_n=8, max_ell=3))
             del calls[:]
-            for rule_id in range(4, 9):
+            for rule_id in range(3, 9):
                 apply_rule(sb, rule_id)
             assert len(calls) == sb.ell
-            assert sb.dirty_per_layer == tuple(real(g) for g in sb.layers)
+            assert sb.dirty_per_layer == tuple(
+                frozenset(v for p3 in real(g) for v in p3) for g in sb.layers)
 
     def test_id_map_injective(self, rng):
         for _ in range(40):

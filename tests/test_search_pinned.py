@@ -2,20 +2,23 @@
 
 Node counts, search depth, the number of trace lines of each kind and the
 serialized solution of ``solve_mlce`` are fixed for a set of planted and
-SAT-reduction instances.  A change to how the search stores or tests its
-constraints must leave every value here as it is; a change that means to
-alter the search updates the table and says why.
+SAT-reduction instances, and so are the outputs of the per-layer kernel
+``kernel_k`` on seeded random inputs.  A change to how the search stores or
+tests its constraints must leave every value here as it is; a change that
+means to alter the search updates the table and says why.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
-from layeredit.branching import SearchStats, solve_mlce
+from layeredit.branching import SearchStats, kernel_k, solve_mlce
+from layeredit.core import all_pairs, layer_from_edges
 from layeredit.fileio import (
     Formula223,
     PlantedParams,
@@ -96,3 +99,43 @@ def test_sat_reduction_search_is_pinned(clauses, expected):
 def test_pinned_set_has_both_answers():
     answers = [yes for _, (*_, yes) in PLANTED]
     assert 0 < sum(answers) < len(answers)
+
+
+# sha256 prefix over every kernel_k output of kernel_inputs(), and the
+# number of those outputs that are None
+KERNEL_DIGEST = "02877e48dfd1d912"
+KERNEL_NONE = 139
+
+
+def kernel_inputs():
+    """Four hand-made cases, then 300 seeded random layers with random
+    budgets, marks and obligatory pairs."""
+    path = layer_from_edges(3, [(1, 2), (2, 3)])
+    star = layer_from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    bridge = layer_from_edges(6, [(1, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6), (1, 2)])
+    cases = [
+        (path, -1, frozenset(), frozenset()),  # negative budget
+        (path, 3, frozenset(), frozenset(all_pairs(3))),  # all-obligatory P3
+        (star, 1, frozenset(), frozenset({(1, 2)})),  # the hit is obligatory
+        (bridge, 3, frozenset({1}), frozenset()),  # the hit has a marked endpoint
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        density = rng.random()
+        g = layer_from_edges(n, [p for p in all_pairs(n) if rng.random() < density])
+        oblig_rate = rng.choice((0.0, 0.1, 0.4))
+        cases.append((g, rng.randint(-1, 5),
+                      frozenset(v for v in range(1, n + 1) if rng.random() < 0.2),
+                      frozenset(p for p in all_pairs(n) if rng.random() < oblig_rate)))
+    return cases
+
+
+def test_kernel_k_is_pinned():
+    outputs = []
+    for g, budget, marked, oblig in kernel_inputs():
+        out = kernel_k(g, budget, marked, oblig)
+        outputs.append(None if out is None else (sorted(out[0]), sorted(out[1])))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
+    assert (digest, outputs.count(None)) == (KERNEL_DIGEST, KERNEL_NONE)
+    assert outputs[:4] == [None, None, None, ([], [])]

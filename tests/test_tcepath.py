@@ -5,8 +5,8 @@ import pytest
 
 from layeredit.core import Instance, InputError, apply_edits, is_cluster_graph, layer_from_edges, verify
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
-from layeredit.tcepath import _clusters, enumerate_cluster_editing_sets, solve_tce_xp
-from layeredit.twolayer import clusterings_compatible, solve_two_layer_zero_edit
+from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
+from layeredit.twolayer import cluster_labels, clusterings_compatible, solve_two_layer_zero_edit
 
 from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
 
@@ -89,23 +89,21 @@ class TestEnumeration:
 
 class TestSweepCheck:
     def test_weight_decision_matches_the_two_layer_solver(self, rng):
-        empty = frozenset()
         for _ in range(600):
             n = rng.randint(1, 10)
             d = rng.randint(0, 3)
             g1, g2 = random_cluster_graph(rng, n), random_cluster_graph(rng, n)
             if rng.random() < 0.3:
                 g2 = g1
-            got = clusterings_compatible(_clusters(g1, empty),
-                                         _clusters(g2, empty), d)
+            got = clusterings_compatible(cluster_labels(g1), cluster_labels(g2), d)
             assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
 
     def test_clusters_follow_the_edits(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
-        assert _clusters(g, frozenset()) == (1, 1, 3, 3)
-        assert _clusters(g, frozenset({(1, 2), (3, 4)})) == (1, 2, 3, 4)
+        assert cluster_labels(apply_edits(g, frozenset())) == (1, 1, 3, 3)
+        assert cluster_labels(apply_edits(g, frozenset({(1, 2), (3, 4)}))) == (1, 2, 3, 4)
         merged = frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
-        assert _clusters(g, merged) == (1, 1, 1, 1)
+        assert cluster_labels(apply_edits(g, merged)) == (1, 1, 1, 1)
 
 
 class TestSolveTceXp:

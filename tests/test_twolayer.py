@@ -1,19 +1,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
-
-import pytest
 
 import layeredit
 from layeredit import twolayer
 from layeredit.core import consistent_after_removal, layer_from_edges
-from layeredit.twolayer import (
-    build_clique_intersection_graph,
-    max_weight_matching,
-    solve_two_layer_zero_edit,
-)
+from layeredit.twolayer import cluster_labels, max_weight_matching, solve_two_layer_zero_edit
 
 from conftest import random_cluster_graph
 
@@ -35,71 +30,66 @@ def brute_force_min_marks(g1, g2):
     raise AssertionError("removing everything always works")
 
 
+def cell_weights(g1, g2):
+    """Vertices per (left label, right label) cell of two cluster graphs."""
+    return Counter(zip(cluster_labels(g1), cluster_labels(g2)))
+
+
 class TestBuildGraph:
     def test_single_clique_both_sides(self):
         g = clusters(4, [1, 2, 3, 4])
-        h = build_clique_intersection_graph(g, g)
-        assert len(h.left_cliques) == len(h.right_cliques) == 1
-        assert h.weights == {(0, 0): 4}
+        assert cluster_labels(g) == (1, 1, 1, 1)
+        assert cell_weights(g, g) == {(1, 1): 4}
 
     def test_three_edge_example(self):
         g1 = clusters(3, [1, 2], [3])
         g2 = clusters(3, [1], [2, 3])
-        h = build_clique_intersection_graph(g1, g2)
-        assert h.left_cliques == (frozenset({1, 2}), frozenset({3}))
-        assert h.right_cliques == (frozenset({1}), frozenset({2, 3}))
-        assert h.weights == {(0, 0): 1, (0, 1): 1, (1, 1): 1}
+        assert cluster_labels(g1) == (1, 1, 3)
+        assert cluster_labels(g2) == (1, 2, 2)
+        assert cell_weights(g1, g2) == {(1, 1): 1, (1, 2): 1, (3, 2): 1}
 
     def test_all_singletons(self):
         g = clusters(5)
-        h = build_clique_intersection_graph(g, g)
-        assert len(h.weights) == 5
-        assert all(w == 1 for w in h.weights.values())
-
-    def test_rejects_non_cluster_input(self):
-        path = layer_from_edges(3, [(1, 2), (2, 3)])
-        with pytest.raises(ValueError):
-            build_clique_intersection_graph(path, clusters(3, [1, 2, 3]))
+        weights = cell_weights(g, g)
+        assert len(weights) == 5
+        assert all(w == 1 for w in weights.values())
 
     def test_at_most_n_weighted_edges(self, rng):
         for _ in range(50):
             n = rng.randint(1, 7)
-            h = build_clique_intersection_graph(
-                random_cluster_graph(rng, n), random_cluster_graph(rng, n))
-            assert len(h.weights) <= n
-            assert sum(h.weights.values()) == n
+            weights = cell_weights(random_cluster_graph(rng, n), random_cluster_graph(rng, n))
+            assert len(weights) <= n
+            assert sum(weights.values()) == n
 
 
 class TestMatching:
     def test_empty(self):
         g = clusters(1, [1])
-        h = build_clique_intersection_graph(g, g)
-        matching, weight = max_weight_matching(h)
-        assert weight == 1 and matching == ((0, 0),)
+        matching, weight = max_weight_matching(cell_weights(g, g))
+        assert weight == 1 and matching == ((1, 1),)
 
     def test_three_edge_example_weight_two(self):
         g1 = clusters(3, [1, 2], [3])
         g2 = clusters(3, [1], [2, 3])
-        matching, weight = max_weight_matching(build_clique_intersection_graph(g1, g2))
+        matching, weight = max_weight_matching(cell_weights(g1, g2))
         assert weight == 2
-        assert matching == ((0, 0), (1, 1))
+        assert matching == ((1, 1), (3, 2))
 
     def test_single_heavy_pair(self):
         g = clusters(6, [1, 2, 3, 4, 5, 6])
-        matching, weight = max_weight_matching(build_clique_intersection_graph(g, g))
+        matching, weight = max_weight_matching(cell_weights(g, g))
         assert weight == 6
 
     def test_matches_exhaustive_matching(self, rng):
         for _ in range(80):
             n = rng.randint(1, 9)
-            h = build_clique_intersection_graph(
-                random_cluster_graph(rng, n), random_cluster_graph(rng, n))
-            _, weight = max_weight_matching(h)
-            assert weight == _best_matching_weight_brute(h)
+            weights = cell_weights(random_cluster_graph(rng, n), random_cluster_graph(rng, n))
+            _, weight = max_weight_matching(weights)
+            assert weight == _best_matching_weight_brute(weights)
 
 
-def _best_matching_weight_brute(h):
-    edges = sorted(h.weights.items())
+def _best_matching_weight_brute(weights):
+    edges = sorted(weights.items())
     best = 0
     for size in range(len(edges) + 1):
         for combo in combinations(edges, size):
