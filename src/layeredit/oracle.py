@@ -119,19 +119,30 @@ def _solve_mlce_exhaustive(mode_n: int, layers, budgets: Sequence[int],
 
     mark_sets = sum(comb(n, j) for j in range(min(d, n) + 1))
     if mark_sets <= MARK_SETS_CAP:
+        # Each edited graph once as a bitmask over pair indices; a mark set
+        # hides the pairs at its vertices, so what it leaves of a graph is
+        # the graph's mask ANDed with the mask of the pairs it keeps.
+        bits = {p: 1 << idx for idx, p in enumerate(all_pairs(n))}
+        at = [0] * (n + 1)  # at[v]: the pairs containing v
+        for (u, v), b in bits.items():
+            at[u] |= b
+            at[v] |= b
+        everything = (1 << len(bits)) - 1
+        masks = [[sum(bits[p] for p in es) for es in layer_edited] for layer_edited in edited]
         vertices = list(range(1, n + 1))
         for dset in _mark_candidates(vertices, d):
+            hidden = 0
+            for v in dset:
+                hidden |= at[v]
+            keep = everything ^ hidden
             rests = []
-            for layer_edited in edited[1:]:
-                layer_rest: dict[frozenset[Pair], int] = {}
-                for idx, es in enumerate(layer_edited):
-                    fp = frozenset(p for p in es
-                                   if p[0] not in dset and p[1] not in dset)
-                    layer_rest.setdefault(fp, idx)
+            for layer_masks in masks[1:]:
+                layer_rest: dict[int, int] = {}
+                for idx, es in enumerate(layer_masks):
+                    layer_rest.setdefault(es & keep, idx)
                 rests.append(layer_rest)
-            for idx0, es in enumerate(edited[0]):
-                fp = frozenset(p for p in es
-                               if p[0] not in dset and p[1] not in dset)
+            for idx0, es in enumerate(masks[0]):
+                fp = es & keep
                 picks = [idx0]
                 for layer_rest in rests:
                     hit = layer_rest.get(fp)

@@ -5,8 +5,17 @@ Every cluster editing set of size at most k is a node of its layer's part
 after splitting clusters that were locally fine), enumerated by placing the
 vertices one by one into clusters within budget.  Consecutive nodes are
 compatible when the edited graphs agree up to d marked vertices, decided by
-matching weight alone; only the final path's gaps get a mark set.  The
-instance is a yes iff the first part reaches the last.
+matching weight alone on cluster labels read off vertex bitmasks; only the
+final path's gaps get a mark set.  The instance is a yes iff the first part
+reaches the last.
+
+A node's predecessor is the first reachable node of the previous part that
+is compatible with it.  With d = 0 only equal labels are compatible, so the
+reachable nodes are indexed by their label tuples and each node does one
+lookup.  With d > 0 every reachable node is tried in order with
+``clusterings_compatible``, which settles most checks by its counting
+bounds (equal labels, then cell count, diagonal and row/column maxima) and
+solves an assignment only when they leave the answer open.
 """
 
 from __future__ import annotations
@@ -20,11 +29,10 @@ from .core import (
     LayerGraph,
     Pair,
     Solution,
-    apply_edits,
     edited_layers,
     verify,
 )
-from .twolayer import cluster_labels, clusterings_compatible, solve_two_layer_zero_edit
+from .twolayer import clusterings_compatible, solve_two_layer_zero_edit
 
 
 def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
@@ -36,22 +44,43 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     below = [sum(1 << u for u in g.adj[v] if u < v) for v in range(g.n + 1)]
     found = []
     # Depth-first without recursion; a partition fixes its edited graph, so
-    # each set is reached once.  Entry: (vertices placed, edits spent, pairs
-    # toggled, clusters as bitmasks).
-    stack = [(0, 0, (), ())]
+    # each set is reached once.  Entry: (vertices placed, edits spent, toggle
+    # chain, clusters as bitmasks).  The chain links (mask, v, rest) records,
+    # mask holding the u < v whose pair (u, v) is toggled; it is decoded into
+    # pairs only at the leaves.
+    stack = [(0, 0, None, ())]
     while stack:
-        placed, spent, toggles, clusters = stack.pop()
+        placed, spent, chain, clusters = stack.pop()
         if placed == g.n:
-            found.append(tuple(sorted(toggles)))
+            toggles = []
+            while chain is not None:
+                mask, v, chain = chain
+                toggles += [(u, v) for u in range(1, v) if mask >> u & 1]
+            toggles.sort()
+            found.append(tuple(toggles))
             continue
         v = placed + 1
         for idx, members in enumerate(clusters + (0,)):  # 0 opens a new cluster
             mask = members ^ below[v]  # non-edges inside, edges leaving it
-            if spent + mask.bit_count() <= k:
-                toggled = tuple((u, v) for u in range(1, v) if mask >> u & 1)
-                stack.append((v, spent + len(toggled), toggles + toggled,
+            cost = mask.bit_count()
+            if spent + cost <= k:
+                stack.append((v, spent + cost, (mask, v, chain) if mask else chain,
                               clusters[:idx] + (members | 1 << v,) + clusters[idx + 1:]))
     return [frozenset(t) for t in sorted(found)]
+
+
+def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, ...]]:
+    """``cluster_labels`` of g edited by each set of the part, read off vertex
+    bitmasks: a vertex's label is the lowest bit of its closed neighbourhood."""
+    closed = [0] + [sum(1 << u for u in g.adj[v]) | 1 << v for v in range(1, g.n + 1)]
+    labels = []
+    for m in part:
+        nbrs = closed.copy()
+        for u, v in m:
+            nbrs[u] ^= 1 << v
+            nbrs[v] ^= 1 << u
+        labels.append(tuple((x & -x).bit_length() - 1 for x in nbrs[1:]))
+    return labels
 
 
 def solve_tce_xp(inst: Instance,
@@ -70,7 +99,7 @@ def solve_tce_xp(inst: Instance,
     # Every layer's part is kept, so the path's edit sets are read back from
     # it; only the current frontier's clusterings live across the sweep.
     parts = [enumerate_cluster_editing_sets(inst.layers[0], budgets[0])]
-    prev_clusters = [cluster_labels(apply_edits(inst.layers[0], m)) for m in parts[0]]
+    prev_clusters = _part_labels(inst.layers[0], parts[0])
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
@@ -78,13 +107,19 @@ def solve_tce_xp(inst: Instance,
 
     for i in range(1, inst.ell):
         parts.append(enumerate_cluster_editing_sets(inst.layers[i], budgets[i]))
-        clusters = [cluster_labels(apply_edits(inst.layers[i], m)) for m in parts[i]]
-        preds: list[Optional[int]] = []
-        for c in clusters:
-            hit = next((j for j in reachable
-                        if clusterings_compatible(prev_clusters[j], c, inst.d)),
-                       None)
-            preds.append(hit)
+        clusters = _part_labels(inst.layers[i], parts[i])
+        if inst.d == 0:
+            # Without marks only equal labels are compatible: look each node
+            # up by its labels, keeping the first reachable node per labels.
+            first: dict[tuple[int, ...], int] = {}
+            for j in reachable:
+                first.setdefault(prev_clusters[j], j)
+            preds = [first.get(c) for c in clusters]
+        else:
+            frontier = [(j, prev_clusters[j]) for j in reachable]
+            preds = [next((j for j, p in frontier if clusterings_compatible(p, c, inst.d)),
+                          None)
+                     for c in clusters]
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
         prev_clusters = clusters

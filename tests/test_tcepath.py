@@ -1,14 +1,61 @@
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from math import comb
+from operator import eq
 
 import pytest
 
-from layeredit.core import Instance, InputError, apply_edits, is_cluster_graph, layer_from_edges, verify
+from layeredit.core import (Instance, InputError, Solution, apply_edits, edited_layers,
+                            is_cluster_graph, layer_from_edges, pair, verify)
+from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
 from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
-from layeredit.twolayer import cluster_labels, clusterings_compatible, solve_two_layer_zero_edit
+from layeredit.twolayer import (cluster_labels, clusterings_compatible, linear_sum_assignment,
+                                solve_two_layer_zero_edit)
 
 from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
+
+
+def graph_of(labels):
+    """The cluster graph on 1..n whose clusters are the vertices sharing a label."""
+    n = len(labels)
+    return layer_from_edges(n, [(u, v) for u, v in combinations(range(1, n + 1), 2)
+                                if labels[u - 1] == labels[v - 1]])
+
+
+def relabelled(inst, perm):
+    """The instance with vertex v renamed perm[v]."""
+    layers = tuple(layer_from_edges(inst.n, [pair(perm[u], perm[v]) for u, v in g.edges])
+                   for g in inst.layers)
+    return replace(inst, layers=layers)
+
+
+def reference_xp(inst):
+    """solve_tce_xp's sweep written out plainly: every check is a full
+    two-layer solve on rebuilt graphs, and the first reachable
+    predecessor wins."""
+    parts = [enumerate_cluster_editing_sets(g, inst.k) for g in inst.layers]
+    graphs = [[apply_edits(g, m) for m in part] for g, part in zip(inst.layers, parts)]
+    reachable = list(range(len(parts[0])))
+    predecessors = [[None] * len(parts[0])]
+    for i in range(1, inst.ell):
+        preds = [next((j for j in reachable
+                       if solve_two_layer_zero_edit(graphs[i - 1][j], g, inst.d) is not None),
+                      None)
+                 for g in graphs[i]]
+        predecessors.append(preds)
+        reachable = [j for j, p in enumerate(preds) if p is not None]
+    if not reachable:
+        return None
+    path = [reachable[0]]
+    for i in range(inst.ell - 1, 0, -1):
+        path.append(predecessors[i][path[-1]])
+    path.reverse()
+    edits = tuple(part[j] for part, j in zip(parts, path))
+    edited = edited_layers(inst.layers, edits)
+    marks = tuple(solve_two_layer_zero_edit(a, b, inst.d) for a, b in zip(edited, edited[1:]))
+    return Solution(edits, marked_per_gap=marks)
 
 
 class TestEnumeration:
@@ -98,6 +145,35 @@ class TestSweepCheck:
             got = clusterings_compatible(cluster_labels(g1), cluster_labels(g2), d)
             assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
 
+    def test_near_equal_clusterings_reach_the_bound_band(self, rng):
+        # Moving d-1 .. d+2 vertices puts the matching weight next to n - d,
+        # where neither the diagonal nor the upper bound alone decides.
+        needed_solve = bound_rejects = 0
+        for _ in range(1500):
+            n = rng.randint(2, 16)
+            d = rng.randint(1, 4)
+            left = list(cluster_labels(random_cluster_graph(rng, n)))
+            right = list(left)
+            for v in rng.sample(range(n), min(n, rng.randint(d - 1, d + 2))):
+                right[v] = rng.choice(right + [0])  # 0: a new cluster
+            g1, g2 = graph_of(left), graph_of(right)
+            left, right = cluster_labels(g1), cluster_labels(g2)
+            cells = Counter(zip(left, right))
+            weight = linear_sum_assignment(cells)
+            diagonal = sum(map(eq, left, right))
+            row_max, col_max = Counter(), Counter()
+            for (a, b), w in cells.items():
+                row_max[a] = max(row_max[a], w)
+                col_max[b] = max(col_max[b], w)
+            bound = min(sum(row_max.values()), sum(col_max.values()))
+            cell_bound = n - (len(cells) - min(len(set(left)), len(set(right))))
+            assert diagonal <= weight <= bound <= cell_bound
+            got = clusterings_compatible(left, right, d)
+            assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
+            needed_solve += diagonal < n - d <= bound
+            bound_rejects += bound < n - d <= cell_bound
+        assert needed_solve > 50 and bound_rejects > 10
+
     def test_clusters_follow_the_edits(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         assert cluster_labels(apply_edits(g, frozenset())) == (1, 1, 3, 3)
@@ -136,6 +212,22 @@ class TestSolveTceXp:
             assert (got is None) == (want is None)
             if got is not None:
                 assert verify(inst, got).ok
+
+    def test_solution_files_match_the_plain_reference_sweep(self, rng):
+        answers = Counter()
+        for seed in range(80):
+            n = rng.randint(3, 10)
+            params = PlantedParams(n=n, ell=rng.randint(2, 4), cluster_count=rng.randint(1, n),
+                                   drift_per_layer=rng.randint(0, 2),
+                                   noise_edits=rng.randint(0, 1), seed=seed)
+            base = replace(generate_planted(params, "tce"), k=rng.randint(0, 3),
+                           d=rng.randint(0, 3))
+            perm = [0] + rng.sample(range(1, n + 1), n)
+            for inst in (base, relabelled(base, perm)):
+                want = serialize_solution(reference_xp(inst), inst)
+                assert serialize_solution(solve_tce_xp(inst), inst) == want
+                answers[want.splitlines()[1]] += 1
+        assert answers["answer yes"] > 50 and answers["answer no"] > 10
 
     def test_per_layer_budgets(self):
         # the stray edge in layer 1 can only be fixed where the budget sits
