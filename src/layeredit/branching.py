@@ -13,11 +13,12 @@ Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
 ascending bits are lexicographic pair order.  A ``SearchContext`` holds the
 tables of one instance that the search needs, built once per solve: the
-pair list, each pair's bit, the pairs touching each vertex, every layer's
-edge set as a pair bitmask and layer 0's adjacency as vertex bitmasks.
-Rules 0-2, clean-up and the failed-constraint memo work on the ints alone;
-rule 3, solution extraction and the invariant checks decode to frozensets
-and ``LayerGraph`` values at their boundary.
+pair list, each pair's bit, the pairs touching each vertex and every
+layer's edge set as a pair bitmask.  Rules 0-2, clean-up and the
+failed-constraint memo work on the ints alone; rule 1 toggles layer 0's
+edits into a copy of its ``LayerGraph.adj`` and runs ``core.first_p3`` on
+it.  Rule 3, solution extraction and the invariant checks decode to
+frozensets and ``LayerGraph`` values at their boundary.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from .core import (
     Solution,
     all_pairs,
     apply_edits,
+    bits,
     count_p3_through_pair,
     edited_layers,
     find_p3,
+    first_p3,
     induced_p3s,
     pair,
     pairs_of,
     verify,
+    vertex_mask,
 )
 
 
@@ -69,16 +73,6 @@ TraceFn = Callable[[str], None]
 FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 24, ell = 5
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class SearchContext:
     """Tables of one instance for the int-encoded search, built once."""
 
@@ -95,7 +89,6 @@ class SearchContext:
         self.pair_bit = pair_bit
         self.touching = touching
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
-        self.adj0 = [self.vertex_mask(nbrs) for nbrs in inst.layers[0].adj]
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
         self._touching_cache: dict[int, int] = {}
 
@@ -106,25 +99,20 @@ class SearchContext:
         return mask
 
     def pair_set(self, mask: int) -> frozenset[Pair]:
-        return frozenset(self.pairs[i] for i in _bits(mask))
+        return frozenset(self.pairs[i] for i in bits(mask))
 
-    @staticmethod
-    def vertex_mask(vertices: Iterable[int]) -> int:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return mask
+    vertex_mask = staticmethod(vertex_mask)
 
     @staticmethod
     def vertex_set(mask: int) -> frozenset[int]:
-        return frozenset(_bits(mask))
+        return frozenset(bits(mask))
 
     def touching_mask(self, marked: int) -> int:
         """All pairs with an endpoint among the marked vertices."""
         mask = self._touching_cache.get(marked)
         if mask is None:
             mask = 0
-            for v in _bits(marked):
+            for v in bits(marked):
                 mask |= self.touching[v]
             self._touching_cache[marked] = mask
         return mask
@@ -188,27 +176,6 @@ def _mark_child(c: Constraint, x: int, drop: int = 0) -> Constraint:
     return Constraint(c.marked | 1 << x, edits, c.permanent)
 
 
-def _first_p3(adj: list[int], inside: int) -> Optional[tuple[int, int, int]]:
-    """``core.find_p3`` on int adjacency (index 0 unused): the first induced
-    P3 (a, b, c) of the graph restricted to ``inside``, centers b ascending,
-    then their neighbours a ascending, then the smallest vertex c that b
-    sees and a misses."""
-    for b in range(1, len(adj)):
-        if not inside >> b & 1:
-            continue
-        nbrs = adj[b] & inside
-        if not nbrs & (nbrs - 1):
-            continue  # fewer than two neighbours: b centers no P3
-        rest = nbrs
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            missing = nbrs & ~adj[low.bit_length() - 1] & ~low
-            if missing:
-                return low.bit_length() - 1, b, (missing & -missing).bit_length() - 1
-    return None
-
-
 def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
     """Destroy an induced P3 among unmarked vertices.
 
@@ -219,16 +186,12 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     vertices that carry no permanent pair.  An empty list signals a dead
     branch.
     """
-    adj = ctx.adj0.copy()
-    pairs = ctx.pairs
-    rest = c.edits[0]
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u, v = pairs[low.bit_length() - 1]
+    adj = list(ctx.inst.layers[0].adj)
+    for i in bits(c.edits[0]):
+        u, v = ctx.pairs[i]
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-    witness = _first_p3(adj, ctx.vertices & ~c.marked)
+    witness = first_p3(adj, ctx.vertices & ~c.marked)
     if witness is None:
         return None
     a, b, w = witness
@@ -256,7 +219,7 @@ def branching_rule_2(ctx: SearchContext, c: Constraint, k: int) -> Optional[list
         return None
     permanent = c.permanent
     need = k + 1 - (over & permanent).bit_count()
-    loose = _bits(over & ~permanent)[:need]
+    loose = bits(over & ~permanent)[:need]
     children = [_toggle_child(c, 1 << i) for i in loose]
     for i in loose:
         for x in ctx.pairs[i]:
@@ -365,7 +328,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list
     kernel = kernel_k(edited[i], k - m_i.bit_count(), marked, ctx.pair_set(m_i & permanent))
 
     children: list[Constraint] = []
-    for j in _bits(m_i & ~permanent):
+    for j in bits(m_i & ~permanent):
         for x in ctx.pairs[j]:
             if not permanent & touching[x]:
                 children.append(_mark_child(c, x, drop=1 << j))
@@ -497,7 +460,7 @@ def _check_loose_edit_spread(ctx: SearchContext, c: Constraint) -> None:
     loose = 0
     for m in c.edits:
         loose |= m & keep
-    for i in _bits(loose):
+    for i in bits(loose):
         occurrences = sum(m >> i & 1 for m in c.edits)
         if 2 * occurrences > ctx.inst.ell:
             raise InvariantViolation(

@@ -3,6 +3,12 @@
 Vertices are dense integers 1..n.  A vertex pair is a tuple (u, v) with
 u < v; edge sets and edit sets are frozensets of such pairs.  All values
 are immutable after construction and safe to share between workers.
+
+``LayerGraph.adj`` is the package's one adjacency: each vertex's
+neighbourhood as an int bitmask, bit v standing for vertex v.  The P3,
+component and P3-count routines below, and the callers in ``branching``,
+``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
+P3 scan, on any such mask list.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 Pair = tuple[int, int]
 
@@ -52,36 +58,51 @@ class LayerGraph:
                 raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Adjacency sets, indexed 1..n (index 0 unused)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
+    def adj(self) -> tuple[int, ...]:
+        """Neighbourhoods as vertex bitmasks, indexed 1..n (index 0 unused)."""
+        nbrs = [0] * (self.n + 1)
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return tuple(nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (pair(u, v)) in self.edges
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest contained vertex."""
-        seen: set[int] = set()
+        adj = self.adj
         comps = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
+        left = (1 << (self.n + 1)) - 2  # vertices in no component yet
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for x in bits(frontier):
+                    reach |= adj[x]
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            comps.append(frozenset(bits(comp)))
         return comps
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for each vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def layer_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> LayerGraph:
@@ -96,8 +117,8 @@ def apply_edits(g: LayerGraph, m: frozenset[Pair] | set[Pair]) -> LayerGraph:
     edited = LayerGraph(g.n, g.edges ^ frozenset(m))
     adj = list(g.adj)  # O(n + |m|) from g's, not a rebuild from every edge
     for u, v in m:
-        adj[u] = adj[u] ^ {v}
-        adj[v] = adj[v] ^ {u}
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
     edited.__dict__["adj"] = tuple(adj)
     return edited
 
@@ -120,25 +141,34 @@ class P3Witness:
         return pair(self.a, self.b), pair(self.b, self.c), pair(self.a, self.c)
 
 
-def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optional[P3Witness]:
-    """First induced P3 of g[restrict], scanning centers then neighbor pairs
-    in increasing vertex order.  Deterministic; None if the restriction is a
-    cluster graph."""
-    if restrict is None:
-        members = range(1, g.n + 1)
-        inside = None
-    else:
-        members = sorted(restrict)
-        inside = restrict
-    adj = g.adj
-    for b in members:
-        nbrs = adj[b] if inside is None else adj[b] & inside
-        for a in sorted(nbrs):
+def first_p3(adj: Sequence[int], inside: int) -> Optional[tuple[int, int, int]]:
+    """First induced P3 (a, b, c) of the graph with bitmask adjacency ``adj``
+    (index 0 unused) restricted to the vertex mask ``inside``: centers b
+    ascending, then their neighbours a ascending, then the smallest vertex c
+    that b sees and a misses.  None if the restriction is a cluster graph."""
+    for b in range(1, len(adj)):
+        if not inside >> b & 1:
+            continue
+        nbrs = adj[b] & inside
+        if not nbrs & (nbrs - 1):
+            continue  # fewer than two neighbours: b centers no P3
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
             # Every c < a that a misses would have come first, missing a.
-            missing = nbrs - adj[a] - {a}
+            missing = nbrs & ~adj[low.bit_length() - 1] & ~low
             if missing:
-                return P3Witness(a, b, min(missing))
+                return low.bit_length() - 1, b, (missing & -missing).bit_length() - 1
     return None
+
+
+def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optional[P3Witness]:
+    """First induced P3 of g[restrict] in ``first_p3``'s scan order.
+    Deterministic; None if the restriction is a cluster graph."""
+    inside = (1 << (g.n + 1)) - 2 if restrict is None else vertex_mask(restrict)
+    witness = first_p3(g.adj, inside)
+    return None if witness is None else P3Witness(*witness)
 
 
 def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> bool:
@@ -150,8 +180,8 @@ def induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
     """Every induced P3 a - b - c of the layer, with a < c, centers b
     ascending."""
     adj = g.adj
-    return [(a, b, c) for b in range(1, g.n + 1)
-            for a, c in combinations(sorted(adj[b]), 2) if c not in adj[a]]
+    return [(a, b, c) for b in range(1, g.n + 1) for a in bits(adj[b])
+            for c in bits((adj[b] & ~adj[a]) >> (a + 1) << (a + 1))]
 
 
 def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
@@ -162,9 +192,7 @@ def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
     """
     u, v = p
     au, av = g.adj[u], g.adj[v]
-    if v in au:
-        return sum(1 for w in au ^ av if w not in (u, v))
-    return sum(1 for w in au & av if w not in (u, v))
+    return ((au ^ av if au >> v & 1 else au & av) & ~(1 << u | 1 << v)).bit_count()
 
 
 def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,

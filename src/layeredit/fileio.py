@@ -16,7 +16,9 @@ Instance format (UTF-8, '#' starts a comment, whitespace-separated):
     end
 
 Edges are one per line, 1-based, smaller endpoint first; layers appear in
-order 1..ell; the trailing ``end`` is mandatory.  Solution format:
+order 1..ell; the trailing ``end`` is mandatory.  The first line names the
+format version and must read exactly ``mlg 1`` (``sol 1`` for solutions);
+any other version is a ``ParseError``.  Solution format:
 
     sol 1
     answer yes           # or: answer no (then nothing else)
@@ -75,7 +77,7 @@ def parse_instance(text: str) -> Instance:
         return line_no, toks
 
     line_no, toks = take("mlg header")
-    if toks[:1] != ["mlg"]:
+    if toks != ["mlg", "1"]:
         raise ParseError(line_no, f"expected 'mlg 1', found {' '.join(toks)!r}")
     header: dict[str, str] = {}
     for field in ("mode", "n", "ell", "k", "d"):
@@ -163,7 +165,7 @@ def parse_solution(text: str, inst: Instance) -> Optional[Solution]:
     if not lines:
         raise ParseError(1, "empty solution file")
     line_no, toks = lines[0]
-    if toks[:1] != ["sol"]:
+    if toks != ["sol", "1"]:
         raise ParseError(line_no, f"expected 'sol 1', found {' '.join(toks)!r}")
     if len(lines) < 2 or lines[1][1][0] != "answer" or len(lines[1][1]) != 2:
         raise ParseError(lines[1][0] if len(lines) > 1 else line_no,

@@ -312,7 +312,7 @@ def _base_cost(inst: Instance, i: int, cluster_of: dict[int, int]) -> int:
     items = sorted(cluster_of)
     for a, b in combinations(items, 2):
         together = cluster_of[a] == cluster_of[b]
-        if together != (b in g.adj[a]):
+        if together != (g.adj[a] >> b & 1):
             cost += 1
     return cost
 
@@ -372,7 +372,7 @@ def _marked_cost(g, marked: list[int], placement: dict[int, int],
     cost = 0
     for a, b in combinations(marked, 2):
         together = placement[a] == placement[b]
-        if together != (b in g.adj[a]):
+        if together != (g.adj[a] >> b & 1):
             cost += 1
     for a in marked:
         for b in cluster_of:

@@ -5,9 +5,9 @@ Every cluster editing set of size at most k is a node of its layer's part
 after splitting clusters that were locally fine), enumerated by placing the
 vertices one by one into clusters within budget.  Consecutive nodes are
 compatible when the edited graphs agree up to d marked vertices, decided by
-matching weight alone on cluster labels read off vertex bitmasks; only the
-final path's gaps get a mark set.  The instance is a yes iff the first part
-reaches the last.
+matching weight alone on cluster labels read off ``LayerGraph.adj`` with
+each node's edits toggled in; only the final path's gaps get a mark set.
+The instance is a yes iff the first part reaches the last.
 
 A node's predecessor is the first reachable node of the previous part that
 is compatible with it.  With d = 0 only equal labels are compatible, so the
@@ -41,7 +41,7 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     if k < 0:
         raise InputError("negative edit budget")
     # below[v]: bitmask of v's neighbours u < v, the vertices placed before v
-    below = [sum(1 << u for u in g.adj[v] if u < v) for v in range(g.n + 1)]
+    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(g.adj)]
     found = []
     # Depth-first without recursion; a partition fixes its edited graph, so
     # each set is reached once.  Entry: (vertices placed, edits spent, toggle
@@ -70,9 +70,9 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
 
 
 def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, ...]]:
-    """``cluster_labels`` of g edited by each set of the part, read off vertex
-    bitmasks: a vertex's label is the lowest bit of its closed neighbourhood."""
-    closed = [0] + [sum(1 << u for u in g.adj[v]) | 1 << v for v in range(1, g.n + 1)]
+    """``cluster_labels`` of g edited by each set of the part: a vertex's
+    label is the lowest bit of its closed neighbourhood."""
+    closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
     labels = []
     for m in part:
         nbrs = closed.copy()

@@ -16,6 +16,9 @@ The assignment is solved by successive shortest augmenting paths, one row
 at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
 with Bellman-Ford label correction in place of dual potentials.  The graph
 has at most n edges, so no dense n x n matrix is ever built.
+``solve_two_layer_zero_edit`` decides and builds its witness with one
+solve, on weights that carry a tie-break below the cell counts
+(``max_weight_matching``).
 """
 
 from __future__ import annotations
@@ -29,14 +32,15 @@ from .core import InputError, LayerGraph, is_cluster_graph
 
 def cluster_labels(g: LayerGraph) -> tuple[int, ...]:
     """Each vertex's cluster in the cluster graph g, named by the cluster's
-    smallest vertex."""
-    adj = g.adj
-    return tuple(min(adj[v] | {v}) for v in range(1, g.n + 1))
+    smallest vertex: the lowest bit of the vertex's closed neighbourhood."""
+    closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
+    return tuple((x & -x).bit_length() - 1 for x in closed[1:])
 
 
-def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> int:
+def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
     """Largest total weight of a matching whose edges are the keys of
-    ``weights`` (all values positive); rows and columns may stay unmatched.
+    ``weights`` (all values positive), with the matching as a row -> column
+    dict; rows and columns may stay unmatched.
 
     Rows are added one at a time.  The matching stays optimal for the rows
     added so far, so each new row needs only the best alternating path from
@@ -82,7 +86,7 @@ def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> int:
             previous = mate_l.get(i)
             mate_l[i], mate_r[j] = j, i
             j = previous
-    return total
+    return total, mate_l
 
 
 def max_weight_matching(weights: dict[tuple[int, int], int]
@@ -93,24 +97,18 @@ def max_weight_matching(weights: dict[tuple[int, int], int]
     weight.  Among all maximum-weight matchings the lexicographically
     smallest one (by sorted pair list) is returned, so downstream mark-set
     extraction is deterministic.
-    """
-    best = linear_sum_assignment(weights)
 
-    # Greedy lexicographic fixing: a pair is kept exactly when some
-    # maximum-weight matching contains it together with all previously
-    # kept pairs, i.e. when the rows and columns still free carry the rest.
-    chosen: list[tuple[int, int]] = []
-    free = weights
-    fixed = 0
-    for i, j in sorted(weights):
-        if (i, j) not in free:
-            continue  # its row or column is already taken
-        rest = {(a, b): w for (a, b), w in free.items() if a != i and b != j}
-        if fixed + weights[i, j] + linear_sum_assignment(rest) == best:
-            chosen.append((i, j))
-            free = rest
-            fixed += weights[i, j]
-    return tuple(chosen), best
+    One solve does it: the cell of rank r among the m sorted cells gets the
+    weight w << (m + 1) | 1 << (m - 1 - r).  The tie-break bits sum to less
+    than 1 << m, so they never outweigh a unit of w, and they are distinct
+    powers of two, so the one best matching holds the smallest cell that any
+    maximum-weight matching holds, then the next smallest that fits, and so on.
+    """
+    m = len(weights)
+    total, mate_l = linear_sum_assignment(
+        {cell: weights[cell] << (m + 1) | 1 << (m - 1 - rank)
+         for rank, cell in enumerate(sorted(weights))})
+    return tuple(sorted(mate_l.items())), total >> (m + 1)
 
 
 def clusterings_compatible(left: Sequence[int], right: Sequence[int], d: int) -> bool:
@@ -148,7 +146,7 @@ def clusterings_compatible(left: Sequence[int], right: Sequence[int], d: int) ->
         col_max[b] = max(col_max.get(b, 0), w)
     if min(sum(row_max.values()), sum(col_max.values())) < need:
         return False
-    return linear_sum_assignment(cells) >= need
+    return linear_sum_assignment(cells)[0] >= need
 
 
 def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optional[frozenset[int]]:
@@ -163,8 +161,8 @@ def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optiona
         return None
     cells = list(zip(cluster_labels(g1), cluster_labels(g2)))
     weights = Counter(cells)
-    # The weight alone decides; the canonical matching is built only for a yes.
-    if linear_sum_assignment(weights) < g1.n - d:
+    matching, weight = max_weight_matching(weights)
+    if weight < g1.n - d:
         return None
-    matched = set(max_weight_matching(weights)[0])
+    matched = set(matching)
     return frozenset(v for v, cell in enumerate(cells, start=1) if cell not in matched)

@@ -169,14 +169,27 @@ class TestRule1:
             assert constraint_quality(ch) == 1
 
     def test_witness_matches_core_find_p3(self, rng):
+        # rule 1's toggle children flip exactly the witness's pairs that are
+        # not permanent, so with nothing permanent they name find_p3's P3 of
+        # the edited layer restricted to the unmarked vertices
         for _ in range(200):
             n = rng.randint(1, 9)
             g = random_layers(rng, n, 1, density=rng.random())[0]
             ctx = SearchContext(Instance("mlce", n, (g,), 0, 0))
-            inside = frozenset(v for v in range(1, n + 1) if rng.random() < 0.8)
-            want = find_p3(g, inside)
-            got = branching._first_p3(ctx.adj0, ctx.vertex_mask(inside))
-            assert got == (None if want is None else (want.a, want.b, want.c))
+            marked = frozenset(v for v in range(1, n + 1) if rng.random() < 0.2)
+            edits = frozenset(p for p in combinations(range(1, n + 1), 2)
+                              if rng.random() < 0.2)
+            c = encode(ctx, marked, (edits,))
+            want = find_p3(apply_edits(g, edits),
+                           frozenset(range(1, n + 1)) - marked)
+            children = branching_rule_1(ctx, c)
+            if want is None:
+                assert children is None
+                continue
+            toggled = [ctx.pair_set(ch.permanent) for ch in children if ch.permanent]
+            assert toggled == [frozenset({p}) for p in want.pairs()]
+            assert [ch.edits[0] for ch in children if ch.permanent] == \
+                [c.edits[0] ^ ctx.pair_mask([p]) for p in want.pairs()]
 
     def test_fully_blocked_p3_rejects(self):
         # one layer, a P3 whose pairs are all permanent and whose vertices

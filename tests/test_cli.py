@@ -69,6 +69,16 @@ def test_solve_parse_error_names_line(files, capsys):
     assert "line" in err
 
 
+def test_unknown_format_version_exits_2(files, capsys):
+    write, _ = files
+    text = serialize_instance(ref_instance("mlce", 1, 2))
+    inst_file = write("v9.mlg", text.replace("mlg 1\n", "mlg 9 extra\n", 1))
+    assert run(["solve", inst_file]) == 2
+    assert "mlg 1" in capsys.readouterr().err
+    sol_file = write("v7.sol", "sol 7\nanswer no\nend\n")
+    assert run(["verify", write("v1.mlg", text), sol_file]) == 2
+
+
 def test_solve_trace(files, capsys):
     write, _ = files
     inst_file = write("f.mlg", serialize_instance(ref_instance("mlce", 1, 2)))

@@ -12,6 +12,7 @@ from layeredit.core import (
     consistent_after_removal,
     count_p3_through_pair,
     find_p3,
+    induced_p3s,
     is_cluster_graph,
     layer_from_edges,
     verify,
@@ -70,7 +71,7 @@ class TestApplyEdits:
         edited = apply_edits(g, frozenset({(4, 5)}))
         assert edited.edges == frozenset({(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)})
         assert is_cluster_graph(edited)
-        assert edited.adj[1] == frozenset()
+        assert edited.adj[1] == 0
 
     def test_out_of_range_pair(self):
         g = layer_from_edges(3, [(1, 2)])
@@ -170,11 +171,13 @@ class TestCountP3ThroughPair:
     def test_matches_triple_enumeration(self, rng):
         # a triple {u, v, w} with exactly two edges is an induced P3
         # involving both u and v, whatever the center is
-        for _ in range(60):
-            g = random_layers(rng, 6, 1)[0]
-            for p in combinations(range(1, 7), 2):
+        hits = {True: 0, False: 0}  # pairs with a nonzero count, edges and non-edges
+        for _ in range(80):
+            n = rng.randint(3, 9)
+            g = random_layers(rng, n, 1, density=rng.random())[0]
+            for p in combinations(range(1, n + 1), 2):
                 expected = 0
-                for w in range(1, 7):
+                for w in range(1, n + 1):
                     if w in p:
                         continue
                     triple = sorted([p[0], p[1], w])
@@ -182,6 +185,52 @@ class TestCountP3ThroughPair:
                     if cnt == 2:
                         expected += 1
                 assert count_p3_through_pair(g, p) == expected
+                hits[g.has_edge(*p)] += expected > 0
+        assert hits[True] > 50 and hits[False] > 50
+
+
+class TestInducedP3s:
+    def test_matches_spelled_out_enumeration(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            g = random_layers(rng, n, 1, density=rng.random())[0]
+            want = [(a, b, c) for b in range(1, n + 1)
+                    for a, c in combinations([v for v in range(1, n + 1) if v != b], 2)
+                    if g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c)]
+            assert induced_p3s(g) == want
+
+
+class TestComponents:
+    @staticmethod
+    def bfs_partition(g):
+        """Breadth-first components from each unseen vertex in turn, by edge lookups."""
+        comps, seen = [], set()
+        for start in range(1, g.n + 1):
+            if start in seen:
+                continue
+            comp, queue = [start], [start]
+            seen.add(start)
+            for x in queue:
+                for w in range(1, g.n + 1):
+                    if w not in seen and w != x and g.has_edge(x, w):
+                        seen.add(w)
+                        comp.append(w)
+                        queue.append(w)
+            comps.append(frozenset(comp))
+        return comps
+
+    def test_matches_reference_bfs(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            g = random_layers(rng, n, 1, density=rng.random() * 0.6)[0]
+            got = g.components()
+            assert got == self.bfs_partition(g)
+            assert all(type(c) is frozenset for c in got)
+            assert [min(c) for c in got] == sorted(min(c) for c in got)
+
+    def test_ref_layer2(self):
+        g = ref_instance("mlce", 1, 1).layers[1]
+        assert g.components() == [frozenset({1}), frozenset({2, 3, 4, 5})]
 
 
 class TestVerify:

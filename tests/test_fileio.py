@@ -108,6 +108,13 @@ class TestInstanceErrors:
         with pytest.raises(ParseError):
             parse_instance(bad)
 
+    def test_unknown_version(self):
+        assert REF_TEXT.count("mlg 1\n") == 1
+        for header in ("mlg 9 extra", "mlg 2", "mlg", "mlg 1 1"):
+            with pytest.raises(ParseError) as err:
+                parse_instance(REF_TEXT.replace("mlg 1\n", header + "\n", 1))
+            assert "expected 'mlg 1'" in str(err.value)
+
 
 class TestSolutionRoundTrip:
     def test_ref_tce_solution(self):
@@ -153,6 +160,13 @@ class TestSolutionRoundTrip:
         inst = ref_instance("mlce", 1, 2)
         with pytest.raises(ParseError):
             parse_solution("sol 1\nanswer yes\nedit 1 del 1 5\nend\n", inst)
+
+    def test_unknown_version(self):
+        inst = ref_instance("mlce", 1, 2)
+        for header in ("sol 7", "sol", "sol 1 x"):
+            with pytest.raises(ParseError) as err:
+                parse_solution(header + "\nanswer no\nend\n", inst)
+            assert "expected 'sol 1'" in str(err.value)
 
 
 class TestPlanted:

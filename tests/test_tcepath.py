@@ -159,7 +159,7 @@ class TestSweepCheck:
             g1, g2 = graph_of(left), graph_of(right)
             left, right = cluster_labels(g1), cluster_labels(g2)
             cells = Counter(zip(left, right))
-            weight = linear_sum_assignment(cells)
+            weight, _ = linear_sum_assignment(cells)
             diagonal = sum(map(eq, left, right))
             row_max, col_max = Counter(), Counter()
             for (a, b), w in cells.items():

@@ -87,6 +87,15 @@ class TestMatching:
             _, weight = max_weight_matching(weights)
             assert weight == _best_matching_weight_brute(weights)
 
+    def test_lexicographically_smallest_maximum_matching(self, rng):
+        # small weights on few labels make many maximum-weight matchings tie
+        for _ in range(300):
+            labels = rng.randint(1, 4)
+            weights = {(rng.randint(1, labels), rng.randint(1, labels)): rng.randint(1, 3)
+                       for _ in range(rng.randint(1, 8))}
+            matching, weight = max_weight_matching(weights)
+            assert (list(matching), weight) == _smallest_max_matching_brute(weights)
+
 
 def _best_matching_weight_brute(weights):
     edges = sorted(weights.items())
@@ -98,6 +107,18 @@ def _best_matching_weight_brute(weights):
             if len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights):
                 best = max(best, sum(w for _, w in combo))
     return best
+
+
+def _smallest_max_matching_brute(weights):
+    """Among all maximum-weight matchings, the smallest sorted pair list."""
+    best = (0, [])
+    for size in range(len(weights) + 1):
+        for combo in combinations(sorted(weights), size):
+            if len({i for i, _ in combo}) == size == len({j for _, j in combo}):
+                total = sum(weights[p] for p in combo)
+                if total > best[0] or (total == best[0] and list(combo) < best[1]):
+                    best = (total, list(combo))
+    return best[1], best[0]
 
 
 class TestSolveTwoLayer:
@@ -130,6 +151,18 @@ class TestSolveTwoLayer:
         assert solve_two_layer_zero_edit(g1, g2, 1) is not None
         assert tested == [g1, g2]
 
+    def test_one_assignment_solve_per_witness(self, monkeypatch, rng):
+        solves = []
+        real = twolayer.linear_sum_assignment
+        monkeypatch.setattr(twolayer, "linear_sum_assignment",
+                            lambda weights: solves.append(weights) or real(weights))
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g1, g2 = random_cluster_graph(rng, n), random_cluster_graph(rng, n)
+            solves.clear()
+            solve_two_layer_zero_edit(g1, g2, rng.randint(0, n))
+            assert len(solves) == 1
+
     def test_against_subset_enumeration(self, rng):
         # decision and minimal mark count match brute force for every d
         for _ in range(300):
@@ -160,3 +193,4 @@ def test_import_loads_no_numeric_stack():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
