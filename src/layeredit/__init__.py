@@ -19,7 +19,7 @@ from .core import (
     verify,
 )
 from .branching import Constraint, SearchStats, solve_mlce
-from .kernelize import KernelResult, SeparateBudgetInstance, back_transform, kernelize
+from .kernelize import KernelResult, back_transform, kernelize
 from .oracle import CapabilityError, oracle_mlce, oracle_tce, structured_mlce
 from .tcepath import enumerate_cluster_editing_sets, solve_tce_xp
 from .twolayer import max_weight_matching, solve_two_layer_zero_edit

@@ -13,8 +13,9 @@ Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
 ascending bits are lexicographic pair order.  A ``SearchContext`` holds the
 tables of one instance that the search needs, built once per solve: the
-pair list, each pair's bit, the pairs touching each vertex and every
-layer's edge set as a pair bitmask.  Rules 0-2, clean-up and the
+pair list, each pair's bit, the pairs touching each vertex, every layer's
+edge set as a pair bitmask and every layer's edit budget k_i, which rules
+0, 2 and 3 and extraction read.  Rules 0-2, clean-up and the
 failed-constraint memo work on the ints alone; rule 1 toggles layer 0's
 edits into a copy of its ``LayerGraph.adj`` and runs ``core.first_p3`` on
 it.  Rule 3, solution extraction and the invariant checks decode to
@@ -89,6 +90,7 @@ class SearchContext:
         self.pair_bit = pair_bit
         self.touching = touching
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
+        self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
         self._touching_cache: dict[int, int] = {}
 
@@ -147,14 +149,15 @@ def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
 
 
-def rule0_rejects(c: Constraint, k: int, d: int) -> bool:
-    """Dead branch: too many marks, or some layer has over k frozen edits."""
+def rule0_rejects(c: Constraint, budgets: tuple[int, ...], d: int) -> bool:
+    """Dead branch: too many marks, or some layer has more frozen edits
+    than its budget."""
     if c.marked.bit_count() > d:
         return True
     permanent = c.permanent
     if permanent:
-        for m in c.edits:
-            if (m & permanent).bit_count() > k:
+        for m, k_i in zip(c.edits, budgets):
+            if (m & permanent).bit_count() > k_i:
                 return True
     return False
 
@@ -206,19 +209,21 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     return children
 
 
-def branching_rule_2(ctx: SearchContext, c: Constraint, k: int) -> Optional[list[Constraint]]:
-    """Repair the first layer whose edit set exceeds the budget.
+def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
+    """Repair the first layer whose edit set exceeds its budget k_i.
 
     Picks the lexicographically smallest non-permanent pairs so that,
-    together with the permanent ones, k+1 edits of the layer are covered,
+    together with the permanent ones, k_i+1 edits of the layer are covered,
     and branches on undoing each of them: either freeze the edit, or mark
     one endpoint and drop the edit everywhere.
     """
-    over = next((m for m in c.edits if m.bit_count() > k), None)
-    if over is None:
+    for over, k_i in zip(c.edits, ctx.budgets):
+        if over.bit_count() > k_i:
+            break
+    else:
         return None
     permanent = c.permanent
-    need = k + 1 - (over & permanent).bit_count()
+    need = k_i + 1 - (over & permanent).bit_count()
     loose = bits(over & ~permanent)[:need]
     children = [_toggle_child(c, 1 << i) for i in loose]
     for i in loose:
@@ -303,20 +308,20 @@ def _complete(g: LayerGraph, marked: frozenset[int], budget: int) -> Optional[li
     return None
 
 
-def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list[Constraint]]:
+def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
     """Repair the first layer that cannot be finished with marked-only edits.
 
-    None when every layer admits a marked-only completion within its
-    remaining budget.  Otherwise branches on undoing a loose edit of the
-    layer, on marking an endpoint of an edit forced by the per-layer kernel,
-    on committing all kernel decisions at once, and on each open kernel
-    pair.  An empty list signals a dead branch.
+    None when every layer admits a marked-only completion within what is
+    left of its budget k_i.  Otherwise branches on undoing a loose edit of
+    the layer, on marking an endpoint of an edit forced by the per-layer
+    kernel, on committing all kernel decisions at once, and on each open
+    kernel pair.  An empty list signals a dead branch.
     """
     marked = ctx.vertex_set(c.marked)
     edited = edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))
     offending = None
     for i, g in enumerate(edited):
-        if min_marked_completion(g, marked, k - c.edits[i].bit_count()) is None:
+        if min_marked_completion(g, marked, ctx.budgets[i] - c.edits[i].bit_count()) is None:
             offending = i
             break
     if offending is None:
@@ -325,7 +330,8 @@ def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list
     i = offending
     m_i = c.edits[i]
     permanent, touching = c.permanent, ctx.touching
-    kernel = kernel_k(edited[i], k - m_i.bit_count(), marked, ctx.pair_set(m_i & permanent))
+    kernel = kernel_k(edited[i], ctx.budgets[i] - m_i.bit_count(), marked,
+                      ctx.pair_set(m_i & permanent))
 
     children: list[Constraint] = []
     for j in bits(m_i & ~permanent):
@@ -365,9 +371,12 @@ def branching_rule_3(ctx: SearchContext, c: Constraint, k: int) -> Optional[list
 def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
                check_invariants: bool = False,
                stats: Optional[SearchStats] = None) -> Optional[Solution]:
-    """Full search: returns a verified solution or None when none exists."""
+    """Full search: returns a verified solution or None when none exists.
+    Every layer keeps to its own budget k_i; a negative one means no."""
     if inst.mode != MLCE:
         raise InputError("solve_mlce expects an mlce instance")
+    if min(inst.edit_budgets) < 0:
+        return None
     ctx = SearchContext(inst)
     root = greedy_initial_constraint(ctx)
     if check_invariants and not is_aligning(ctx, root):
@@ -388,8 +397,7 @@ def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[Trace
     if stats is not None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-    k = ctx.inst.k
-    if rule0_rejects(c, k, ctx.inst.d):
+    if rule0_rejects(c, ctx.budgets, ctx.inst.d):
         if trace:
             trace(f"TRACE {depth} rule0 reject |D|={c.marked.bit_count()}")
         return None
@@ -402,10 +410,10 @@ def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[Trace
     children = branching_rule_1(ctx, c)
     rule = "rule1"
     if children is None:
-        children = branching_rule_2(ctx, c, k)
+        children = branching_rule_2(ctx, c)
         rule = "rule2"
     if children is None:
-        children = branching_rule_3(ctx, c, k)
+        children = branching_rule_3(ctx, c)
         rule = "rule3"
     if children is None:
         if trace:
@@ -429,8 +437,9 @@ def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[Trace
 def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
     marked = ctx.vertex_set(c.marked)
     edits = []
-    for m, g in zip(c.edits, edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))):
-        completion = min_marked_completion(g, marked, ctx.inst.k - m.bit_count())
+    edited = edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))
+    for m, g, k_i in zip(c.edits, edited, ctx.budgets):
+        completion = min_marked_completion(g, marked, k_i - m.bit_count())
         if completion is None:
             raise RuntimeError("completion vanished after rules stopped applying")
         edits.append(ctx.pair_set(m) | completion)

@@ -38,7 +38,18 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-ALGOS = ("auto", "branch", "xp", "oracle", "structured")
+# One solver per (algorithm, mode); any other pair is a usage error.  The
+# lambdas look the solvers up when called, so a wrapped module attribute
+# is the one that runs.
+SOLVERS = {
+    ("branch", MLCE): lambda inst, trace, stats: solve_mlce(inst, trace=trace, stats=stats),
+    ("xp", TCE): lambda inst, trace, stats: solve_tce_xp(inst),
+    ("oracle", MLCE): lambda inst, trace, stats: oracle_mlce(inst),
+    ("oracle", TCE): lambda inst, trace, stats: oracle_tce(inst),
+    ("structured", MLCE): lambda inst, trace, stats: structured_mlce(inst),
+}
+AUTO = {MLCE: "branch", TCE: "xp"}
+ALGOS = ("auto", *dict.fromkeys(name for name, _ in SOLVERS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,32 +157,22 @@ def _internal_error(message: str) -> int:
 
 def _resolve(inst: Instance, algo: str) -> str:
     """The algorithm that ``algo`` names for this instance."""
-    if algo == "auto":
-        return "branch" if inst.mode == MLCE else "xp"
-    return algo
+    return AUTO[inst.mode] if algo == "auto" else algo
 
 
 def _dispatch(inst: Instance, algo: str, trace: bool = False,
               stats: Optional[SearchStats] = None) -> Optional[Solution]:
     """Run one algorithm; the branch search counts its nodes into ``stats``."""
     algo = _resolve(inst, algo)
-    if algo == "branch":
-        if inst.mode != MLCE:
-            raise InputError("--algo branch requires an mlce instance")
-        trace_fn = (lambda line: print(line, file=sys.stderr)) if trace else None
-        return solve_mlce(inst, trace=trace_fn, stats=stats)
-    if algo == "xp":
-        if inst.mode != TCE:
-            raise InputError("--algo xp requires a tce instance")
-        return solve_tce_xp(inst)
-    if algo == "structured":
-        if inst.mode != MLCE:
-            raise InputError("--algo structured requires an mlce instance")
-        return structured_mlce(inst)
-    if algo == "oracle":
-        solver = oracle_mlce if inst.mode == MLCE else oracle_tce
-        return solver(inst)
-    raise InputError(f"unknown algorithm {algo!r}")
+    solver = SOLVERS.get((algo, inst.mode))
+    if solver is None:
+        modes = [mode for name, mode in SOLVERS if name == algo]
+        if not modes:
+            raise InputError(f"unknown algorithm {algo!r}")
+        article = "an" if modes[0] == MLCE else "a"
+        raise InputError(f"--algo {algo} requires {article} {modes[0]} instance")
+    trace_fn = (lambda line: print(line, file=sys.stderr)) if trace else None
+    return solver(inst, trace_fn, stats)
 
 
 def _cmd_solve(args, algo: str, trace: bool) -> int:

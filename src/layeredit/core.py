@@ -8,7 +8,9 @@ are immutable after construction and safe to share between workers.
 neighbourhood as an int bitmask, bit v standing for vertex v.  The P3,
 component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
-P3 scan, on any such mask list.
+P3 scan, on any such mask list.  ``Instance`` is the one model of edit
+budgets: every solver, oracle, ``verify`` and the kernel read each layer's
+own budget from ``Instance.edit_budgets``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class LayerGraph:
             nbrs[u] |= 1 << v
             nbrs[v] |= 1 << u
         return tuple(nbrs)
+
+    @cached_property
+    def p3s(self) -> tuple[tuple[int, int, int], ...]:
+        """``induced_p3s`` of this layer, scanned once."""
+        return tuple(induced_p3s(self))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (pair(u, v)) in self.edges
@@ -208,13 +215,21 @@ def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,
 
 @dataclass(frozen=True)
 class Instance:
-    """A multi-layer (mode=mlce) or temporal (mode=tce) editing instance."""
+    """A multi-layer (mode=mlce) or temporal (mode=tce) editing instance.
+
+    ``budgets`` gives each layer its own edit budget, at most ``k``; a
+    negative one makes the instance a no.  ``()``, to which ``k`` in every
+    layer is normalised, means ``k`` everywhere, so a uniform instance
+    compares equal however it was built and ``replace(inst, k=...)`` keeps
+    it uniform.
+    """
 
     mode: str
     n: int
     layers: tuple[LayerGraph, ...]
     k: int
     d: int
+    budgets: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -225,13 +240,19 @@ class Instance:
             raise InputError("all layers must share the vertex count")
         if self.k < 0 or self.d < 0:
             raise InputError("budgets must be nonnegative")
+        budgets = tuple(self.budgets)
+        if budgets and (len(budgets) != self.ell or max(budgets) > self.k):
+            raise InputError(f"need {self.ell} edit budgets of at most k={self.k}, got {budgets}")
+        object.__setattr__(self, "budgets", () if budgets == (self.k,) * self.ell else budgets)
 
     @property
     def ell(self) -> int:
         return len(self.layers)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
+    @property
+    def edit_budgets(self) -> tuple[int, ...]:
+        """The edit budget of each layer."""
+        return self.budgets or (self.k,) * self.ell
 
 
 @dataclass(frozen=True)
@@ -269,10 +290,11 @@ class VerifyReport:
 def verify(inst: Instance, sol: Solution) -> VerifyReport:
     """Check a solution against every condition of the problem definition.
 
-    The report lists all violations: edit-budget overflow, mark-budget
-    overflow, a layer that is not a cluster graph after its edits (with a P3
-    witness), and consistency failures (with the witnessing pair and layers).
-    An empty report means the solution is valid.
+    The report lists all violations: edits over the layer's own budget,
+    mark-budget overflow, a layer that is not a cluster graph after its
+    edits (with a P3 witness), and consistency failures (with the
+    witnessing pair and layers).  An empty report means the solution is
+    valid.
     """
     if len(sol.edits) != inst.ell:
         raise InputError(f"solution has {len(sol.edits)} edit sets, instance has {inst.ell} layers")
@@ -285,9 +307,9 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
             f"tce solution has {len(sol.marked_per_gap)} mark sets, expected {inst.ell - 1}")
 
     violations: list[str] = []
-    for i, m in enumerate(sol.edits, start=1):
-        if len(m) > inst.k:
-            violations.append(f"edit budget exceeded in layer {i}: {len(m)} > k={inst.k}")
+    for i, (m, k_i) in enumerate(zip(sol.edits, inst.edit_budgets), start=1):
+        if len(m) > k_i:
+            violations.append(f"edit budget exceeded in layer {i}: {len(m)} > k={k_i}")
     mark_sets = [sol.marked] if inst.mode == MLCE else list(sol.marked_per_gap)
     for i, dset in enumerate(mark_sets, start=1):
         if any(not 1 <= v <= inst.n for v in dset):

@@ -143,6 +143,10 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(inst: Instance, comments: tuple[str, ...] = ()) -> str:
+    """The ``mlg 1`` text of an instance with one edit budget k in every
+    layer; the format has no per-layer budgets, so those are an InputError."""
+    if inst.budgets:
+        raise InputError(f"mlg 1 holds one edit budget k, not per-layer budgets {inst.budgets}")
     out = [f"# {c}" for c in comments]
     out += [
         "mlg 1",

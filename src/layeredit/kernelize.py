@@ -1,6 +1,8 @@
 """Polynomial kernelization for both problem modes.
 
-The kernel works on instances with one edit budget per layer.  Eight
+The rules work on ``Instance`` with one edit budget per layer
+(``Instance.budgets``); an edit spends its layer's budget and replaces that
+layer alone, so only its P3s (``LayerGraph.p3s``) are scanned again.  Eight
 reduction rules shrink the instance (or reject it outright); afterwards a
 clique gadget of 2k+2 fresh vertices restores a uniform budget, yielding a
 plain decision-equivalent instance.  In temporal mode every occurrence of
@@ -19,8 +21,7 @@ Rules, in application order (lower id first, restart after every change):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
@@ -28,8 +29,8 @@ from .core import (
     Instance,
     LayerGraph,
     Pair,
+    apply_edits,
     count_p3_through_pair,
-    induced_p3s,
     pair,
     pairs_of,
 )
@@ -39,48 +40,12 @@ RULE_COUNT = 8
 NOT_APPLICABLE = "na"
 APPLIED = "applied"
 TRIVIAL_NO = "no"
+KEEP_ALL: frozenset[int] = frozenset()  # ``dropped`` of every rule but 5 and 6
 
 
-@dataclass(frozen=True)
-class SeparateBudgetInstance:
-    """Working form of an instance with one edit budget per layer.
-
-    ``orig_ids`` maps current vertex indices (position 0 = vertex 1) back to
-    the vertex ids of the instance the kernelization started from.
-    """
-
-    mode: str
-    n: int
-    layers: tuple[LayerGraph, ...]
-    budgets: tuple[int, ...]
-    d: int
-    orig_ids: tuple[int, ...]
-
-    @property
-    def ell(self) -> int:
-        return len(self.layers)
-
-    @property
-    def k_max(self) -> int:
-        return max(self.budgets)
-
-    @property
-    def d_effective(self) -> int:
-        return self.d * self.ell if self.mode == TCE else self.d
-
-    @cached_property
-    def p3s_per_layer(self) -> tuple[list[tuple[int, int, int]], ...]:
-        """``induced_p3s`` of each layer, scanned once per instance."""
-        return tuple(induced_p3s(g) for g in self.layers)
-
-    @cached_property
-    def dirty_per_layer(self) -> tuple[frozenset[int], ...]:
-        """Vertices that appear in some induced P3, per layer."""
-        return tuple(frozenset(v for p3 in p3s for v in p3) for p3s in self.p3s_per_layer)
-
-    @cached_property
-    def dirty_all(self) -> frozenset[int]:
-        return frozenset().union(*self.dirty_per_layer)
+def _d_effective(inst: Instance) -> int:
+    """The mark budget inside the rules: d, or d*ell in temporal mode."""
+    return inst.d * inst.ell if inst.mode == TCE else inst.d
 
 
 @dataclass(frozen=True)
@@ -95,149 +60,145 @@ class KernelResult:
         return self.trivial_no_rule is not None
 
 
-def to_separate_budgets(inst: Instance) -> SeparateBudgetInstance:
-    return SeparateBudgetInstance(
-        mode=inst.mode,
-        n=inst.n,
-        layers=inst.layers,
-        budgets=(inst.k,) * inst.ell,
-        d=inst.d,
-        orig_ids=tuple(range(1, inst.n + 1)),
-    )
-
-
-def _union_graph(sb: SeparateBudgetInstance) -> LayerGraph:
+def _union_graph(inst: Instance) -> LayerGraph:
     edges: frozenset[Pair] = frozenset()
-    for g in sb.layers:
+    for g in inst.layers:
         edges |= g.edges
-    return LayerGraph(sb.n, edges)
+    return LayerGraph(inst.n, edges)
 
 
-def _intersection_graph(sb: SeparateBudgetInstance) -> LayerGraph:
-    edges = sb.layers[0].edges
-    for g in sb.layers[1:]:
+def _intersection_graph(inst: Instance) -> LayerGraph:
+    edges = inst.layers[0].edges
+    for g in inst.layers[1:]:
         edges &= g.edges
-    return LayerGraph(sb.n, edges)
+    return LayerGraph(inst.n, edges)
 
 
-def _remove_vertices(sb: SeparateBudgetInstance, doomed: frozenset[int]) -> SeparateBudgetInstance:
-    keep = [v for v in range(1, sb.n + 1) if v not in doomed]
+def _remove_vertices(inst: Instance, doomed: frozenset[int]) -> Instance:
+    """Drop vertices that lie on no induced P3 of any layer, renumbering the
+    rest in order.  Every P3 survives, so scanned P3s carry over renamed."""
+    keep = [v for v in range(1, inst.n + 1) if v not in doomed]
     renum = {old: new for new, old in enumerate(keep, start=1)}
-    layers = tuple(
-        LayerGraph(len(keep), frozenset(
+    layers = []
+    for g in inst.layers:
+        h = LayerGraph(len(keep), frozenset(
             pair(renum[u], renum[v]) for u, v in g.edges
             if u not in doomed and v not in doomed))
-        for g in sb.layers)
-    return SeparateBudgetInstance(
-        mode=sb.mode, n=len(keep), layers=layers, budgets=sb.budgets, d=sb.d,
-        orig_ids=tuple(sb.orig_ids[v - 1] for v in keep))
+        if "p3s" in g.__dict__:
+            h.__dict__["p3s"] = tuple((renum[a], renum[b], renum[c]) for a, b, c in g.p3s)
+        layers.append(h)
+    return replace(inst, n=len(keep), layers=tuple(layers))
 
 
-def _edit_layer(sb: SeparateBudgetInstance, i: int, p: Pair) -> SeparateBudgetInstance:
-    layers = list(sb.layers)
-    layers[i] = LayerGraph(sb.n, layers[i].edges ^ {p})
-    budgets = list(sb.budgets)
+def _edit_layer(inst: Instance, i: int, p: Pair) -> Instance:
+    """Toggle p in layer i and spend one of its budget; the other layers,
+    and the P3s cached on them, are kept."""
+    layers = list(inst.layers)
+    layers[i] = apply_edits(layers[i], {p})
+    budgets = list(inst.edit_budgets)
     budgets[i] -= 1
-    return SeparateBudgetInstance(
-        mode=sb.mode, n=sb.n, layers=tuple(layers), budgets=tuple(budgets),
-        d=sb.d, orig_ids=sb.orig_ids)
+    return replace(inst, layers=tuple(layers), budgets=tuple(budgets))
 
 
-def apply_rule(sb: SeparateBudgetInstance,
-               rule_id: int) -> tuple[str, Optional[SeparateBudgetInstance], str]:
+def apply_rule(inst: Instance,
+               rule_id: int) -> tuple[str, Optional[Instance], str, frozenset[int]]:
     """Single application of one reduction rule.
 
     Assumes the instance is already reduced with respect to all rules with
-    a smaller id.  Returns (status, new instance or None, note) where
-    status is one of NOT_APPLICABLE, APPLIED, TRIVIAL_NO.
+    a smaller id.  Returns (status, new instance or None, note, dropped)
+    where status is one of NOT_APPLICABLE, APPLIED, TRIVIAL_NO, and
+    ``dropped`` holds the vertices a removal rule took out (numbered as in
+    ``inst``; the survivors keep their order).
     """
+    budgets = inst.edit_budgets
     if rule_id == 1:
-        for i, k_i in enumerate(sb.budgets):
+        for i, k_i in enumerate(budgets):
             if k_i < 0:
-                return TRIVIAL_NO, None, f"rule 1: layer {i + 1} budget {k_i} < 0"
-        return NOT_APPLICABLE, None, ""
+                return TRIVIAL_NO, None, f"rule 1: layer {i + 1} budget {k_i} < 0", KEEP_ALL
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     if rule_id in (2, 3):
         want_edge = rule_id == 2
-        for i, g in enumerate(sb.layers):
+        for i, g in enumerate(inst.layers):
             # a non-edge lies in one P3 per common neighbour, so needs one
             candidates = sorted(g.edges) if want_edge else \
-                sorted({(a, c) for a, _, c in sb.p3s_per_layer[i]})
+                sorted({(a, c) for a, _, c in g.p3s})
             for p in candidates:
-                if count_p3_through_pair(g, p) >= sb.budgets[i] + 1:
+                if count_p3_through_pair(g, p) >= budgets[i] + 1:
                     verb = "deleted" if want_edge else "added"
-                    return APPLIED, _edit_layer(sb, i, p), \
-                        f"rule {rule_id}: {verb} {p} in layer {i + 1}"
-        return NOT_APPLICABLE, None, ""
+                    return APPLIED, _edit_layer(inst, i, p), \
+                        f"rule {rule_id}: {verb} {p} in layer {i + 1}", KEEP_ALL
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
-    dirty_all = sb.dirty_all
+    # vertices on some induced P3, per layer
+    dirty_per_layer = [frozenset(v for p3 in g.p3s for v in p3) for g in inst.layers]
+    dirty_all = frozenset().union(*dirty_per_layer)
+    k, deff = max(budgets), _d_effective(inst)  # the size rules use the largest budget
 
     if rule_id == 4:
-        for i, r_i in enumerate(sb.dirty_per_layer):
-            k_i = sb.budgets[i]
+        for i, (r_i, k_i) in enumerate(zip(dirty_per_layer, budgets)):
             if len(r_i) > k_i * k_i + 2 * k_i:
                 return TRIVIAL_NO, None, \
-                    f"rule 4: layer {i + 1} has {len(r_i)} P3-touched vertices"
-        return NOT_APPLICABLE, None, ""
+                    f"rule 4: layer {i + 1} has {len(r_i)} P3-touched vertices", KEEP_ALL
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     if rule_id == 5:
         # A union component is connected in the intersection graph iff it is
         # one of that graph's components, which refine the union's.
-        inter_comps = set(_intersection_graph(sb).components())
-        for comp in _union_graph(sb).components():
+        inter_comps = set(_intersection_graph(inst).components())
+        for comp in _union_graph(inst).components():
             if comp & dirty_all:
                 continue
             if comp in inter_comps:
-                return APPLIED, _remove_vertices(sb, comp), \
-                    f"rule 5: removed shared component {sorted(comp)}"
-        return NOT_APPLICABLE, None, ""
+                return APPLIED, _remove_vertices(inst, comp), \
+                    f"rule 5: removed shared component {sorted(comp)}", comp
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     if rule_id == 6:
-        threshold = sb.k_max + sb.d_effective + 3
-        for comp in _intersection_graph(sb).components():
+        threshold = k + deff + 3
+        for comp in _intersection_graph(inst).components():
             clean = comp - dirty_all
             if len(clean) >= threshold:
-                victim = min(clean)
-                return APPLIED, _remove_vertices(sb, frozenset({victim})), \
-                    f"rule 6: removed vertex {victim} from a group of {len(clean)}"
-        return NOT_APPLICABLE, None, ""
+                victim = frozenset({min(clean)})
+                return APPLIED, _remove_vertices(inst, victim), \
+                    f"rule 6: removed vertex {min(clean)} from a group of {len(clean)}", victim
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     if rule_id == 7:
-        threshold = sb.k_max + 2 * sb.d_effective + 3
-        for i, g in enumerate(sb.layers):
+        threshold = k + 2 * deff + 3
+        for i, g in enumerate(inst.layers):
             for comp in g.components():
-                if len(comp - dirty_all) >= threshold:
+                clean = len(comp - dirty_all)
+                if clean >= threshold:
                     return TRIVIAL_NO, None, \
-                        f"rule 7: layer {i + 1} component with {len(comp - dirty_all)} clean vertices"
-        return NOT_APPLICABLE, None, ""
+                        f"rule 7: layer {i + 1} component with {clean} clean vertices", KEEP_ALL
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     if rule_id == 8:
-        k = sb.k_max
-        deff = sb.d_effective
-        bound = sb.ell * (k * k + 2 * k + deff * (k + 2 * deff + 2) + 2 * k)
-        if sb.n > bound:
-            return TRIVIAL_NO, None, f"rule 8: {sb.n} vertices exceed bound {bound}"
-        return NOT_APPLICABLE, None, ""
+        bound = inst.ell * (k * k + 2 * k + deff * (k + 2 * deff + 2) + 2 * k)
+        if inst.n > bound:
+            return TRIVIAL_NO, None, f"rule 8: {inst.n} vertices exceed bound {bound}", KEEP_ALL
+        return NOT_APPLICABLE, None, "", KEEP_ALL
 
     raise ValueError(f"unknown rule id {rule_id}")
 
 
-def back_transform(sb: SeparateBudgetInstance) -> Instance:
+def back_transform(inst: Instance) -> Instance:
     """Restore a uniform budget by attaching a clique on 2k+2 new vertices,
     with k - k_i of its edges removed in layer i."""
-    k = sb.k_max
+    k = max(inst.edit_budgets)
     if k < 0:
         raise ValueError("back transformation needs nonnegative budgets")
-    gadget = list(range(sb.n + 1, sb.n + 2 * k + 3))
+    gadget = list(range(inst.n + 1, inst.n + 2 * k + 3))
     gadget_pairs = pairs_of(gadget)
     layers = []
-    for g, k_i in zip(sb.layers, sb.budgets):
+    for g, k_i in zip(inst.layers, inst.edit_budgets):
         missing = set(gadget_pairs[:k - k_i])
-        layers.append(LayerGraph(sb.n + len(gadget),
+        layers.append(LayerGraph(inst.n + len(gadget),
                                  g.edges | frozenset(p for p in gadget_pairs
                                                      if p not in missing)))
-    return Instance(mode=sb.mode, n=sb.n + len(gadget), layers=tuple(layers),
-                    k=k, d=sb.d)
+    return Instance(mode=inst.mode, n=inst.n + len(gadget), layers=tuple(layers),
+                    k=k, d=inst.d)
 
 
 def kernelize(inst: Instance) -> KernelResult:
@@ -247,22 +208,22 @@ def kernelize(inst: Instance) -> KernelResult:
     not lifted back.  ``id_map`` sends every original vertex to its id in
     the output (or None if it was removed); gadget vertices are new.
     """
-    sb = to_separate_budgets(inst)
+    orig_ids = list(range(1, inst.n + 1))  # orig_ids[v - 1]: input id of vertex v
+    id_map: dict[int, Optional[int]] = {v: None for v in orig_ids}
     log: list[str] = []
     while True:
         for rule_id in range(1, RULE_COUNT + 1):
-            status, nxt, note = apply_rule(sb, rule_id)
+            status, nxt, note, dropped = apply_rule(inst, rule_id)
             if status == TRIVIAL_NO:
                 log.append(note)
                 return KernelResult(None, rule_id, {}, tuple(log))
             if status == APPLIED:
                 log.append(note)
-                sb = nxt
+                inst = nxt
+                orig_ids = [v for i, v in enumerate(orig_ids, start=1) if i not in dropped]
                 break
         else:
             break
-    reduced = back_transform(sb)
-    id_map: dict[int, Optional[int]] = {v: None for v in range(1, inst.n + 1)}
-    for new_id, orig in enumerate(sb.orig_ids, start=1):
+    for new_id, orig in enumerate(orig_ids, start=1):
         id_map[orig] = new_id
-    return KernelResult(reduced, None, id_map, tuple(log))
+    return KernelResult(back_transform(inst), None, id_map, tuple(log))

@@ -47,8 +47,9 @@ class CapabilityError(RuntimeError):
 
 
 def _guard_common(inst: Instance) -> None:
-    if inst.k > MAX_ORACLE_K:
-        raise CapabilityError(f"oracle guard: k={inst.k} > {MAX_ORACLE_K}")
+    k = max(inst.edit_budgets)
+    if k > MAX_ORACLE_K:
+        raise CapabilityError(f"oracle guard: k={k} > {MAX_ORACLE_K}")
     if inst.ell > MAX_ORACLE_ELL:
         raise CapabilityError(f"oracle guard: ell={inst.ell} > {MAX_ORACLE_ELL}")
 
@@ -109,11 +110,10 @@ def _cover_within(pairs: frozenset[Pair], budget: int) -> Optional[frozenset[int
     return None
 
 
-def _solve_mlce_exhaustive(mode_n: int, layers, budgets: Sequence[int],
-                           d: int) -> Optional[Solution]:
-    n = mode_n
-    _guard_enummed(n, budgets)
-    cands = [_cluster_editing_sets(g, b) for g, b in zip(layers, budgets)]
+def _solve_mlce_exhaustive(inst: Instance) -> Optional[Solution]:
+    n, layers, d = inst.n, inst.layers, inst.d
+    _guard_enummed(n, inst.edit_budgets)
+    cands = [_cluster_editing_sets(g, b) for g, b in zip(layers, inst.edit_budgets)]
     edited = [[g.edges ^ m for m in layer_cands]
               for g, layer_cands in zip(layers, cands)]
 
@@ -172,20 +172,18 @@ def _solve_mlce_exhaustive(mode_n: int, layers, budgets: Sequence[int],
     return None
 
 
-def oracle_mlce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Optional[Solution]:
-    """Exhaustive multi-layer solver.  ``budgets`` optionally replaces the
-    uniform edit budget with per-layer ones (used by kernel soundness tests)."""
+def oracle_mlce(inst: Instance) -> Optional[Solution]:
+    """Exhaustive multi-layer solver; each layer keeps to its own budget."""
     if inst.mode != MLCE:
         raise InputError("oracle_mlce expects an mlce instance")
     _guard_common(inst)
-    bud = list(budgets) if budgets is not None else [inst.k] * inst.ell
-    if any(b < 0 for b in bud):
+    if min(inst.edit_budgets) < 0:
         return None
-    return _solve_mlce_exhaustive(inst.n, inst.layers, bud, inst.d)
+    return _solve_mlce_exhaustive(inst)
 
 
-def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Optional[Solution]:
-    """Exhaustive temporal solver.
+def oracle_tce(inst: Instance) -> Optional[Solution]:
+    """Exhaustive temporal solver; each layer keeps to its own budget.
 
     Consecutive pairs of edited layers are connected when some mark set of
     size at most d hides their disagreements; that set is found by plain
@@ -195,13 +193,13 @@ def oracle_tce(inst: Instance, budgets: Optional[Sequence[int]] = None) -> Optio
     if inst.mode != TCE:
         raise InputError("oracle_tce expects a tce instance")
     _guard_common(inst)
-    bud = list(budgets) if budgets is not None else [inst.k] * inst.ell
-    if any(b < 0 for b in bud):
+    budgets = inst.edit_budgets
+    if min(budgets) < 0:
         return None
-    _guard_enummed(inst.n, bud)
+    _guard_enummed(inst.n, budgets)
 
     cands = [_cluster_editing_sets(g, b)
-             for g, b in zip(inst.layers, bud)]
+             for g, b in zip(inst.layers, budgets)]
     edited = [[g.edges ^ m for m in layer_cands]
               for g, layer_cands in zip(inst.layers, cands)]
 
@@ -277,7 +275,7 @@ def structured_mlce(inst: Instance) -> Optional[Solution]:
     Guesses the marked vertices, then a common clustering of the rest, then
     per layer (independently) an assignment of the marked vertices to
     existing or fresh clusters; a layer's edit cost is read off the
-    partition directly.
+    partition directly and held to the layer's own budget.
     """
     if inst.mode != MLCE:
         raise InputError("structured_mlce expects an mlce instance")
@@ -285,6 +283,7 @@ def structured_mlce(inst: Instance) -> Optional[Solution]:
         raise CapabilityError(f"structured oracle guard: n={inst.n} > 8")
 
     vertices = list(range(1, inst.n + 1))
+    budgets = inst.edit_budgets
     for dset in _mark_candidates(vertices, inst.d):
         common = [v for v in vertices if v not in dset]
         for partition in set_partitions(common):
@@ -294,7 +293,7 @@ def structured_mlce(inst: Instance) -> Optional[Solution]:
             for i in range(inst.ell):
                 best = _best_marked_assignment(
                     inst, i, sorted(dset), partition, cluster_of,
-                    inst.k - base[i])
+                    budgets[i] - base[i])
                 if best is None:
                     break
                 picks.append(best)

@@ -20,7 +20,7 @@ solves an assignment only when they leave the answer open.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     TCE,
@@ -83,18 +83,18 @@ def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, 
     return labels
 
 
-def solve_tce_xp(inst: Instance,
-                 layer_budgets: Optional[Sequence[int]] = None) -> Optional[Solution]:
+def solve_tce_xp(inst: Instance) -> Optional[Solution]:
     """Path search over the compatibility structure, one frontier at a time.
 
-    ``layer_budgets`` optionally replaces the uniform edit budget with a
-    per-layer one.  Returns a verified solution or None.
+    Layer i's part holds the edit sets within its own budget k_i; a
+    negative one leaves the part empty.  Returns a verified solution or
+    None.
     """
     if inst.mode != TCE:
         raise InputError("solve_tce_xp expects a tce instance")
-    budgets = [inst.k] * inst.ell if layer_budgets is None else list(layer_budgets)
-    if len(budgets) != inst.ell:
-        raise InputError("one edit budget per layer required")
+    budgets = inst.edit_budgets
+    if min(budgets) < 0:
+        return None
 
     # Every layer's part is kept, so the path's edit sets are read back from
     # it; only the current frontier's clusterings live across the sweep.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,11 @@ def random_instance(rng: random.Random, mode: str, max_n: int = 5, max_ell: int 
     return Instance(mode, n, random_layers(rng, n, ell), k, d)
 
 
+def with_random_budgets(rng: random.Random, inst: Instance, low: int = 0) -> Instance:
+    """The instance with each layer's budget drawn from low..k."""
+    return replace(inst, budgets=tuple(rng.randint(low, inst.k) for _ in inst.layers))
+
+
 def random_cluster_graph(rng: random.Random, n: int) -> LayerGraph:
     """Random cluster graph: random assignment of vertices to groups."""
     groups = rng.randint(1, n)
@@ -74,8 +80,8 @@ def check_solution_independently(inst: Instance, sol: Solution) -> list[str]:
     """
     problems = []
     edited = []
-    for g, m in zip(inst.layers, sol.edits):
-        if len(m) > inst.k:
+    for g, m, k_i in zip(inst.layers, sol.edits, inst.edit_budgets):
+        if len(m) > k_i:
             problems.append("edit budget")
         edge_set = set()
         for u, v in list(g.edges) + list(m):

@@ -110,17 +110,23 @@ class TestGreedy:
 
 class TestRule0:
     def test_empty_constraint_passes(self):
-        assert not rule0_rejects(empty_constraint(2), 0, 0)
+        assert not rule0_rejects(empty_constraint(2), (0, 0), 0)
 
     def test_too_many_marks(self):
         c = encode(context(2), {1, 2})
-        assert rule0_rejects(c, 5, 1)
+        assert rule0_rejects(c, (5,), 1)
 
     def test_too_many_permanent_edits(self):
         m = frozenset({(1, 2), (3, 4)})
         c = encode(context(4), (), (m,), m)
-        assert rule0_rejects(c, 1, 5)
-        assert not rule0_rejects(c, 2, 5)
+        assert rule0_rejects(c, (1,), 5)
+        assert not rule0_rejects(c, (2,), 5)
+
+    def test_each_layer_against_its_own_budget(self):
+        m = frozenset({(1, 2), (3, 4)})
+        c = encode(context(4, ell=2), (), (m, frozenset()), m)
+        assert rule0_rejects(c, (1, 2), 5)
+        assert not rule0_rejects(c, (2, 1), 5)
 
 
 class TestCleanup:
@@ -205,18 +211,29 @@ class TestRule2:
     def test_absent_when_budgets_fit(self):
         ctx = SearchContext(ref_instance("mlce", 3, 1))
         c = greedy_initial_constraint(ctx)
-        assert branching_rule_2(ctx, c, 3) is None
+        assert branching_rule_2(ctx, c) is None
 
     def test_child_counts(self):
         g = layer_from_edges(4, [])
         inst = Instance("mlce", 4, (g,), 1, 1)
         ctx = SearchContext(inst)
         c = encode(ctx, (), (frozenset({(1, 2), (3, 4)}),))
-        children = branching_rule_2(ctx, c, 1)
+        children = branching_rule_2(ctx, c)
         toggles = [ch for ch in children if ch.permanent]
         marks = [ch for ch in children if ch.marked]
         assert len(toggles) == 2          # k + 1
         assert len(marks) == 4            # at most 2 (k + 1)
+
+    def test_repairs_the_layer_over_its_own_budget(self):
+        # two edits fit layer 1's budget of 2 but not layer 2's budget of 1
+        g = layer_from_edges(4, [])
+        inst = Instance("mlce", 4, (g, g), 2, 1, budgets=(2, 1))
+        ctx = SearchContext(inst)
+        m = frozenset({(1, 2), (3, 4)})
+        c = encode(ctx, (), (m, m))
+        children = branching_rule_2(ctx, c)
+        assert len([ch for ch in children if ch.permanent]) == 2  # k_2 + 1
+        assert branching_rule_2(ctx, encode(ctx, (), (m, frozenset()))) is None
 
     def test_greedy_misfire_gets_undone(self):
         # two layers, one stray edge: greedy copies it into layer 2, and at
@@ -227,7 +244,7 @@ class TestRule2:
         ctx = SearchContext(inst)
         c = greedy_initial_constraint(ctx)
         assert ctx.pair_set(c.edits[1]) == frozenset({(1, 2)})
-        children = branching_rule_2(ctx, c, 0)
+        children = branching_rule_2(ctx, c)
         assert children
         assert any((1, 2) not in ctx.pair_set(ch.edits[1]) for ch in children)
         # ... and the instance as a whole is solvable by marking one endpoint
@@ -326,7 +343,7 @@ class TestRule3:
         inst = Instance("mlce", 4, (g, g), 2, 1)
         ctx = SearchContext(inst)
         c = cleanup(ctx, greedy_initial_constraint(ctx))
-        assert branching_rule_3(ctx, c, 2) is None
+        assert branching_rule_3(ctx, c) is None
 
     def test_straddling_marked_vertex_rejects(self):
         # vertex 7 sits astride two triangles; with zero budget and no loose
@@ -338,7 +355,7 @@ class TestRule3:
         ctx = SearchContext(inst)
         c = encode(ctx, {7})
         assert min_marked_completion(g, frozenset({7}), 0) is None
-        assert branching_rule_3(ctx, c, 0) == []
+        assert branching_rule_3(ctx, c) == []
 
     def test_children_extend_and_progress(self):
         # single layer 1-4, 3-4 with vertex 4 marked and a loose recorded
@@ -350,7 +367,7 @@ class TestRule3:
         c = encode(ctx, {4}, (frozenset({(1, 2)}),))
         assert min_marked_completion(
             apply_edits(g, frozenset({(1, 2)})), frozenset({4}), 0) is None
-        children = branching_rule_3(ctx, c, 1)
+        children = branching_rule_3(ctx, c)
         assert children
         for ch in children:
             assert extends(ch, c)
@@ -366,7 +383,7 @@ class TestRule3:
         inst = Instance("mlce", 4, (g,), 1, 2)
         ctx = SearchContext(inst)
         c = encode(ctx, {4}, (frozenset({(1, 2)}),))
-        children = branching_rule_3(ctx, c, 1)
+        children = branching_rule_3(ctx, c)
         kernel = kernel_k(apply_edits(g, frozenset({(1, 2)})), 0,
                           frozenset({4}), frozenset())
         bound = 3 * 1 + 1

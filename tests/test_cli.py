@@ -56,8 +56,13 @@ def test_solve_every_algo_agrees(files, capsys):
 
 def test_solve_algo_mode_mismatch(files, capsys):
     write, _ = files
-    inst_file = write("t.mlg", serialize_instance(ref_instance("tce", 1, 1)))
-    assert run(["solve", "--algo", "branch", inst_file]) == 2
+    for algo, mode, message in [
+            ("branch", "tce", "--algo branch requires an mlce instance"),
+            ("structured", "tce", "--algo structured requires an mlce instance"),
+            ("xp", "mlce", "--algo xp requires a tce instance")]:
+        inst_file = write(f"{mode}.mlg", serialize_instance(ref_instance(mode, 1, 1)))
+        assert run(["solve", "--algo", algo, inst_file]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_parse_error_names_line(files, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     ref_tce_solution,
     random_instance,
     random_layers,
+    with_random_budgets,
 )
 
 
@@ -270,12 +272,21 @@ class TestVerify:
         assert any(v.startswith("edit budget exceeded") for v in report.violations)
         assert any(v.startswith("mark budget exceeded") for v in report.violations)
 
+    def test_edit_budget_of_each_layer(self):
+        sol = ref_mlce_solution_k1_d2()  # one edit in each layer
+        assert verify(ref_instance("mlce", 0, 2), sol).violations == tuple(
+            f"edit budget exceeded in layer {i}: 1 > k=0" for i in (1, 2, 3))
+        inst = Instance("mlce", 5, ref_instance("mlce", 1, 2).layers, 1, 2, budgets=(1, 0, 1))
+        assert verify(inst, sol).violations == ("edit budget exceeded in layer 2: 1 > k=0",)
+
     def test_agrees_with_independent_check(self, rng):
         # random solutions, valid or not: verify().ok iff the independent
         # re-derivation of all three conditions finds nothing
-        for _ in range(120):
+        for trial in range(120):
             mode = rng.choice(["mlce", "tce"])
             inst = random_instance(rng, mode)
+            if trial % 2:
+                inst = with_random_budgets(rng, inst)
             edits = tuple(
                 frozenset(p for p in combinations(range(1, inst.n + 1), 2)
                           if rng.random() < 0.25)
@@ -288,6 +299,36 @@ class TestVerify:
                     frozenset(v for v in range(1, inst.n + 1) if rng.random() < 0.3)
                     for _ in range(inst.ell - 1)))
             assert verify(inst, sol).ok == (check_solution_independently(inst, sol) == [])
+
+
+class TestInstanceBudgets:
+    def test_uniform_budgets(self):
+        inst = ref_instance("mlce", 2, 1)
+        assert inst.edit_budgets == (2, 2, 2)
+        assert inst.budgets == ()
+
+    def test_single_layer(self):
+        g = layer_from_edges(3, [])
+        assert Instance("mlce", 3, (g,), 2, 0).edit_budgets == (2,)
+
+    def test_uniform_instance_is_canonical(self):
+        inst = ref_instance("tce", 2, 1)
+        spelled = Instance("tce", 5, inst.layers, 2, 1, budgets=[2, 2, 2])
+        assert spelled.budgets == () and spelled == inst and hash(spelled) == hash(inst)
+        assert replace(spelled, k=3).edit_budgets == (3, 3, 3)
+
+    def test_per_layer_budgets(self):
+        layers = ref_instance("tce", 2, 1).layers
+        inst = Instance("tce", 5, layers, 2, 1, budgets=[2, 0, -1])
+        assert inst.budgets == inst.edit_budgets == (2, 0, -1)
+        assert inst != Instance("tce", 5, layers, 2, 1)
+        assert replace(inst, d=0).budgets == (2, 0, -1)
+
+    @pytest.mark.parametrize("k, d, budgets", [(-1, 0, ()), (1, -1, ()), (1, 0, (1, 1)),
+                                               (1, 0, (1, 2, 0))])
+    def test_invalid_budgets_rejected(self, k, d, budgets):
+        with pytest.raises(InputError):
+            Instance("mlce", 5, ref_instance("mlce", 1, 1).layers, k, d, budgets=budgets)
 
 
 class TestInstanceValidation:

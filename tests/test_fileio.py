@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import pytest
 
 from layeredit.core import Instance, verify
@@ -66,6 +68,13 @@ class TestInstanceRoundTrip:
         inst = random_instance(rng, "mlce")
         text = serialize_instance(inst)
         assert serialize_instance(parse_instance(text)) == text
+
+    def test_per_layer_budgets_are_not_written(self):
+        # mlg 1 has one k; budgets that differ by layer cannot be written
+        inst = ref_instance("mlce", 1, 2)
+        with pytest.raises(InputError):
+            serialize_instance(replace(inst, budgets=(1, 0, 1)))
+        assert serialize_instance(replace(inst, budgets=(1, 1, 1))) == serialize_instance(inst)
 
     def test_comments_ignored(self):
         text = serialize_instance(ref_instance("tce", 1, 1), comments=("hello", "world"))

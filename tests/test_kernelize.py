@@ -3,16 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from layeredit.core import Instance, layer_from_edges
+from layeredit import core
+from layeredit.core import Instance, induced_p3s, layer_from_edges
 from layeredit.kernelize import (
     APPLIED,
     NOT_APPLICABLE,
     TRIVIAL_NO,
-    SeparateBudgetInstance,
     apply_rule,
     back_transform,
     kernelize,
-    to_separate_budgets,
 )
 from layeredit.oracle import oracle_mlce, oracle_tce
 
@@ -23,28 +22,24 @@ kernelize_module = importlib.import_module("layeredit.kernelize")
 
 
 def sb_from(mode, layers, budgets, d):
-    n = layers[0].n
-    return SeparateBudgetInstance(mode=mode, n=n, layers=tuple(layers),
-                                  budgets=tuple(budgets), d=d,
-                                  orig_ids=tuple(range(1, n + 1)))
+    """The instance on these layers with one edit budget per layer."""
+    return Instance(mode, layers[0].n, tuple(layers), max(0, *budgets), d,
+                    budgets=tuple(budgets))
 
 
-def oracle_decision(sb) -> bool:
-    """Ground-truth answer for a separate-budget instance."""
-    if any(b < 0 for b in sb.budgets):
-        return False
-    if sb.n == 0:
-        return True
-    inst = Instance(sb.mode, sb.n, sb.layers, max(sb.budgets), sb.d)
-    oracle = oracle_mlce if sb.mode == "mlce" else oracle_tce
-    return oracle(inst, budgets=sb.budgets) is not None
+def oracle_decision(inst) -> bool:
+    """Ground-truth answer for an instance with per-layer budgets."""
+    if inst.n == 0:
+        return min(inst.edit_budgets) >= 0
+    oracle = oracle_mlce if inst.mode == "mlce" else oracle_tce
+    return oracle(inst) is not None
 
 
 def reduce_up_to(sb, rule_id):
     """Exhaust all rules with smaller ids; None when one answers NO."""
     while True:
         for rid in range(1, rule_id):
-            status, nxt, _ = apply_rule(sb, rid)
+            status, nxt, _, _ = apply_rule(sb, rid)
             if status == TRIVIAL_NO:
                 return None
             if status == APPLIED:
@@ -54,35 +49,29 @@ def reduce_up_to(sb, rule_id):
             return sb
 
 
-class TestToSeparateBudgets:
-    def test_uniform_budgets(self):
-        sb = to_separate_budgets(ref_instance("mlce", 2, 1))
-        assert sb.budgets == (2, 2, 2)
-        assert sb.d_effective == 1
-
-    def test_tce_inflates_d(self):
-        sb = to_separate_budgets(ref_instance("tce", 1, 1))
-        assert sb.d == 1 and sb.d_effective == 3
-
-    def test_single_layer(self):
-        g = layer_from_edges(3, [])
-        sb = to_separate_budgets(Instance("mlce", 3, (g,), 2, 0))
-        assert sb.budgets == (2,)
+def kept_ids(sb, dropped):
+    """The ids of ``sb``'s vertices that a removal rule kept, in order."""
+    return tuple(v for v in range(1, sb.n + 1) if v not in dropped)
 
 
 class TestIndividualRules:
+    def test_tce_inflates_d(self):
+        inst = ref_instance("tce", 1, 1)
+        assert inst.d == 1 and kernelize_module._d_effective(inst) == 3
+        assert kernelize_module._d_effective(ref_instance("mlce", 2, 1)) == 1
+
     def test_rule1_negative_budget(self):
         sb = sb_from("mlce", [layer_from_edges(2, [])], [-1], 0)
-        status, _, _ = apply_rule(sb, 1)
+        status, _, _, _ = apply_rule(sb, 1)
         assert status == TRIVIAL_NO
 
     def test_rule2_star_edge(self):
         # K(1,3): each center edge lies in 2 >= k+1 induced P3s at k=1
         g = layer_from_edges(4, [(1, 2), (1, 3), (1, 4)])
         sb = sb_from("mlce", [g], [1], 0)
-        status, nxt, _ = apply_rule(sb, 2)
+        status, nxt, _, _ = apply_rule(sb, 2)
         assert status == APPLIED
-        assert nxt.budgets == (0,)
+        assert nxt.edit_budgets == (0,)
         assert len(nxt.layers[0].edges) == 2
 
     def test_rule3_missing_clique_edge(self):
@@ -90,16 +79,16 @@ class TestIndividualRules:
         edges = [p for p in combinations(range(1, 5), 2) if p != (1, 2)]
         g = layer_from_edges(4, edges)
         sb = sb_from("mlce", [g], [1], 0)
-        status, nxt, _ = apply_rule(sb, 3)
+        status, nxt, _, _ = apply_rule(sb, 3)
         assert status == APPLIED
         assert (1, 2) in nxt.layers[0].edges
-        assert nxt.budgets == (0,)
+        assert nxt.edit_budgets == (0,)
 
     def test_rule4_too_many_dirty_vertices(self):
         # k=0: a single P3 already touches 3 > 0 vertices
         g = layer_from_edges(3, [(1, 2), (2, 3)])
         sb = sb_from("mlce", [g], [0], 0)
-        status, _, _ = apply_rule(sb, 4)
+        status, _, _, _ = apply_rule(sb, 4)
         assert status == TRIVIAL_NO
 
     def test_rule5_removes_shared_triangle(self):
@@ -108,10 +97,10 @@ class TestIndividualRules:
         g1 = layer_from_edges(6, [(1, 2), (2, 3)] + tri)
         g2 = layer_from_edges(6, [(1, 2), (2, 3)] + tri)
         sb = sb_from("mlce", [g1, g2], [2, 2], 0)
-        status, nxt, _ = apply_rule(sb, 5)
+        status, nxt, _, dropped = apply_rule(sb, 5)
         assert status == APPLIED
         assert nxt.n == 3
-        assert nxt.orig_ids == (1, 2, 3)
+        assert kept_ids(sb, dropped) == (1, 2, 3)
 
     def test_rule5_requires_agreement_in_every_layer(self):
         # component {1, 2, 3} is connected in both layers but not in their
@@ -120,7 +109,7 @@ class TestIndividualRules:
         g2 = layer_from_edges(3, [(1, 2), (1, 3)])
         sb = sb_from("mlce", [g1, g2], [2, 2], 0)
         sb = reduce_up_to(sb, 5)
-        status, _, _ = apply_rule(sb, 5)
+        status, _, _, _ = apply_rule(sb, 5)
         assert status == NOT_APPLICABLE
 
     def test_rule6_shrinks_large_clean_group(self):
@@ -131,10 +120,10 @@ class TestIndividualRules:
         g2 = layer_from_edges(4, list(combinations([1, 2, 3], 2)))
         sb = sb_from("mlce", [g1, g2], [0, 0], 0)
         assert reduce_up_to(sb, 6) == sb  # rules 1-5 leave it alone
-        status, nxt, _ = apply_rule(sb, 6)
+        status, nxt, _, dropped = apply_rule(sb, 6)
         assert status == APPLIED
         assert nxt.n == 3
-        assert nxt.orig_ids == (2, 3, 4)
+        assert kept_ids(sb, dropped) == (2, 3, 4)
 
     def test_rule7_oversized_component(self):
         # k=d=0: a clean triangle in layer 1 whose vertices split over two
@@ -143,7 +132,7 @@ class TestIndividualRules:
         g2 = layer_from_edges(3, [(2, 3)])
         sb = sb_from("mlce", [g1, g2], [0, 0], 0)
         assert reduce_up_to(sb, 7) == sb
-        status, _, _ = apply_rule(sb, 7)
+        status, _, _, _ = apply_rule(sb, 7)
         assert status == TRIVIAL_NO
 
     def test_rule8_padded_instance(self):
@@ -153,7 +142,7 @@ class TestIndividualRules:
         g2 = layer_from_edges(2, [])
         sb = sb_from("mlce", [g1, g2], [0, 0], 0)
         assert reduce_up_to(sb, 8) == sb
-        status, _, note = apply_rule(sb, 8)
+        status, _, note, _ = apply_rule(sb, 8)
         assert status == TRIVIAL_NO
         assert "exceed" in note
 
@@ -183,18 +172,18 @@ class TestBackTransform:
         # gadget component (rule 5) restores the pre-gadget instance
         for _ in range(20):
             inst = random_instance(rng, "mlce", max_n=4, max_k=2)
-            sb = reduce_up_to(to_separate_budgets(inst), 9)
+            sb = reduce_up_to(inst, 9)
             if sb is None:
                 continue
-            transformed = to_separate_budgets(back_transform(sb))
+            transformed = back_transform(sb)
             while True:
-                status, nxt, _ = apply_rule(transformed, 3)
+                status, nxt, _, _ = apply_rule(transformed, 3)
                 if status != APPLIED:
                     break
                 transformed = nxt
-            assert transformed.budgets == sb.budgets + tuple()
+            assert transformed.edit_budgets == sb.edit_budgets
             while True:
-                status, nxt, _ = apply_rule(transformed, 5)
+                status, nxt, _, _ = apply_rule(transformed, 5)
                 if status != APPLIED:
                     break
                 transformed = nxt
@@ -224,19 +213,33 @@ class TestKernelize:
             assert oracle_mlce(result.reduced) is None
 
     def test_dirty_vertices_computed_once_per_instance(self, rng, monkeypatch):
-        # rule 3 and rules 4-8 share one P3 scan per layer
+        # rule 3 and rules 4-8 share one P3 scan per layer; an edit rescans
+        # only the layer it changed, and a removal rescans none: it renames
+        # the scanned P3s (here a shared triangle below a P3 goes first)
         calls = []
-        real = kernelize_module.induced_p3s
-        monkeypatch.setattr(kernelize_module, "induced_p3s",
-                            lambda g: calls.append(g) or real(g))
-        for _ in range(20):
-            sb = to_separate_budgets(random_instance(rng, "mlce", max_n=8, max_ell=3))
+        monkeypatch.setattr(core, "induced_p3s", lambda g: calls.append(g) or induced_p3s(g))
+        edges = list(combinations([1, 2, 3], 2)) + [(4, 5), (5, 6)]
+        cases = [sb_from("mlce", [layer_from_edges(6, edges) for _ in range(2)], [2, 2], 0)]
+        cases += [random_instance(rng, "mlce", max_n=8, max_ell=3) for _ in range(20)]
+        applied = set()
+        for sb in cases:
             del calls[:]
             for rule_id in range(3, 9):
                 apply_rule(sb, rule_id)
-            assert len(calls) == sb.ell
-            assert sb.dirty_per_layer == tuple(
-                frozenset(v for p3 in real(g) for v in p3) for g in sb.layers)
+            assert sorted(map(id, calls)) == sorted(map(id, sb.layers))
+            for rule_id in (2, 3, 5, 6):
+                status, nxt, _, _ = apply_rule(sb, rule_id)
+                if status != APPLIED:
+                    continue
+                del calls[:]
+                for g in nxt.layers:
+                    assert g.p3s == tuple(induced_p3s(g))
+                changed = [g for g, h in zip(nxt.layers, sb.layers) if g is not h]
+                assert calls == (changed if rule_id in (2, 3) else [])
+                assert len(changed) == (1 if rule_id in (2, 3) else sb.ell)
+                applied.add(rule_id)
+                break
+        assert {2, 5} <= applied
 
     def test_id_map_injective(self, rng):
         for _ in range(40):
@@ -263,15 +266,15 @@ class TestKernelize:
     def test_budgets_never_increase(self, rng):
         for _ in range(40):
             inst = random_instance(rng, "mlce")
-            sb = to_separate_budgets(inst)
+            sb = inst
             while True:
                 for rid in range(1, 9):
-                    status, nxt, _ = apply_rule(sb, rid)
+                    status, nxt, _, _ = apply_rule(sb, rid)
                     if status == TRIVIAL_NO:
                         nxt = None
                         break
                     if status == APPLIED:
-                        assert max(nxt.budgets) <= max(sb.budgets)
+                        assert max(nxt.edit_budgets) <= max(sb.edit_budgets)
                         assert nxt.d == sb.d and nxt.ell == sb.ell
                         break
                 else:
@@ -357,7 +360,7 @@ class TestPerRuleSoundness:
             sb = reduce_up_to(sb0, rule_id)
             if sb is None:
                 continue
-            status, nxt, _ = apply_rule(sb, rule_id)
+            status, nxt, _, _ = apply_rule(sb, rule_id)
             if status != APPLIED:
                 continue
             fired += 1
@@ -373,7 +376,7 @@ class TestPerRuleSoundness:
             sb = reduce_up_to(sb0, 6)
             if sb is None:
                 continue
-            status, nxt, _ = apply_rule(sb, 6)
+            status, nxt, _, _ = apply_rule(sb, 6)
             if status != APPLIED:
                 continue
             fired += 1
@@ -389,7 +392,7 @@ class TestPerRuleSoundness:
             sb = reduce_up_to(sb0, 4)
             if sb is None:
                 continue
-            status, _, _ = apply_rule(sb, 4)
+            status, _, _, _ = apply_rule(sb, 4)
             if status != TRIVIAL_NO:
                 continue
             fired += 1
@@ -410,7 +413,7 @@ class TestPerRuleSoundness:
             sb = reduce_up_to(sb0, rule_id)
             if sb is None:
                 continue
-            status, _, _ = apply_rule(sb, rule_id)
+            status, _, _, _ = apply_rule(sb, rule_id)
             if status != TRIVIAL_NO:
                 continue
             fired += 1
@@ -421,6 +424,6 @@ class TestPerRuleSoundness:
         for _ in range(60):
             layers = random_layers(rng, 3, 2)
             sb = sb_from("mlce", layers, [rng.randint(-2, -1), 1], 1)
-            status, _, _ = apply_rule(sb, 1)
+            status, _, _, _ = apply_rule(sb, 1)
             assert status == TRIVIAL_NO
             assert oracle_decision(sb) is False

@@ -1,10 +1,12 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from layeredit.branching import solve_mlce
 from layeredit.core import Instance, InputError, layer_from_edges, verify
 from layeredit.oracle import (
     CapabilityError,
@@ -14,7 +16,10 @@ from layeredit.oracle import (
     structured_mlce,
 )
 
-from conftest import ref_instance, random_instance
+from layeredit.tcepath import solve_tce_xp
+
+from conftest import (check_solution_independently, ref_instance, random_instance,
+                      with_random_budgets)
 
 from math import comb
 
@@ -25,6 +30,8 @@ class TestGuards:
         inst = Instance("mlce", 3, (g,), 5, 0)
         with pytest.raises(CapabilityError):
             oracle_mlce(inst)
+        # the guard reads the layer budgets, not the cap k above them
+        assert oracle_mlce(Instance("mlce", 3, (g,), 5, 0, budgets=(1,))) is not None
 
     def test_ell_guard(self):
         g = layer_from_edges(3, [])
@@ -136,14 +143,40 @@ class TestSeparateBudgets:
         # the stray P3 sits in layer 1; only a budget there helps
         g1 = layer_from_edges(3, [(1, 2), (2, 3)])
         g2 = layer_from_edges(3, [(1, 2)])
-        inst = Instance("mlce", 3, (g1, g2), 1, 3)
-        assert oracle_mlce(inst, budgets=[1, 1]) is not None
-        assert oracle_mlce(inst, budgets=[0, 1]) is None
+        assert oracle_mlce(Instance("mlce", 3, (g1, g2), 1, 3, budgets=(1, 1))) is not None
+        assert oracle_mlce(Instance("mlce", 3, (g1, g2), 1, 3, budgets=(0, 1))) is None
 
     def test_negative_budget_is_no(self):
         g = layer_from_edges(2, [])
-        inst = Instance("mlce", 2, (g,), 0, 0)
-        assert oracle_mlce(inst, budgets=[-1]) is None
+        inst = Instance("mlce", 2, (g,), 0, 0, budgets=(-1,))
+        assert oracle_mlce(inst) is None
+
+    def test_solvers_agree_with_the_oracles(self, rng):
+        # budgets drawn per layer, a negative one in about a quarter of the
+        # instances: every solver then answers no, xp without raising
+        answers = Counter()
+        for _ in range(300):
+            mode = rng.choice(["mlce", "tce"])
+            inst = with_random_budgets(rng, random_instance(rng, mode, max_n=6),
+                                       low=rng.choice([-1, 0, 0, 0]))
+            if mode == "mlce":
+                sols = [solve_mlce(inst, check_invariants=True), structured_mlce(inst),
+                        oracle_mlce(inst)]
+            else:
+                sols = [solve_tce_xp(inst), oracle_tce(inst)]
+            yes = sols[0] is not None
+            assert all((sol is not None) == yes for sol in sols), inst
+            for sol in sols:
+                if sol is not None:
+                    assert verify(inst, sol).ok
+                    assert check_solution_independently(inst, sol) == []
+            negative = min(inst.edit_budgets) < 0
+            assert not (negative and yes)
+            answers[mode, yes, negative, bool(inst.budgets)] += 1
+        for mode in ("mlce", "tce"):
+            assert answers[mode, True, False, True] > 10
+            assert answers[mode, False, False, True] > 10
+            assert answers[mode, False, True, True] > 10
 
 
 def test_oracle_does_not_import_the_xp_solver():

@@ -2,8 +2,9 @@
 
 At ell = 2 a multi-layer and a temporal instance ask the same question (one
 mark set for the one pair of layers), so ``solve_mlce`` and
-``solve_tce_xp`` must agree; and renaming the vertices changes neither
-decision.
+``solve_tce_xp`` must agree; renaming the vertices changes neither
+decision; more budget in one layer, or more marks, never turns a yes into
+a no; and a temporal instance read backwards has the same answer.
 """
 
 from hypothesis import given, settings
@@ -49,3 +50,42 @@ def test_decisions_survive_relabelling(case, data):
     renamed = tuple(LayerGraph(n, frozenset(pair(perm[u - 1], perm[v - 1]) for u, v in g.edges))
                     for g in layers)
     assert decisions(n, renamed, k, d) == decisions(n, layers, k, d)
+
+
+@st.composite
+def planted_layers(draw, max_ell):
+    """2..max_ell layers of a planted instance, n <= 10, with one edit
+    budget per layer and a mark budget drawn so that both answers occur."""
+    n = draw(st.integers(5, 10))
+    ell = draw(st.integers(2, max_ell))
+    params = PlantedParams(n=n, ell=ell, cluster_count=draw(st.integers(1, n)),
+                           drift_per_layer=draw(st.integers(0, 2)),
+                           noise_edits=draw(st.integers(0, 2)),
+                           seed=draw(st.integers(0, 2**16)))
+    budgets = tuple(draw(st.integers(0, 2)) for _ in range(ell))
+    return n, generate_planted(params, "mlce").layers, budgets, draw(st.integers(0, 2))
+
+
+def budgeted(mode, n, layers, budgets, d):
+    return Instance(mode, n, layers, max(budgets), d, budgets=budgets)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(planted_layers(max_ell=3), st.data())
+def test_more_budget_never_turns_yes_into_no(case, data):
+    n, layers, budgets, d = case
+    i = data.draw(st.integers(0, len(layers) - 1))
+    raised = budgets[:i] + (budgets[i] + 1,) + budgets[i + 1:]
+    for mode, solve in (("mlce", solve_mlce), ("tce", solve_tce_xp)):
+        if solve(budgeted(mode, n, layers, budgets, d)) is not None:
+            assert solve(budgeted(mode, n, layers, raised, d)) is not None
+            assert solve(budgeted(mode, n, layers, budgets, d + 1)) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(planted_layers(max_ell=4))
+def test_tce_decision_survives_reversing_the_layers(case):
+    n, layers, budgets, d = case
+    forward = solve_tce_xp(budgeted("tce", n, layers, budgets, d)) is not None
+    backward = solve_tce_xp(budgeted("tce", n, layers[::-1], budgets[::-1], d)) is not None
+    assert forward == backward

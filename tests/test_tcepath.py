@@ -234,10 +234,10 @@ class TestSolveTceXp:
         g1 = layer_from_edges(3, [(1, 2), (2, 3)])
         g2 = layer_from_edges(3, [])
         inst = Instance("tce", 3, (g1, g2), 1, 3)
-        assert solve_tce_xp(inst, layer_budgets=[1, 0]) is not None
-        assert solve_tce_xp(inst, layer_budgets=[0, 1]) is None
+        assert solve_tce_xp(replace(inst, budgets=(1, 0))) is not None
+        assert solve_tce_xp(replace(inst, budgets=(0, 1))) is None
         with pytest.raises(InputError):
-            solve_tce_xp(inst, layer_budgets=[1])
+            replace(inst, budgets=(1,))
 
     def test_non_minimal_merge_regression(self):
         # the only solution splits layer 1's two complete cliques, so an
