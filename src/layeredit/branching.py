@@ -3,10 +3,11 @@
 The solver keeps a constraint (marked vertices, per-layer edit sets, and
 permanent pairs whose status is frozen) that always aligns all edited
 layers outside the marked set.  Starting from a greedy majority-vote
-alignment, it applies, in order: a budget reject, a clean-up pass, and
-three branching rules (destroy a P3, repair an edit-budget overflow,
-repair a layer that cannot be completed by marked-only edits).  When no
-rule applies, a full solution is assembled from the constraint.
+alignment, it applies, in order: a clean-up pass and three branching rules
+(destroy a P3, repair an edit-budget overflow, repair a layer that cannot
+be completed by marked-only edits), and drops the children that rule 0 (a
+budget reject) or a lower bound declares dead before entering them.  When
+no rule applies, a full solution is assembled from the constraint.
 
 Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 (bit v for vertex v); each edit set and the permanent set is a bitmask over
@@ -18,8 +19,19 @@ edge set as a pair bitmask and every layer's edit budget k_i, which rules
 0, 2 and 3 and extraction read.  Rules 0-2, clean-up and the
 failed-constraint memo work on the ints alone; rule 1 toggles layer 0's
 edits into a copy of its ``LayerGraph.adj`` and runs ``core.first_p3`` on
-it.  Rule 3, solution extraction and the invariant checks decode to
-frozensets and ``LayerGraph`` values at their boundary.
+it, and the bound runs ``core.adj_p3s`` on such a copy.  Rule 3, solution
+extraction and the invariant checks decode to frozensets and
+``LayerGraph`` values at their boundary.
+
+Dead children are dropped before the search enters them: a child with more
+than d marks, and a child whose permanent set grew (a toggle child, or rule
+3's commit child) that rule 0's budget test or the frozen-edit bound
+(``frozen_edit_bound``) rejects.  The bound reads only the permanent pairs
+and the frozen edits, which mark children and clean-up leave alone, so it is
+evaluated at the root and then only where the permanent set grew, once per
+(permanent, frozen edits) of a search.  Pruned subtrees hold no solution
+and the surviving children keep their order, so the first solution found is
+the one an unpruned search finds.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .core import (
     LayerGraph,
     Pair,
     Solution,
+    adj_p3s,
     all_pairs,
     apply_edits,
     bits,
@@ -65,13 +78,20 @@ class Constraint(NamedTuple):
 
 @dataclass
 class SearchStats:
+    """Counters of one search.  ``nodes`` counts the constraints it entered;
+    ``pruned_rule0`` and ``pruned_bound`` count the children it dropped
+    before entering them, by rule 0 and by the frozen-edit bound."""
+
     nodes: int = 0
     max_depth: int = 0
+    pruned_rule0: int = 0
+    pruned_bound: int = 0
 
 
 TraceFn = Callable[[str], None]
 
 FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 24, ell = 5
+                      # (also caps the bound verdicts kept per search)
 
 
 class SearchContext:
@@ -102,6 +122,15 @@ class SearchContext:
 
     def pair_set(self, mask: int) -> frozenset[Pair]:
         return frozenset(self.pairs[i] for i in bits(mask))
+
+    def toggled_adj(self, i: int, mask: int) -> list[int]:
+        """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
+        adj = list(self.inst.layers[i].adj)
+        for j in bits(mask):
+            u, v = self.pairs[j]
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        return adj
 
     vertex_mask = staticmethod(vertex_mask)
 
@@ -162,6 +191,51 @@ def rule0_rejects(c: Constraint, budgets: tuple[int, ...], d: int) -> bool:
     return False
 
 
+def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
+                      budget: int) -> Optional[int]:
+    """Lower bound on layer i's edit count in every solution below a
+    constraint with permanent pairs ``permanent`` whose layer-i edits among
+    them are ``frozen``; None when it exceeds ``budget`` or no solution
+    lies below the constraint at all.
+
+    The bound is |F| plus the size of a greedy packing of the induced P3s
+    of H = G_i xor F (F = ``frozen``) whose non-permanent pairs are
+    pairwise disjoint, the P3-packing bound of Boecker, Briesemeister and
+    Klau (Algorithmica 2011).  It is sound because no permanent pair
+    touches a mark, children never change a permanent pair, and the
+    completion only toggles pairs that touch marks.  So a final solution
+    agrees with the constraint's edits on every permanent pair, and its
+    cost in layer i is |F| plus the non-permanent toggles that turn H into
+    a cluster graph; each packed P3 needs one of those toggles of its own.
+    A P3 of H whose three pairs are all permanent survives into every
+    solution, hence None.  Loose (non-permanent) edits stay out of H on
+    purpose: a solution may undo them at no cost, so counting them would
+    overstate the bound.
+    """
+    bound = frozen.bit_count()
+    if bound > budget:
+        return None
+    pair_bit, free = ctx.pair_bit, ~permanent
+    used = 0
+    for a, b, c in adj_p3s(ctx.toggled_adj(i, frozen)):
+        loose = (pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c]) & free
+        if not loose:
+            return None
+        if not loose & used:
+            used |= loose
+            bound += 1
+            if bound > budget:
+                return None
+    return bound
+
+
+def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
+    """Some layer's ``frozen_edit_bound`` exceeds its budget k_i."""
+    permanent = c.permanent
+    return any(frozen_edit_bound(ctx, i, m & permanent, permanent, k_i) is None
+               for i, (m, k_i) in enumerate(zip(c.edits, ctx.budgets)))
+
+
 def cleanup(ctx: SearchContext, c: Constraint) -> Constraint:
     """Drop every edit pair that touches a marked vertex.  Idempotent."""
     if not c.marked:
@@ -189,12 +263,7 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     vertices that carry no permanent pair.  An empty list signals a dead
     branch.
     """
-    adj = list(ctx.inst.layers[0].adj)
-    for i in bits(c.edits[0]):
-        u, v = ctx.pairs[i]
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-    witness = first_p3(adj, ctx.vertices & ~c.marked)
+    witness = first_p3(ctx.toggled_adj(0, c.edits[0]), ctx.vertices & ~c.marked)
     if witness is None:
         return None
     a, b, w = witness
@@ -381,7 +450,7 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
     root = greedy_initial_constraint(ctx)
     if check_invariants and not is_aligning(ctx, root):
         raise InvariantViolation("greedy constraint is not aligning")
-    sol = _search(ctx, root, 0, trace, check_invariants, stats, set())
+    sol = _Search(ctx, trace, check_invariants, stats).run(root, 0)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -389,49 +458,98 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
     return sol
 
 
-def _search(ctx: SearchContext, c: Constraint, depth: int, trace: Optional[TraceFn],
-            check: bool, stats: Optional[SearchStats],
-            failed: set[Constraint]) -> Optional[Solution]:
-    """Depth-first search below ``c``.  A constraint's subtree depends on it
-    alone, so one in ``failed`` is not expanded again."""
-    if stats is not None:
+class _Search:
+    """One depth-first search: its reporting hooks, the memo of failed
+    constraints and the bound verdicts by (permanent, frozen edits)."""
+
+    def __init__(self, ctx: SearchContext, trace: Optional[TraceFn], check: bool,
+                 stats: Optional[SearchStats]):
+        self.ctx = ctx
+        self.trace = trace
+        self.check = check
+        self.stats = SearchStats() if stats is None else stats
+        self.failed: set[Constraint] = set()
+        self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
+
+    def run(self, c: Constraint, depth: int) -> Optional[Solution]:
+        """Depth-first search below ``c``.  A constraint's subtree depends
+        on it alone, so one in ``failed`` is not expanded again."""
+        ctx, trace, stats = self.ctx, self.trace, self.stats
         stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, depth)
-    if rule0_rejects(c, ctx.budgets, ctx.inst.d):
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if not depth and self.dead_by_bound(c):
+            if trace:
+                trace("TRACE 0 rule0 reject bound")
+            return None
+        c = cleanup(ctx, c)
+        if c in self.failed:
+            if trace:
+                trace(f"TRACE {depth} seen")
+            return None
+
+        children = branching_rule_1(ctx, c)
+        rule = "rule1"
+        if children is None:
+            children = branching_rule_2(ctx, c)
+            rule = "rule2"
+        if children is None:
+            children = branching_rule_3(ctx, c)
+            rule = "rule3"
+        if children is None:
+            if trace:
+                trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
+                      f"|B|={c.permanent.bit_count()}")
+            sol = _extract_solution(ctx, c)
+            if self.check:
+                _check_bound_holds(ctx, c, sol)
+            return sol
+
+        if self.check:
+            _check_children(ctx, c, children, depth)
+        viable = self.viable(c, children)
         if trace:
-            trace(f"TRACE {depth} rule0 reject |D|={c.marked.bit_count()}")
-        return None
-    c = cleanup(ctx, c)
-    if c in failed:
-        if trace:
-            trace(f"TRACE {depth} seen")
+            trace(f"TRACE {depth} {rule} children={len(children)} "
+                  f"pruned={len(children) - len(viable)}")
+        for child in viable:
+            found = self.run(child, depth + 1)
+            if found is not None:
+                return found
+        if len(self.failed) < FAILED_CAP:
+            self.failed.add(c)
         return None
 
-    children = branching_rule_1(ctx, c)
-    rule = "rule1"
-    if children is None:
-        children = branching_rule_2(ctx, c)
-        rule = "rule2"
-    if children is None:
-        children = branching_rule_3(ctx, c)
-        rule = "rule3"
-    if children is None:
-        if trace:
-            trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
-                  f"|B|={c.permanent.bit_count()}")
-        return _extract_solution(ctx, c)
+    def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
+        """The children that pass rule 0 and the bound, in order.  A child
+        that kept the parent's permanent pairs kept its frozen edits and its
+        verdicts too, so only its marks are tested."""
+        budgets, d, stats = self.ctx.budgets, self.ctx.inst.d, self.stats
+        permanent = parent.permanent
+        kept = []
+        for child in children:
+            if child.permanent == permanent:
+                if child.marked.bit_count() > d:
+                    stats.pruned_rule0 += 1
+                    continue
+            elif rule0_rejects(child, budgets, d):
+                stats.pruned_rule0 += 1
+                continue
+            elif self.dead_by_bound(child):
+                stats.pruned_bound += 1
+                continue
+            kept.append(child)
+        return kept
 
-    if trace:
-        trace(f"TRACE {depth} {rule} children={len(children)}")
-    if check:
-        _check_children(ctx, c, children, depth)
-    for child in children:
-        found = _search(ctx, child, depth + 1, trace, check, stats, failed)
-        if found is not None:
-            return found
-    if len(failed) < FAILED_CAP:
-        failed.add(c)
-    return None
+    def dead_by_bound(self, c: Constraint) -> bool:
+        """``bound_rejects``, remembered by (permanent, frozen edits)."""
+        permanent = c.permanent
+        key = (permanent, tuple([m & permanent for m in c.edits]))
+        dead = self.dead.get(key)
+        if dead is None:
+            dead = bound_rejects(self.ctx, c)
+            if len(self.dead) < FAILED_CAP:
+                self.dead[key] = dead
+        return dead
 
 
 def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
@@ -444,6 +562,14 @@ def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
             raise RuntimeError("completion vanished after rules stopped applying")
         edits.append(ctx.pair_set(m) | completion)
     return Solution(tuple(edits), marked=marked)
+
+
+def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:
+    """Each layer's extracted edits reach the accepted constraint's bound."""
+    for i, m in enumerate(sol.edits):
+        if frozen_edit_bound(ctx, i, c.edits[i] & c.permanent, c.permanent, len(m)) is None:
+            raise InvariantViolation(f"layer {i + 1}'s {len(m)} extracted edits fall below "
+                                     f"the accepted constraint's bound")
 
 
 def _check_children(ctx: SearchContext, parent: Constraint,

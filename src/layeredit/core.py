@@ -8,9 +8,10 @@ are immutable after construction and safe to share between workers.
 neighbourhood as an int bitmask, bit v standing for vertex v.  The P3,
 component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
-P3 scan, on any such mask list.  ``Instance`` is the one model of edit
-budgets: every solver, oracle, ``verify`` and the kernel read each layer's
-own budget from ``Instance.edit_budgets``.
+P3 scan and ``adj_p3s`` the one P3 enumeration, on any such mask list.
+``Instance`` is the one model of edit budgets: every solver, oracle,
+``verify`` and the kernel read each layer's own budget from
+``Instance.edit_budgets``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Pair = tuple[int, int]
 
@@ -186,9 +187,26 @@ def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -
 def induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
     """Every induced P3 a - b - c of the layer, with a < c, centers b
     ascending."""
-    adj = g.adj
-    return [(a, b, c) for b in range(1, g.n + 1) for a in bits(adj[b])
-            for c in bits((adj[b] & ~adj[a]) >> (a + 1) << (a + 1))]
+    return list(adj_p3s(g.adj))
+
+
+def adj_p3s(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """``induced_p3s`` of the graph with bitmask adjacency ``adj`` (index 0
+    unused), lazily: centers b ascending, then a ascending, then c > a."""
+    for b in range(1, len(adj)):
+        nbrs = adj[b]
+        if not nbrs & (nbrs - 1):
+            continue  # fewer than two neighbours: b centers no P3
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            missing = nbrs & ~adj[a] & -(low << 1)  # c > a that b sees and a misses
+            while missing:
+                high = missing & -missing
+                missing ^= high
+                yield a, b, high.bit_length() - 1
 
 
 def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:

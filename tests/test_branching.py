@@ -5,14 +5,17 @@ import pytest
 from layeredit import branching
 from layeredit.branching import (
     Constraint,
+    InvariantViolation,
     SearchContext,
     SearchStats,
+    bound_rejects,
     branching_rule_1,
     branching_rule_2,
     branching_rule_3,
     cleanup,
     constraint_quality,
     extends,
+    frozen_edit_bound,
     greedy_initial_constraint,
     is_aligning,
     kernel_k,
@@ -22,13 +25,14 @@ from layeredit.branching import (
 )
 from layeredit.core import (
     Instance,
+    Solution,
     apply_edits,
     find_p3,
     is_cluster_graph,
     layer_from_edges,
     verify,
 )
-from layeredit.oracle import oracle_mlce
+from layeredit.oracle import oracle_mlce, set_partitions
 
 from conftest import ref_instance, random_instance, random_layers
 
@@ -127,6 +131,71 @@ class TestRule0:
         c = encode(context(4, ell=2), (), (m, frozenset()), m)
         assert rule0_rejects(c, (1, 2), 5)
         assert not rule0_rejects(c, (2, 1), 5)
+
+
+def fewest_free_toggles(ctx, h, permanent):
+    """Brute force: the fewest non-permanent pairs whose toggling turns the
+    pair mask ``h`` into a cluster graph; None if none does."""
+    best = None
+    for blocks in set_partitions(range(1, ctx.inst.n + 1)):
+        toggles = h ^ ctx.pair_mask(p for block in blocks for p in combinations(block, 2))
+        if not toggles & permanent and (best is None or toggles.bit_count() < best):
+            best = toggles.bit_count()
+    return best
+
+
+class TestFrozenEditBound:
+    def test_never_exceeds_the_fewest_toggles(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            g = random_layers(rng, n, 1, density=rng.random())[0]
+            ctx = SearchContext(Instance("mlce", n, (g,), 0, 0))
+            rate = rng.choice((0.0, 0.2, 0.5))
+            permanent = ctx.pair_mask(p for p in ctx.pairs if rng.random() < rate)
+            frozen = ctx.pair_mask(p for p in ctx.pair_set(permanent) if rng.random() < 0.5)
+            bound = frozen_edit_bound(ctx, 0, frozen, permanent, len(ctx.pairs))
+            least = fewest_free_toggles(ctx, ctx.layer_masks[0] ^ frozen, permanent)
+            if bound is None:
+                assert least is None
+                outcomes.add("dead")
+            elif least is not None:
+                assert bound <= frozen.bit_count() + least
+                outcomes.add("tight" if bound == frozen.bit_count() + least else "loose")
+            # the budget cuts off a bound above it, and only that
+            if bound is not None:
+                assert frozen_edit_bound(ctx, 0, frozen, permanent, bound) == bound
+                if bound:
+                    assert frozen_edit_bound(ctx, 0, frozen, permanent, bound - 1) is None
+        assert outcomes == {"dead", "tight", "loose"}
+
+    def test_all_permanent_p3_is_dead(self):
+        ctx = context(3)
+        permanent = ctx.pair_mask(ctx.pairs)
+        # the edgeless layer with the frozen edits 1-2 and 2-3 holds the P3 1-2-3
+        frozen = ctx.pair_mask([(1, 2), (2, 3)])
+        assert frozen_edit_bound(ctx, 0, frozen, permanent, 10) is None
+        assert frozen_edit_bound(ctx, 0, frozen | ctx.pair_mask([(1, 3)]), permanent, 10) == 3
+
+    def test_loose_edits_do_not_count(self):
+        # three loose edits in an edgeless layer with budget 0: undoing them
+        # costs nothing, so the bound must not reject
+        ctx = context(4)
+        c = encode(ctx, (), ({(1, 2), (2, 3), (3, 4)},), {(1, 4)})
+        assert not bound_rejects(ctx, c)
+        frozen = encode(ctx, (), ({(1, 2), (2, 3), (3, 4)},), {(1, 2)})
+        assert bound_rejects(ctx, frozen)
+
+    def test_invariant_check_catches_an_extraction_below_the_bound(self, monkeypatch):
+        # one layer holding the P3 1-2-3 and k = 1: the search accepts after
+        # freezing one toggle, whose layer bound is then 1
+        inst = Instance("mlce", 3, (layer_from_edges(3, [(1, 2), (2, 3)]),), 1, 0)
+        assert solve_mlce(inst, check_invariants=True) is not None
+        extract = branching._extract_solution
+        monkeypatch.setattr(branching, "_extract_solution",
+                            lambda ctx, c: Solution((frozenset(),), marked=extract(ctx, c).marked))
+        with pytest.raises(InvariantViolation):
+            solve_mlce(inst, check_invariants=True)
 
 
 class TestCleanup:

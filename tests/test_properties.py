@@ -2,17 +2,26 @@
 
 At ell = 2 a multi-layer and a temporal instance ask the same question (one
 mark set for the one pair of layers), so ``solve_mlce`` and
-``solve_tce_xp`` must agree; renaming the vertices changes neither
-decision; more budget in one layer, or more marks, never turns a yes into
-a no; and a temporal instance read backwards has the same answer.
+``solve_tce_xp`` must agree; at ell = 1 both are plain cluster editing,
+whatever the mark budget; renaming the vertices changes neither decision;
+more budget in one layer, or more marks, never turns a yes into a no; a
+temporal instance read backwards has the same answer; and instance and
+solution files read back as what was written.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layeredit.branching import solve_mlce
-from layeredit.core import Instance, LayerGraph, pair
-from layeredit.fileio import PlantedParams, generate_planted
+from layeredit.core import MODES, Instance, LayerGraph, Solution, all_pairs, pair
+from layeredit.fileio import (
+    PlantedParams,
+    generate_planted,
+    parse_instance,
+    parse_solution,
+    serialize_instance,
+    serialize_solution,
+)
 from layeredit.tcepath import solve_tce_xp
 
 
@@ -52,6 +61,16 @@ def test_decisions_survive_relabelling(case, data):
     assert decisions(n, renamed, k, d) == decisions(n, layers, k, d)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(5, 12), st.integers(1, 12), st.integers(0, 2), st.integers(0, 2**16),
+       st.integers(0, 2), st.integers(0, 3))
+def test_mlce_and_tce_agree_at_one_layer(n, clusters, noise, seed, k, d):
+    params = PlantedParams(n=n, ell=1, cluster_count=min(clusters, n), noise_edits=noise,
+                           seed=seed)
+    mlce, tce = decisions(n, generate_planted(params, "mlce").layers, k, d)
+    assert mlce == tce
+
+
 @st.composite
 def planted_layers(draw, max_ell):
     """2..max_ell layers of a planted instance, n <= 10, with one edit
@@ -89,3 +108,43 @@ def test_tce_decision_survives_reversing_the_layers(case):
     forward = solve_tce_xp(budgeted("tce", n, layers, budgets, d)) is not None
     backward = solve_tce_xp(budgeted("tce", n, layers[::-1], budgets[::-1], d)) is not None
     assert forward == backward
+
+
+@st.composite
+def instances(draw):
+    """Any uniform-budget instance with n <= 8 and ell <= 4."""
+    n = draw(st.integers(1, 8))
+    pairs = all_pairs(n)
+    layers = tuple(LayerGraph(n, frozenset(draw(st.sets(st.sampled_from(pairs)))
+                                           if pairs else ()))
+                   for _ in range(draw(st.integers(1, 4))))
+    return Instance(draw(st.sampled_from(MODES)), n, layers,
+                    draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+
+
+@st.composite
+def instances_with_solutions(draw):
+    """An instance and any solution of its shape (valid or not), or None."""
+    inst = draw(instances())
+    if draw(st.booleans()):
+        return inst, None
+    pairs, vertices = all_pairs(inst.n), st.integers(1, inst.n)
+    edits = tuple(frozenset(draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+                  for _ in range(inst.ell))
+    if inst.mode == "mlce":
+        return inst, Solution(edits, marked=frozenset(draw(st.sets(vertices))))
+    gaps = tuple(frozenset(draw(st.sets(vertices))) for _ in range(inst.ell - 1))
+    return inst, Solution(edits, marked_per_gap=gaps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(instances())
+def test_instance_files_round_trip(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(instances_with_solutions())
+def test_solution_files_round_trip(case):
+    inst, sol = case
+    assert parse_solution(serialize_solution(sol, inst), inst) == sol

@@ -6,6 +6,14 @@ SAT-reduction instances, and so are the outputs of the per-layer kernel
 ``kernel_k`` on seeded random inputs.  A change to how the search stores or
 tests its constraints must leave every value here as it is; a change that
 means to alter the search updates the table and says why.
+
+The node, depth and trace-kind counts were last repinned when the search
+began to drop dead children before entering them (rule 0 and the
+frozen-edit bound, see ``branching.frozen_edit_bound``): the rejected
+children no longer count as nodes or trace ``rule0`` lines, a root that the
+bound rejects is the only ``rule0`` line left, and the subtrees the bound
+cuts are gone.  The 20 planted pins fell from 5,654 to 133 nodes.  Every
+solution digest, yes flag and kernel pin stayed as it was.
 """
 
 from __future__ import annotations
@@ -33,34 +41,34 @@ NO = "33d1589fe9b3e131"  # digest of the "answer no" solution file
 
 # seed -> (nodes, max_depth, trace lines per kind in KINDS order, solution digest, yes)
 PLANTED = [
-    (0, (161, 4, (109, 22, 22, 1, 1, 6), "91689b6135131f2f", True)),
-    (1, (660, 5, (420, 97, 63, 2, 0, 78), NO, False)),
-    (2, (37, 3, (26, 2, 8, 0, 0, 1), NO, False)),
-    (3, (755, 7, (499, 132, 94, 4, 1, 25), "8b0e030c90ef8657", True)),
-    (4, (29, 3, (20, 5, 3, 0, 1, 0), "b8b6c4cfe8548a80", True)),
-    (5, (883, 5, (607, 88, 139, 3, 0, 46), NO, False)),
-    (6, (146, 4, (105, 17, 23, 0, 1, 0), "ee03f98a856990f5", True)),
-    (7, (126, 4, (83, 29, 8, 0, 1, 5), "91d0e5e3c1f17cad", True)),
-    (8, (22, 3, (15, 0, 7, 0, 0, 0), NO, False)),
-    (9, (57, 6, (29, 9, 10, 8, 1, 0), "d56a7f51cd196a9e", True)),
-    (10, (53, 3, (38, 8, 5, 0, 0, 2), NO, False)),
-    (11, (220, 4, (156, 28, 22, 0, 0, 14), NO, False)),
-    (12, (67, 4, (42, 4, 16, 3, 1, 1), "694d3ab0ace1c93d", True)),
-    (13, (222, 6, (137, 48, 29, 1, 1, 6), "3413a013295edc26", True)),
-    (14, (22, 3, (15, 0, 7, 0, 0, 0), NO, False)),
-    (15, (155, 6, (102, 33, 13, 0, 1, 6), "f97bb6556e2ddb4a", True)),
-    (16, (16, 3, (10, 2, 3, 0, 1, 0), "79b5ecb95fb88a2e", True)),
-    (17, (1037, 6, (740, 94, 159, 0, 0, 44), NO, False)),
-    (18, (49, 4, (32, 8, 7, 0, 1, 1), "2ca7f52056d8ecbe", True)),
-    (19, (937, 6, (599, 144, 127, 2, 0, 65), NO, False)),
+    (0, (12, 2, (0, 3, 6, 0, 1, 2), "91689b6135131f2f", True)),
+    (1, (31, 2, (0, 0, 15, 2, 0, 14), NO, False)),
+    (2, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (3, (11, 3, (0, 0, 7, 2, 1, 1), "8b0e030c90ef8657", True)),
+    (4, (3, 1, (0, 0, 2, 0, 1, 0), "b8b6c4cfe8548a80", True)),
+    (5, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (6, (9, 2, (0, 0, 8, 0, 1, 0), "ee03f98a856990f5", True)),
+    (7, (3, 1, (0, 1, 1, 0, 1, 0), "91d0e5e3c1f17cad", True)),
+    (8, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (9, (4, 3, (0, 0, 3, 0, 1, 0), "d56a7f51cd196a9e", True)),
+    (10, (5, 1, (0, 0, 4, 0, 0, 1), NO, False)),
+    (11, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (12, (6, 2, (0, 1, 3, 1, 1, 0), "694d3ab0ace1c93d", True)),
+    (13, (3, 2, (0, 1, 1, 0, 1, 0), "3413a013295edc26", True)),
+    (14, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (15, (5, 3, (0, 1, 3, 0, 1, 0), "f97bb6556e2ddb4a", True)),
+    (16, (2, 1, (0, 0, 1, 0, 1, 0), "79b5ecb95fb88a2e", True)),
+    (17, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (18, (4, 2, (0, 0, 3, 0, 1, 0), "2ca7f52056d8ecbe", True)),
+    (19, (29, 3, (0, 4, 17, 1, 0, 7), NO, False)),
 ]
 
 # clauses -> same fields; the first formula is satisfiable, the second is not
 SAT = [
     (((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3)),
-     (2061, 15, (1236, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
+     (825, 14, (0, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
     (((1, 2), (1, -2), (-1, 2), (-1, -2)),
-     (1534, 9, (1023, 0, 511, 0, 0, 0), NO, False)),
+     (511, 8, (0, 0, 511, 0, 0, 0), NO, False)),
 ]
 
 
@@ -94,6 +102,18 @@ def test_sat_reduction_search_is_pinned(clauses, expected):
     formula = Formula223(max(abs(lit) for c in clauses for lit in c), clauses)
     assert formula.satisfiable() == expected[4]
     assert observe(generate_sat_reduction(formula)) == expected
+
+
+def test_no_instance_counts_pruned_children():
+    lines: list[str] = []
+    stats = SearchStats()
+    assert solve_mlce(planted_instance(1), trace=lines.append, stats=stats) is None
+    assert stats.pruned_bound > 0
+    rules = [line.split() for line in lines if line.split()[2].startswith("rule")]
+    assert rules and all(parts[3].startswith("children=") and parts[4].startswith("pruned=")
+                         for parts in rules)
+    pruned = sum(int(parts[4].removeprefix("pruned=")) for parts in rules)
+    assert pruned == stats.pruned_rule0 + stats.pruned_bound
 
 
 def test_pinned_set_has_both_answers():
