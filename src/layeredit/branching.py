@@ -3,41 +3,48 @@
 The solver keeps a constraint (marked vertices, per-layer edit sets, and
 permanent pairs whose status is frozen) that always aligns all edited
 layers outside the marked set.  Starting from a greedy majority-vote
-alignment, it applies, in order: a clean-up pass and three branching rules
-(destroy a P3, repair an edit-budget overflow, repair a layer that cannot
-be completed by marked-only edits), and drops the children that rule 0 (a
-budget reject) or a lower bound declares dead before entering them.  When
-no rule applies, a full solution is assembled from the constraint.
+alignment, it applies, in order, three branching rules (destroy a P3,
+repair an edit-budget overflow, repair a layer that cannot be completed by
+marked-only edits), and drops the children that rule 0 (a budget reject)
+or a lower bound declares dead before entering them.  When no rule
+applies, a full solution is assembled from the constraint.
 
 Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 (bit v for vertex v); each edit set and the permanent set is a bitmask over
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
-ascending bits are lexicographic pair order.  A ``SearchContext`` holds the
-tables of one instance that the search needs, built once per solve: the
-pair list, each pair's bit, the pairs touching each vertex, every layer's
-edge set as a pair bitmask and every layer's edit budget k_i, which rules
-0, 2 and 3 and extraction read.  Rules 0-2, clean-up and the
+ascending bits are lexicographic pair order.  Every constraint is clean: no
+edit touches a marked vertex, because a mark child drops the edits at its
+new mark when it is built.  A ``SearchContext`` holds the tables of one
+instance that the search needs, built once per solve: the pair list, each
+pair's bit, the pairs touching each vertex, every layer's edge set as a
+pair bitmask and every layer's edit budget k_i, which rules 0, 2 and 3,
+the bounds and extraction read.  Rules 0-2, the marks bound and the
 failed-constraint memo work on the ints alone; rule 1 toggles layer 0's
 edits into a copy of its ``LayerGraph.adj`` and runs ``core.first_p3`` on
-it, and the bound runs ``core.adj_p3s`` on such a copy.  Rule 3, solution
-extraction and the invariant checks decode to frozensets and
+it, and the frozen-edit bound runs ``core.adj_p3s`` on such a copy.  Rule
+3, solution extraction and the invariant checks decode to frozensets and
 ``LayerGraph`` values at their boundary.
 
-Dead children are dropped before the search enters them: a child with more
-than d marks, and a child whose permanent set grew (a toggle child, or rule
-3's commit child) that rule 0's budget test or the frozen-edit bound
-(``frozen_edit_bound``) rejects.  The bound reads only the permanent pairs
-and the frozen edits, which mark children and clean-up leave alone, so it is
-evaluated at the root and then only where the permanent set grew, once per
-(permanent, frozen edits) of a search.  Pruned subtrees hold no solution
-and the surviving children keep their order, so the first solution found is
-the one an unpruned search finds.
+Dead children are dropped before the search enters them, tested in this
+order: a child with more than d marks; a child whose permanent set grew (a
+toggle child, or rule 3's commit child) that rule 0's budget test or the
+frozen-edit bound (``frozen_edit_bound``) rejects; and a child whose loose
+edits need more new marks than the marks and the budgets have left
+(``mark_bound_rejects``, a matching bound).  The frozen-edit bound reads
+only the permanent pairs and the frozen edits, which mark children leave
+alone, so it is evaluated at the root and then only where the permanent
+set grew, once per (permanent, frozen edits) of a search; the marks bound
+is evaluated on every child; ``SearchStats`` counts the drops by cause.
+Pruned subtrees hold no solution and the surviving children keep their
+order, so the first solution found is the one an unpruned search finds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
@@ -79,13 +86,15 @@ class Constraint(NamedTuple):
 @dataclass
 class SearchStats:
     """Counters of one search.  ``nodes`` counts the constraints it entered;
-    ``pruned_rule0`` and ``pruned_bound`` count the children it dropped
-    before entering them, by rule 0 and by the frozen-edit bound."""
+    ``pruned_rule0``, ``pruned_bound`` and ``pruned_marks`` count the
+    children it dropped before entering them, by rule 0, by the frozen-edit
+    bound and by the marks bound."""
 
     nodes: int = 0
     max_depth: int = 0
     pruned_rule0: int = 0
     pruned_bound: int = 0
+    pruned_marks: int = 0
 
 
 TraceFn = Callable[[str], None]
@@ -112,7 +121,6 @@ class SearchContext:
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
-        self._touching_cache: dict[int, int] = {}
 
     def pair_mask(self, pairs: Iterable[Pair]) -> int:
         mask = 0
@@ -140,12 +148,9 @@ class SearchContext:
 
     def touching_mask(self, marked: int) -> int:
         """All pairs with an endpoint among the marked vertices."""
-        mask = self._touching_cache.get(marked)
-        if mask is None:
-            mask = 0
-            for v in bits(marked):
-                mask |= self.touching[v]
-            self._touching_cache[marked] = mask
+        mask = 0
+        for v in bits(marked):
+            mask |= self.touching[v]
         return mask
 
 
@@ -236,21 +241,64 @@ def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
                for i, (m, k_i) in enumerate(zip(c.edits, ctx.budgets)))
 
 
-def cleanup(ctx: SearchContext, c: Constraint) -> Constraint:
-    """Drop every edit pair that touches a marked vertex.  Idempotent."""
-    if not c.marked:
-        return c
-    keep = ~ctx.touching_mask(c.marked)
-    return Constraint(c.marked, tuple([m & keep for m in c.edits]), c.permanent)
+def mark_bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
+    """No solution below ``c`` keeps to d marks: a matching of its loose
+    edits needs more new marks than the marks and the budgets have left.
+
+    Let L be the loose edits, the union over the layers of edits_i minus the
+    permanent pairs, and S = sum_i (k_i - |edits_i & permanent|) the slack
+    of the budgets beyond the frozen edits.  M is a greedy matching on L
+    (pairs taken in ascending bit order, each vertex in at most one pair),
+    and the test rejects when |marked| + |M| - S > d: the maximal-matching
+    lower bound for Vertex Cover (Niedermeier, "Invitation to
+    Fixed-Parameter Algorithms", 2006) with S pairs let off.
+
+    It is sound for a clean ``c`` (no edit touches a mark, which every child
+    is built to be).  Take any accepted leaf below ``c``; the completion
+    then only adds edits at marks.  Each pair of L ends in one of three
+    ways: it gets a newly marked endpoint; it stays an edit of some layer
+    where it is loose, which uses one unit of that layer's k_i; or it is
+    toggled and frozen, and then it is a frozen edit of a layer that lacked
+    it, which exists because a loose edit sits in at most half of the
+    layers (``_check_loose_edit_spread``).  Children never change a
+    permanent pair, so the frozen edits of ``c`` stay edits of the leaf, and
+    each pair of L left without a new mark takes a (layer, pair) budget unit
+    of its own beyond them: at most S pairs stay uncovered.  A new mark
+    covers at most one pair of the matching M, so the leaf has at least
+    |M| - S new marks, and at most d marks in all.  A pair edited in every
+    layer needs no term of its own: the spread invariant keeps such a pair
+    out of L, and as a frozen edit it is already counted in S.
+
+    Returns early, without building M, when |L| alone stays within
+    d - |marked| + S.
+    """
+    permanent, edits = c.permanent, c.edits
+    room = ctx.inst.d - c.marked.bit_count() + sum(ctx.budgets)  # d - |marked| + S
+    if permanent:
+        for m in edits:
+            room -= (m & permanent).bit_count()
+    loose = reduce(or_, edits) & ~permanent
+    if loose.bit_count() <= room:
+        return False
+    pairs, touching = ctx.pairs, ctx.touching
+    matched = 0
+    while loose:
+        u, v = pairs[(loose & -loose).bit_length() - 1]
+        matched += 1
+        if matched > room:
+            return True
+        loose &= ~(touching[u] | touching[v])
+    return False
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:
     return Constraint(c.marked, tuple([m ^ bit for m in c.edits]), c.permanent | bit)
 
 
-def _mark_child(c: Constraint, x: int, drop: int = 0) -> Constraint:
-    edits = tuple([m & ~drop for m in c.edits]) if drop else c.edits
-    return Constraint(c.marked | 1 << x, edits, c.permanent)
+def _mark_child(ctx: SearchContext, c: Constraint, x: int) -> Constraint:
+    """Mark x and drop every edit at x, so the child stays clean."""
+    keep = ~ctx.touching[x]
+    return Constraint(c.marked | 1 << x, tuple([m & keep for m in c.edits]), c.permanent)
 
 
 def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
@@ -274,7 +322,7 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
             children.append(_toggle_child(c, bit))
     for x in witness:
         if not permanent & touching[x]:
-            children.append(_mark_child(c, x))
+            children.append(_mark_child(ctx, c, x))
     return children
 
 
@@ -293,12 +341,17 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
         return None
     permanent = c.permanent
     need = k_i + 1 - (over & permanent).bit_count()
-    loose = bits(over & ~permanent)[:need]
-    children = [_toggle_child(c, 1 << i) for i in loose]
-    for i in loose:
-        for x in ctx.pairs[i]:
+    rest = over & ~permanent  # holds at least need bits, as over exceeds k_i
+    loose = []
+    for _ in range(need):
+        low = rest & -rest
+        loose.append(low)
+        rest ^= low
+    children = [_toggle_child(c, bit) for bit in loose]
+    for bit in loose:
+        for x in ctx.pairs[bit.bit_length() - 1]:
             if not permanent & ctx.touching[x]:
-                children.append(_mark_child(c, x, drop=1 << i))
+                children.append(_mark_child(ctx, c, x))
     return children
 
 
@@ -406,7 +459,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     for j in bits(m_i & ~permanent):
         for x in ctx.pairs[j]:
             if not permanent & touching[x]:
-                children.append(_mark_child(c, x, drop=1 << j))
+                children.append(_mark_child(ctx, c, x))
         children.append(_toggle_child(c, 1 << j))
 
     if kernel is None:
@@ -418,7 +471,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     for p in sorted(forced):
         for x in p:
             if x not in marked and not permanent & touching[x]:
-                extra.append(_mark_child(c, x, drop=ctx.pair_bit[p[0]][p[1]]))
+                extra.append(_mark_child(ctx, c, x))
     if forced:
         forced_mask = ctx.pair_mask(forced)
         extra.append(Constraint(c.marked,
@@ -427,7 +480,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     for p in sorted(open_pairs):
         for x in p:
             if not permanent & touching[x]:
-                extra.append(_mark_child(c, x))
+                extra.append(_mark_child(ctx, c, x))
         extra.append(_toggle_child(c, ctx.pair_bit[p[0]][p[1]]))
     # The kernel ignores permanent pairs it was not told about, so on dead
     # branches it can propose undoing one; such children neither extend the
@@ -482,7 +535,6 @@ class _Search:
             if trace:
                 trace("TRACE 0 rule0 reject bound")
             return None
-        c = cleanup(ctx, c)
         if c in self.failed:
             if trace:
                 trace(f"TRACE {depth} seen")
@@ -520,10 +572,12 @@ class _Search:
         return None
 
     def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass rule 0 and the bound, in order.  A child
-        that kept the parent's permanent pairs kept its frozen edits and its
-        verdicts too, so only its marks are tested."""
-        budgets, d, stats = self.ctx.budgets, self.ctx.inst.d, self.stats
+        """The children that pass rule 0, the frozen-edit bound and the
+        marks bound, in order.  A child that kept the parent's permanent
+        pairs kept its frozen edits and its frozen-edit verdict too, so rule
+        0 tests only its marks."""
+        ctx, stats = self.ctx, self.stats
+        budgets, d = ctx.budgets, ctx.inst.d
         permanent = parent.permanent
         kept = []
         for child in children:
@@ -536,6 +590,9 @@ class _Search:
                 continue
             elif self.dead_by_bound(child):
                 stats.pruned_bound += 1
+                continue
+            if mark_bound_rejects(ctx, child):
+                stats.pruned_marks += 1
                 continue
             kept.append(child)
         return kept
@@ -565,11 +622,14 @@ def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:
-    """Each layer's extracted edits reach the accepted constraint's bound."""
+    """Each layer's extracted edits reach the accepted constraint's bound,
+    and the marks bound lets the accepted constraint through."""
     for i, m in enumerate(sol.edits):
         if frozen_edit_bound(ctx, i, c.edits[i] & c.permanent, c.permanent, len(m)) is None:
             raise InvariantViolation(f"layer {i + 1}'s {len(m)} extracted edits fall below "
                                      f"the accepted constraint's bound")
+    if mark_bound_rejects(ctx, c):
+        raise InvariantViolation("the marks bound rejects an accepted constraint")
 
 
 def _check_children(ctx: SearchContext, parent: Constraint,
@@ -580,6 +640,9 @@ def _check_children(ctx: SearchContext, parent: Constraint,
         raise InvariantViolation(f"search depth {depth + 1} exceeds {limit}")
     pq = constraint_quality(parent)
     for child in children:
+        touched = ctx.touching_mask(child.marked)
+        if any(m & touched for m in child.edits):
+            raise InvariantViolation("child has an edit at a marked vertex")
         if not is_aligning(ctx, child):
             raise InvariantViolation("child constraint is not aligning")
         if not extends(child, parent):

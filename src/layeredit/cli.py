@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import multiprocessing
 import sys
 import time
 from typing import Optional, Sequence
@@ -235,6 +234,8 @@ def _bench_worker(inst: Instance, algo: str, queue) -> None:
 
 
 def _cmd_bench(args) -> int:
+    import multiprocessing  # imported here: only bench needs it, and it slows every start-up
+
     rows = []
     ctx = multiprocessing.get_context("fork")
     for n in args.n:

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,13 +13,13 @@ from layeredit.branching import (
     branching_rule_1,
     branching_rule_2,
     branching_rule_3,
-    cleanup,
     constraint_quality,
     extends,
     frozen_edit_bound,
     greedy_initial_constraint,
     is_aligning,
     kernel_k,
+    mark_bound_rejects,
     min_marked_completion,
     rule0_rejects,
     solve_mlce,
@@ -198,27 +199,136 @@ class TestFrozenEditBound:
             solve_mlce(inst, check_invariants=True)
 
 
-class TestCleanup:
-    def test_untouched_without_marks(self):
-        ctx = context(2)
-        c = encode(ctx, (), (frozenset({(1, 2)}),))
-        assert cleanup(ctx, c) == c
+def descents(ctx, rng, steps=12):
+    """(parent, children) along a random walk down the search from the
+    greedy root, one rule application per step."""
+    c = greedy_initial_constraint(ctx)
+    for _ in range(steps):
+        for rule in (branching_rule_1, branching_rule_2, branching_rule_3):
+            children = rule(ctx, c)
+            if children is not None:
+                break
+        if not children:
+            return
+        yield c, children
+        c = rng.choice(children)
 
-    def test_drops_marked_pairs(self):
-        ctx = context(4)
-        c = encode(ctx, {1}, (frozenset({(1, 2), (3, 4)}),))
-        assert tuple(ctx.pair_set(m) for m in cleanup(ctx, c).edits) == (frozenset({(3, 4)}),)
 
-    def test_idempotent(self, rng):
-        for _ in range(30):
-            inst = random_instance(rng, "mlce")
+class TestCleanChildren:
+    def test_mark_child_drops_marked_pairs(self):
+        # rule 2 over budget 1 with the loose edits 1-2 and 1-3: marking 1
+        # drops both, marking 2 drops only 1-2
+        g = layer_from_edges(4, [])
+        ctx = SearchContext(Instance("mlce", 4, (g,), 1, 1))
+        c = encode(ctx, (), ({(1, 2), (1, 3)},))
+        by_mark = {ctx.vertex_set(ch.marked): ctx.pair_set(ch.edits[0])
+                   for ch in branching_rule_2(ctx, c) if ch.marked}
+        assert by_mark == {frozenset({1}): frozenset(),
+                           frozenset({2}): frozenset({(1, 3)}),
+                           frozenset({3}): frozenset({(1, 2)})}
+
+    def test_children_have_no_edit_at_a_mark_and_align(self, rng):
+        seen = Counter()
+        for _ in range(150):
+            inst = random_instance(rng, "mlce", max_n=7, max_ell=4, max_d=3)
             ctx = SearchContext(inst)
-            c = encode(ctx, {1},
-                       tuple(frozenset(p for p in combinations(range(1, inst.n + 1), 2)
-                                       if rng.random() < 0.3)
-                             for _ in range(inst.ell)))
-            once = cleanup(ctx, c)
-            assert cleanup(ctx, once) == once
+            for parent, children in descents(ctx, rng):
+                for child in children:
+                    touching = ctx.touching_mask(child.marked)
+                    assert not any(m & touching for m in child.edits)
+                    assert is_aligning(ctx, child)
+                    seen["mark" if child.marked != parent.marked else "other"] += 1
+        assert seen["mark"] > 100 and seen["other"] > 100
+
+
+def bound_context(n, budgets, d):
+    """Search tables for n vertices, edgeless layers with these budgets, and d."""
+    g = layer_from_edges(n, [])
+    return SearchContext(Instance("mlce", n, (g,) * len(budgets), max(budgets), d,
+                                  budgets=tuple(budgets)))
+
+
+class TestMarkBound:
+    def test_matching_of_the_marks_left_passes_and_one_more_rejects(self):
+        # d = 3 with vertex 8 marked leaves two marks for the loose edits
+        ctx = bound_context(8, (0, 0), 3)
+        two = encode(ctx, {8}, ({(1, 2), (3, 4)}, ()))
+        assert not mark_bound_rejects(ctx, two)
+        three = encode(ctx, {8}, ({(1, 2), (3, 4)}, {(5, 6)}))
+        assert mark_bound_rejects(ctx, three)
+
+    def test_a_star_needs_one_mark(self):
+        # more loose edits than marks left, but one mark at the centre covers them
+        ctx = bound_context(5, (0, 0), 1)
+        star = encode(ctx, (), ({(1, 2), (1, 3), (1, 4), (1, 5)}, ()))
+        assert not mark_bound_rejects(ctx, star)
+
+    def test_a_layer_budget_of_one_adds_one_unit_of_slack(self):
+        edits = ({(1, 2), (3, 4)}, {(5, 6)})
+        ctx = bound_context(8, (0, 0), 2)
+        assert mark_bound_rejects(ctx, encode(ctx, (), edits))
+        ctx = bound_context(8, (0, 1), 2)
+        assert not mark_bound_rejects(ctx, encode(ctx, (), edits))
+        # a frozen edit in that layer uses the unit up again
+        frozen = encode(ctx, (), ({(1, 2), (3, 4)}, {(5, 6), (7, 8)}), {(7, 8)})
+        assert mark_bound_rejects(ctx, frozen)
+
+    def test_permanent_pairs_are_not_counted(self):
+        # 5-6 is a frozen edit that fills layer 1's budget of 1; the two
+        # loose edits left need the two marks d allows
+        ctx = bound_context(8, (1, 0), 2)
+        c = encode(ctx, (), ({(1, 2), (3, 4), (5, 6)}, ()), {(5, 6)})
+        assert not mark_bound_rejects(ctx, c)
+        # with 7-8 frozen in its place, 5-6 is a third loose edit
+        c = encode(ctx, (), ({(1, 2), (3, 4), (5, 6), (7, 8)}, ()), {(7, 8)})
+        assert mark_bound_rejects(ctx, c)
+
+    def test_invariant_check_sees_a_rejected_accept(self, monkeypatch):
+        inst = Instance("mlce", 3, (layer_from_edges(3, [(1, 2)]),), 0, 0)
+        assert solve_mlce(inst, check_invariants=True) is not None
+        monkeypatch.setattr(branching, "mark_bound_rejects", lambda ctx, c: True)
+        with pytest.raises(InvariantViolation):
+            solve_mlce(inst, check_invariants=True)
+
+    def test_marks_only_sweep_matches_the_oracle(self, rng):
+        # k = 0, or some per-layer budgets of zero: the edits of those layers
+        # must be covered by marks, which is where the bound prunes
+        pruned = 0
+        for trial in range(300):
+            n, ell = rng.randint(2, 8), rng.randint(2, 4)
+            layers = drifted_cluster_layers(rng, n, ell)
+            if trial % 2:
+                k = rng.randint(1, 2)
+                budgets = [rng.randint(0, k) for _ in range(ell)]
+                budgets[rng.randrange(ell)] = 0
+                inst = Instance("mlce", n, layers, k, rng.randint(0, 3), budgets=tuple(budgets))
+            else:
+                inst = Instance("mlce", n, layers, 0, rng.randint(0, 4))
+            stats = SearchStats()
+            got = solve_mlce(inst, check_invariants=True, stats=stats)
+            want = oracle_mlce(inst)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert verify(inst, got).ok
+            pruned += stats.pruned_marks > 0
+        assert pruned > 10
+
+
+def drifted_cluster_layers(rng, n, ell):
+    """ell cluster graphs that each move up to two vertices of one random
+    clustering, then toggle up to one random pair."""
+    groups = rng.randint(1, n)
+    base = [rng.randrange(groups) for _ in range(n + 1)]
+    layers = []
+    for _ in range(ell):
+        label = list(base)
+        for v in rng.sample(range(1, n + 1), min(n, rng.randint(0, 2))):
+            label[v] = rng.randrange(groups + 1)
+        edges = {(u, v) for u, v in combinations(range(1, n + 1), 2) if label[u] == label[v]}
+        if rng.random() < 0.3:
+            edges ^= {tuple(sorted(rng.sample(range(1, n + 1), 2)))}
+        layers.append(layer_from_edges(n, edges))
+    return tuple(layers)
 
 
 class TestRule1:
@@ -239,7 +349,7 @@ class TestRule1:
                  if ctx.vertex_set(ch.marked) > ctx.vertex_set(c.marked)]
         assert len(toggles) == 3 and len(marks) == 3
         for ch in children:
-            assert is_aligning(ctx, cleanup(ctx, ch))
+            assert is_aligning(ctx, ch)
             assert extends(ch, c)
             assert constraint_quality(ch) == 1
 
@@ -411,7 +521,7 @@ class TestRule3:
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         inst = Instance("mlce", 4, (g, g), 2, 1)
         ctx = SearchContext(inst)
-        c = cleanup(ctx, greedy_initial_constraint(ctx))
+        c = greedy_initial_constraint(ctx)
         assert branching_rule_3(ctx, c) is None
 
     def test_straddling_marked_vertex_rejects(self):

@@ -14,6 +14,13 @@ children no longer count as nodes or trace ``rule0`` lines, a root that the
 bound rejects is the only ``rule0`` line left, and the subtrees the bound
 cuts are gone.  The 20 planted pins fell from 5,654 to 133 nodes.  Every
 solution digest, yes flag and kernel pin stayed as it was.
+
+The two SAT-reduction pins were repinned again when the search began to
+drop children whose loose edits need more new marks than are left (the
+matching bound ``branching.mark_bound_rejects``): the satisfiable formula
+fell from 825 to 55 nodes and the unsatisfiable one from 511 to 7.  The
+planted pins, every solution digest, yes flag and kernel pin stayed as
+they were.
 """
 
 from __future__ import annotations
@@ -66,9 +73,9 @@ PLANTED = [
 # clauses -> same fields; the first formula is satisfiable, the second is not
 SAT = [
     (((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3)),
-     (825, 14, (0, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
+     (55, 14, (0, 0, 46, 0, 1, 8), "f7742dcfdf3f43e1", True)),
     (((1, 2), (1, -2), (-1, 2), (-1, -2)),
-     (511, 8, (0, 0, 511, 0, 0, 0), NO, False)),
+     (7, 3, (0, 0, 7, 0, 0, 0), NO, False)),
 ]
 
 
@@ -113,7 +120,7 @@ def test_no_instance_counts_pruned_children():
     assert rules and all(parts[3].startswith("children=") and parts[4].startswith("pruned=")
                          for parts in rules)
     pruned = sum(int(parts[4].removeprefix("pruned=")) for parts in rules)
-    assert pruned == stats.pruned_rule0 + stats.pruned_bound
+    assert pruned == stats.pruned_rule0 + stats.pruned_bound + stats.pruned_marks
 
 
 def test_pinned_set_has_both_answers():
