@@ -17,26 +17,28 @@ edit touches a marked vertex, because a mark child drops the edits at its
 new mark when it is built.  A ``SearchContext`` holds the tables of one
 instance that the search needs, built once per solve: the pair list, each
 pair's bit, the pairs touching each vertex, every layer's edge set as a
-pair bitmask and every layer's edit budget k_i, which rules 0, 2 and 3,
-the bounds and extraction read.  Rules 0-2, the marks bound and the
-failed-constraint memo work on the ints alone; rule 1 toggles layer 0's
-edits into a copy of its ``LayerGraph.adj`` and runs ``core.first_p3`` on
-it, and the frozen-edit bound runs ``core.adj_p3s`` on such a copy.  Rule
-3, solution extraction and the invariant checks decode to frozensets and
-``LayerGraph`` values at their boundary.
+pair bitmask and edit budget k_i, and a memo of P3 rows.  The search reads
+masks only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj``
+with its edits toggled in (``toggled_adj``), and is skipped on a mark child
+of a constraint it did not apply to; the frozen-edit bound reads a layer's
+P3 rows (``toggled_p3s``, derived from the rows with one toggled pair
+fewer); rule 3 and extraction run ``min_marked_completion`` on toggled
+adjacencies.  Only ``kernel_k`` on rule 3's offending layer and the
+returned ``Solution`` decode to frozensets and ``LayerGraph`` values.
 
-Dead children are dropped before the search enters them, tested in this
-order: a child with more than d marks; a child whose permanent set grew (a
-toggle child, or rule 3's commit child) that rule 0's budget test or the
-frozen-edit bound (``frozen_edit_bound``) rejects; and a child whose loose
-edits need more new marks than the marks and the budgets have left
-(``mark_bound_rejects``, a matching bound).  The frozen-edit bound reads
-only the permanent pairs and the frozen edits, which mark children leave
-alone, so it is evaluated at the root and then only where the permanent
-set grew, once per (permanent, frozen edits) of a search; the marks bound
-is evaluated on every child; ``SearchStats`` counts the drops by cause.
-Pruned subtrees hold no solution and the surviving children keep their
-order, so the first solution found is the one an unpruned search finds.
+The rules build no mark child once d vertices are marked, and rule 2 no
+toggle child that rule 0 would reject.  Of the other children, the search
+drops before entering them one whose permanent set grew (a toggle child, or
+rule 3's commit child) that rule 0's budget test or the frozen-edit bound
+(``frozen_edit_bound``) rejects, and one whose loose edits need more new
+marks than the marks and the budgets have left (``mark_bound_rejects``, a
+matching bound; a mark child's inputs to it come from its parent's).  The
+frozen-edit bound reads only the permanent pairs and the frozen edits,
+which mark children leave alone, so it is evaluated at the root and then
+once per (permanent, frozen edits) of a search; ``SearchStats`` counts the
+drops by cause.  Pruned subtrees hold no solution and the surviving
+children keep their order, so the first solution found is the one an
+unpruned search finds.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
-from typing import Callable, Iterable, NamedTuple, Optional
+from itertools import combinations
+from operator import and_, or_
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     MLCE,
@@ -54,19 +57,15 @@ from .core import (
     LayerGraph,
     Pair,
     Solution,
-    adj_p3s,
-    all_pairs,
     apply_edits,
     bits,
     count_p3_through_pair,
-    edited_layers,
-    find_p3,
     first_p3,
     induced_p3s,
+    p3_through_pair,
     pair,
     pairs_of,
     verify,
-    vertex_mask,
 )
 
 
@@ -100,27 +99,26 @@ class SearchStats:
 TraceFn = Callable[[str], None]
 
 FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 24, ell = 5
-                      # (also caps the bound verdicts kept per search)
+                      # (also caps the bound verdicts and the P3 rows kept per search)
 
 
 class SearchContext:
-    """Tables of one instance for the int-encoded search, built once."""
+    """Tables of one instance for the int-encoded search, built once per solve."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.pairs = all_pairs(inst.n)
+        self.pairs = list(combinations(range(1, inst.n + 1), 2))  # all_pairs(n), unchecked
         # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
         pair_bit = [[0] * (inst.n + 1) for _ in range(inst.n + 1)]
-        touching = [0] * (inst.n + 1)
         for i, (u, v) in enumerate(self.pairs):
             pair_bit[u][v] = pair_bit[v][u] = 1 << i
-            touching[u] |= 1 << i
-            touching[v] |= 1 << i
         self.pair_bit = pair_bit
-        self.touching = touching
+        self.touching = [sum(row) for row in pair_bit]  # pairs at each vertex (distinct bits)
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
+        self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
+                                  for a, b, c in g.p3s] for i, g in enumerate(inst.layers)}
 
     def pair_mask(self, pairs: Iterable[Pair]) -> int:
         mask = 0
@@ -140,7 +138,30 @@ class SearchContext:
             adj[v] ^= 1 << u
         return adj
 
-    vertex_mask = staticmethod(vertex_mask)
+    def toggled_p3s(self, i: int, x: int) -> list[tuple[tuple[int, int, int], int]]:
+        """The induced P3s a - b - c of layer i with the pairs of ``x``
+        toggled, in ``adj_p3s`` order, as rows ((b, a, c), OR of the three
+        pair bits).  Derived from the rows of ``x`` less its lowest pair
+        (u, v), as only the triples through u and v change; memoised."""
+        rows = self._p3_rows.get((i, x))
+        if rows is not None:
+            return rows
+        low, pair_bit = x & -x, self.pair_bit
+        u, v = self.pairs[low.bit_length() - 1]
+        rows = [row for row in self.toggled_p3s(i, x ^ low) if not row[1] & low]
+        adj = self.toggled_adj(i, x)
+        edge = adj[u] >> v & 1
+        for w in bits(p3_through_pair(adj, u, v)):
+            if not edge:
+                key = (w, u, v)  # w is the center
+            else:  # the center b is the end of u-v that w sees, e the other
+                b, e = (u, v) if adj[w] >> u & 1 else (v, u)
+                key = (b, w, e) if w < e else (b, e, w)
+            rows.append((key, low | pair_bit[u][w] | pair_bit[v][w]))
+        rows.sort()
+        if len(self._p3_rows) < FAILED_CAP:
+            self._p3_rows[(i, x)] = rows
+        return rows
 
     @staticmethod
     def vertex_set(mask: int) -> frozenset[int]:
@@ -220,10 +241,9 @@ def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
     bound = frozen.bit_count()
     if bound > budget:
         return None
-    pair_bit, free = ctx.pair_bit, ~permanent
-    used = 0
-    for a, b, c in adj_p3s(ctx.toggled_adj(i, frozen)):
-        loose = (pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c]) & free
+    free, used = ~permanent, 0
+    for _, p3 in ctx.toggled_p3s(i, frozen):
+        loose = p3 & free
         if not loose:
             return None
         if not loose & used:
@@ -272,12 +292,20 @@ def mark_bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
     Returns early, without building M, when |L| alone stays within
     d - |marked| + S.
     """
+    return _matching_exceeds(ctx, *_loose_and_room(ctx, c))
+
+
+def _loose_and_room(ctx: SearchContext, c: Constraint) -> tuple[int, int]:
+    """L and d - |marked| + S of ``mark_bound_rejects``; M may have room pairs."""
     permanent, edits = c.permanent, c.edits
-    room = ctx.inst.d - c.marked.bit_count() + sum(ctx.budgets)  # d - |marked| + S
+    room = ctx.inst.d - c.marked.bit_count() + sum(ctx.budgets)
     if permanent:
         for m in edits:
             room -= (m & permanent).bit_count()
-    loose = reduce(or_, edits) & ~permanent
+    return reduce(or_, edits) & ~permanent, room
+
+
+def _matching_exceeds(ctx: SearchContext, loose: int, room: int) -> bool:
     if loose.bit_count() <= room:
         return False
     pairs, touching = ctx.pairs, ctx.touching
@@ -295,10 +323,15 @@ def _toggle_child(c: Constraint, bit: int) -> Constraint:
     return Constraint(c.marked, tuple([m ^ bit for m in c.edits]), c.permanent | bit)
 
 
-def _mark_child(ctx: SearchContext, c: Constraint, x: int) -> Constraint:
-    """Mark x and drop every edit at x, so the child stays clean."""
-    keep = ~ctx.touching[x]
-    return Constraint(c.marked | 1 << x, tuple([m & keep for m in c.edits]), c.permanent)
+def _mark_children(ctx: SearchContext, c: Constraint, vertices: Iterable[int]) -> list[Constraint]:
+    """Mark each of ``vertices`` that carries no permanent pair, dropping
+    every edit at it so the child stays clean; none once c has d marks, as
+    rule 0 would drop them all."""
+    if c.marked.bit_count() >= ctx.inst.d:
+        return []
+    touching = ctx.touching
+    return [Constraint(c.marked | 1 << x, tuple([m & ~touching[x] for m in c.edits]), c.permanent)
+            for x in vertices if not c.permanent & touching[x]]
 
 
 def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
@@ -315,15 +348,10 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     if witness is None:
         return None
     a, b, w = witness
-    pair_bit, touching, permanent = ctx.pair_bit, ctx.touching, c.permanent
-    children: list[Constraint] = []
-    for bit in (pair_bit[a][b], pair_bit[b][w], pair_bit[a][w]):
-        if not permanent & bit:
-            children.append(_toggle_child(c, bit))
-    for x in witness:
-        if not permanent & touching[x]:
-            children.append(_mark_child(ctx, c, x))
-    return children
+    pair_bit = ctx.pair_bit
+    children = [_toggle_child(c, bit) for bit in (pair_bit[a][b], pair_bit[b][w], pair_bit[a][w])
+                if not c.permanent & bit]
+    return children + _mark_children(ctx, c, witness)
 
 
 def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
@@ -332,7 +360,8 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     Picks the lexicographically smallest non-permanent pairs so that,
     together with the permanent ones, k_i+1 edits of the layer are covered,
     and branches on undoing each of them: either freeze the edit, or mark
-    one endpoint and drop the edit everywhere.
+    one endpoint and drop the edit everywhere.  A layer whose frozen edits
+    fill its budget admits only toggles of its own edits (rule 0 drops the rest).
     """
     for over, k_i in zip(c.edits, ctx.budgets):
         if over.bit_count() > k_i:
@@ -347,11 +376,11 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
         low = rest & -rest
         loose.append(low)
         rest ^= low
-    children = [_toggle_child(c, bit) for bit in loose]
+    allowed = reduce(and_, (m for m, k_j in zip(c.edits, ctx.budgets)
+                            if (m & permanent).bit_count() >= k_j), -1)
+    children = [_toggle_child(c, bit) for bit in loose if bit & allowed]
     for bit in loose:
-        for x in ctx.pairs[bit.bit_length() - 1]:
-            if not permanent & ctx.touching[x]:
-                children.append(_mark_child(ctx, c, x))
+        children += _mark_children(ctx, c, ctx.pairs[bit.bit_length() - 1])
     return children
 
 
@@ -397,36 +426,41 @@ def kernel_k(g: LayerGraph, budget: int, marked: frozenset[int],
     return frozenset(forced), open_pairs
 
 
-def min_marked_completion(g: LayerGraph, marked: frozenset[int],
+def min_marked_completion(adj: Sequence[int], marked: int,
                           budget: int) -> Optional[frozenset[Pair]]:
-    """Minimum edit set touching only marked vertices that makes g a cluster
+    """Minimum edit set touching only marked vertices (``marked`` is a vertex
+    mask) that makes the graph with bitmask adjacency ``adj`` a cluster
     graph, if one of size at most budget exists.
 
-    Requires g restricted to the unmarked vertices to be a cluster graph
-    already; every remaining P3 then offers at most three marked-touching
-    pairs to branch on.  Iterative deepening returns a true minimum.
+    Requires the graph restricted to the unmarked vertices to be a cluster
+    graph already; every remaining P3 then offers at most three
+    marked-touching pairs to branch on.  Iterative deepening returns a true
+    minimum.
     """
-    unmarked = frozenset(v for v in range(1, g.n + 1) if v not in marked)
-    if find_p3(g, unmarked) is not None:
+    if first_p3(adj, ((1 << len(adj)) - 2) & ~marked) is not None:
         raise RuntimeError("unmarked part must already be a cluster graph")
     for size in range(budget + 1):
-        found = _complete(g, marked, size)
+        found = _complete(adj, marked, size)
         if found is not None:
             return frozenset(found)
     return None
 
 
-def _complete(g: LayerGraph, marked: frozenset[int], budget: int) -> Optional[list[Pair]]:
-    witness = find_p3(g)
+def _complete(adj: Sequence[int], marked: int, budget: int) -> Optional[list[Pair]]:
+    witness = first_p3(adj, (1 << len(adj)) - 2)
     if witness is None:
         return []
     if budget == 0:
         return None
-    for p in witness.pairs():
-        if p[0] in marked or p[1] in marked:
-            rest = _complete(apply_edits(g, {p}), marked, budget - 1)
+    a, b, c = witness
+    for u, v in ((a, b), (b, c), (a, c)):
+        if (marked >> u | marked >> v) & 1:
+            toggled = list(adj)
+            toggled[u] ^= 1 << v
+            toggled[v] ^= 1 << u
+            rest = _complete(toggled, marked, budget - 1)
             if rest is not None:
-                return [p] + rest
+                return [pair(u, v)] + rest
     return None
 
 
@@ -439,27 +473,20 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     kernel, on committing all kernel decisions at once, and on each open
     kernel pair.  An empty list signals a dead branch.
     """
-    marked = ctx.vertex_set(c.marked)
-    edited = edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))
-    offending = None
-    for i, g in enumerate(edited):
-        if min_marked_completion(g, marked, ctx.budgets[i] - c.edits[i].bit_count()) is None:
-            offending = i
+    for i, (m_i, k_i) in enumerate(zip(c.edits, ctx.budgets)):
+        if min_marked_completion(ctx.toggled_adj(i, m_i), c.marked,
+                                 k_i - m_i.bit_count()) is None:
             break
-    if offending is None:
+    else:
         return None
 
-    i = offending
-    m_i = c.edits[i]
-    permanent, touching = c.permanent, ctx.touching
-    kernel = kernel_k(edited[i], ctx.budgets[i] - m_i.bit_count(), marked,
-                      ctx.pair_set(m_i & permanent))
+    permanent = c.permanent
+    kernel = kernel_k(apply_edits(ctx.inst.layers[i], ctx.pair_set(m_i)), k_i - m_i.bit_count(),
+                      ctx.vertex_set(c.marked), ctx.pair_set(m_i & permanent))
 
     children: list[Constraint] = []
     for j in bits(m_i & ~permanent):
-        for x in ctx.pairs[j]:
-            if not permanent & touching[x]:
-                children.append(_mark_child(ctx, c, x))
+        children += _mark_children(ctx, c, ctx.pairs[j])
         children.append(_toggle_child(c, 1 << j))
 
     if kernel is None:
@@ -469,18 +496,14 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     base_quality = constraint_quality(c)
     extra: list[Constraint] = []
     for p in sorted(forced):
-        for x in p:
-            if x not in marked and not permanent & touching[x]:
-                extra.append(_mark_child(ctx, c, x))
+        extra += _mark_children(ctx, c, p)
     if forced:
         forced_mask = ctx.pair_mask(forced)
         extra.append(Constraint(c.marked,
                                 tuple(m ^ forced_mask for m in c.edits),
                                 permanent | m_i | forced_mask))
     for p in sorted(open_pairs):
-        for x in p:
-            if not permanent & touching[x]:
-                extra.append(_mark_child(ctx, c, x))
+        extra += _mark_children(ctx, c, p)
         extra.append(_toggle_child(c, ctx.pair_bit[p[0]][p[1]]))
     # The kernel ignores permanent pairs it was not told about, so on dead
     # branches it can propose undoing one; such children neither extend the
@@ -524,9 +547,11 @@ class _Search:
         self.failed: set[Constraint] = set()
         self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
 
-    def run(self, c: Constraint, depth: int) -> Optional[Solution]:
+    def run(self, c: Constraint, depth: int, p3_free: bool = False) -> Optional[Solution]:
         """Depth-first search below ``c``.  A constraint's subtree depends
-        on it alone, so one in ``failed`` is not expanded again."""
+        on it alone, so one in ``failed`` is not expanded again.  Rule 1 is
+        skipped when ``p3_free``: c marks one more vertex than a parent it
+        did not apply to, and an induced subgraph of a cluster graph is one."""
         ctx, trace, stats = self.ctx, self.trace, self.stats
         stats.nodes += 1
         if depth > stats.max_depth:
@@ -540,7 +565,7 @@ class _Search:
                 trace(f"TRACE {depth} seen")
             return None
 
-        children = branching_rule_1(ctx, c)
+        children = None if p3_free else branching_rule_1(ctx, c)
         rule = "rule1"
         if children is None:
             children = branching_rule_2(ctx, c)
@@ -564,7 +589,7 @@ class _Search:
             trace(f"TRACE {depth} {rule} children={len(children)} "
                   f"pruned={len(children) - len(viable)}")
         for child in viable:
-            found = self.run(child, depth + 1)
+            found = self.run(child, depth + 1, rule != "rule1" and child.permanent == c.permanent)
             if found is not None:
                 return found
         if len(self.failed) < FAILED_CAP:
@@ -574,24 +599,26 @@ class _Search:
     def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
         """The children that pass rule 0, the frozen-edit bound and the
         marks bound, in order.  A child that kept the parent's permanent
-        pairs kept its frozen edits and its frozen-edit verdict too, so rule
-        0 tests only its marks."""
+        pairs is a mark child within d marks, with the parent's frozen-edit
+        verdict and its marks-bound inputs less the pairs at its mark x."""
         ctx, stats = self.ctx, self.stats
-        budgets, d = ctx.budgets, ctx.inst.d
+        budgets, d, touching = ctx.budgets, ctx.inst.d, ctx.touching
         permanent = parent.permanent
+        parent_loose, parent_room = _loose_and_room(ctx, parent)
         kept = []
         for child in children:
             if child.permanent == permanent:
-                if child.marked.bit_count() > d:
-                    stats.pruned_rule0 += 1
-                    continue
+                x = (child.marked ^ parent.marked).bit_length() - 1
+                loose, room = parent_loose & ~touching[x], parent_room - 1
             elif rule0_rejects(child, budgets, d):
                 stats.pruned_rule0 += 1
                 continue
             elif self.dead_by_bound(child):
                 stats.pruned_bound += 1
                 continue
-            if mark_bound_rejects(ctx, child):
+            else:
+                loose, room = _loose_and_room(ctx, child)
+            if _matching_exceeds(ctx, loose, room):
                 stats.pruned_marks += 1
                 continue
             kept.append(child)
@@ -610,15 +637,13 @@ class _Search:
 
 
 def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
-    marked = ctx.vertex_set(c.marked)
     edits = []
-    edited = edited_layers(ctx.inst.layers, map(ctx.pair_set, c.edits))
-    for m, g, k_i in zip(c.edits, edited, ctx.budgets):
-        completion = min_marked_completion(g, marked, k_i - m.bit_count())
+    for i, (m, k_i) in enumerate(zip(c.edits, ctx.budgets)):
+        completion = min_marked_completion(ctx.toggled_adj(i, m), c.marked, k_i - m.bit_count())
         if completion is None:
             raise RuntimeError("completion vanished after rules stopped applying")
         edits.append(ctx.pair_set(m) | completion)
-    return Solution(tuple(edits), marked=marked)
+    return Solution(tuple(edits), marked=ctx.vertex_set(c.marked))
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:
@@ -640,6 +665,8 @@ def _check_children(ctx: SearchContext, parent: Constraint,
         raise InvariantViolation(f"search depth {depth + 1} exceeds {limit}")
     pq = constraint_quality(parent)
     for child in children:
+        if child.marked.bit_count() > inst.d:
+            raise InvariantViolation("child has more than d marks")
         touched = ctx.touching_mask(child.marked)
         if any(m & touched for m in child.edits):
             raise InvariantViolation("child has an edit at a marked vertex")

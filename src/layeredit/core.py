@@ -8,7 +8,8 @@ are immutable after construction and safe to share between workers.
 neighbourhood as an int bitmask, bit v standing for vertex v.  The P3,
 component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
-P3 scan and ``adj_p3s`` the one P3 enumeration, on any such mask list.
+P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
+set of P3s through a vertex pair, on any such mask list.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
 ``Instance.edit_budgets``.
@@ -209,15 +210,17 @@ def adj_p3s(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
                 yield a, b, high.bit_length() - 1
 
 
-def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
-    """Number of vertices w for which g[{u, v, w}] is an induced P3.
+def p3_through_pair(adj: Sequence[int], u: int, v: int) -> int:
+    """Vertex mask of the w for which {u, v, w} induces a P3 in the graph
+    with bitmask adjacency ``adj``: w sees exactly one of u, v if u-v is an
+    edge, and both if not."""
+    au, av = adj[u], adj[v]
+    return (au ^ av if au >> v & 1 else au & av) & ~(1 << u | 1 << v)
 
-    Covers both cases: if {u, v} is an edge, w sees exactly one endpoint;
-    if it is a non-edge, w sees both.
-    """
-    u, v = p
-    au, av = g.adj[u], g.adj[v]
-    return ((au ^ av if au >> v & 1 else au & av) & ~(1 << u | 1 << v)).bit_count()
+
+def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
+    """Number of vertices w for which g[{u, v, w}] is an induced P3."""
+    return p3_through_pair(g.adj, *p).bit_count()
 
 
 def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,

@@ -27,11 +27,13 @@ from layeredit.branching import (
 from layeredit.core import (
     Instance,
     Solution,
+    adj_p3s,
+    all_pairs,
     apply_edits,
     find_p3,
-    is_cluster_graph,
     layer_from_edges,
     verify,
+    vertex_mask,
 )
 from layeredit.oracle import oracle_mlce, set_partitions
 
@@ -53,7 +55,7 @@ def encode(ctx, marked=(), edits=None, permanent=()):
     (default: none) and permanent pairs."""
     if edits is None:
         edits = [()] * ctx.inst.ell
-    return Constraint(ctx.vertex_mask(marked),
+    return Constraint(vertex_mask(marked),
                       tuple(ctx.pair_mask(m) for m in edits),
                       ctx.pair_mask(permanent))
 
@@ -63,6 +65,8 @@ class TestEncoding:
         ctx = context(5)
         bits = [ctx.pair_mask([p]) for p in sorted(combinations(range(1, 6), 2))]
         assert bits == [1 << i for i in range(10)]
+        for n in range(8):
+            assert context(n).pairs == all_pairs(n)
 
     def test_round_trip(self, rng):
         ctx = context(7, 2)
@@ -78,7 +82,7 @@ class TestEncoding:
 
     def test_touching_mask(self):
         ctx = context(4)
-        assert ctx.pair_set(ctx.touching_mask(ctx.vertex_mask({1, 3}))) == \
+        assert ctx.pair_set(ctx.touching_mask(vertex_mask({1, 3}))) == \
             frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)})
         assert ctx.touching_mask(0) == 0
 
@@ -143,6 +147,41 @@ def fewest_free_toggles(ctx, h, permanent):
         if not toggles & permanent and (best is None or toggles.bit_count() < best):
             best = toggles.bit_count()
     return best
+
+
+class TestToggledP3s:
+    def test_rows_match_a_rescan_of_the_toggled_layer(self, rng):
+        shapes = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            layers = random_layers(rng, n, 2, density=rng.random())
+            ctx = SearchContext(Instance("mlce", n, layers, 0, 0))
+            everything = (1 << len(ctx.pairs)) - 1
+            shape = rng.choice(("sparse", "star", "all"))
+            if shape == "sparse":
+                x = ctx.pair_mask(p for p in ctx.pairs if rng.random() < 0.2)
+            elif shape == "star":  # pairs sharing the vertex v
+                v = rng.randint(1, n)
+                x = ctx.pair_mask(p for p in ctx.pairs if v in p and rng.random() < 0.7)
+            else:
+                x = everything
+            shapes[shape] += 1
+            i = rng.randrange(2)
+            rows = ctx.toggled_p3s(i, x)
+            assert [(a, b, c) for (b, a, c), _ in rows] == list(adj_p3s(ctx.toggled_adj(i, x)))
+            pb = ctx.pair_bit
+            assert all(m == pb[a][b] | pb[b][c] | pb[a][c] for (b, a, c), m in rows)
+            assert ctx.toggled_p3s(i, x) is rows  # memoised
+        assert min(shapes.values()) > 50
+
+    def test_rows_without_the_memo(self, monkeypatch):
+        monkeypatch.setattr(branching, "FAILED_CAP", 0)
+        g = layer_from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        ctx = SearchContext(Instance("mlce", 4, (g,), 0, 0))
+        x = ctx.pair_mask([(1, 3), (2, 4)])
+        rows = ctx.toggled_p3s(0, x)
+        assert [(a, b, c) for (b, a, c), _ in rows] == list(adj_p3s(ctx.toggled_adj(0, x)))
+        assert ctx.toggled_p3s(0, x) is not rows
 
 
 class TestFrozenEditBound:
@@ -414,6 +453,33 @@ class TestRule2:
         assert len([ch for ch in children if ch.permanent]) == 2  # k_2 + 1
         assert branching_rule_2(ctx, encode(ctx, (), (m, frozenset()))) is None
 
+    def test_builds_no_child_rule_0_drops(self, rng):
+        # along random descents through children rule 0 keeps, rule 2's
+        # children all pass rule 0, also where a layer's frozen edits fill
+        # its budget or the marks are used up
+        seen = Counter()
+        for _ in range(400):
+            inst = random_instance(rng, "mlce", max_n=7, max_ell=4, max_k=2, max_d=2)
+            ctx = SearchContext(inst)
+            c = greedy_initial_constraint(ctx)
+            for _ in range(12):
+                children = branching_rule_2(ctx, c)
+                if children is not None:
+                    assert not any(rule0_rejects(ch, ctx.budgets, inst.d) for ch in children)
+                    seen["full"] += any((m & c.permanent).bit_count() == k_i
+                                        for m, k_i in zip(c.edits, ctx.budgets))
+                    seen["at d"] += c.marked.bit_count() == inst.d
+                for rule in (branching_rule_1, branching_rule_2, branching_rule_3):
+                    children = rule(ctx, c)
+                    if children is not None:
+                        break
+                children = [ch for ch in children or ()
+                            if not rule0_rejects(ch, ctx.budgets, inst.d)]
+                if not children:
+                    break
+                c = rng.choice(children)
+        assert seen["full"] > 50 and seen["at d"] > 50
+
     def test_greedy_misfire_gets_undone(self):
         # two layers, one stray edge: greedy copies it into layer 2, and at
         # k=0 the rule must offer children that remove that edit again
@@ -470,50 +536,62 @@ def count_p3s(g, p):
     return expected
 
 
+def transitive(n, edges):
+    """Every two neighbours of a vertex are adjacent: a cluster graph."""
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return all(b in nbrs[a] for v in nbrs for a in nbrs[v] for b in nbrs[v] if a != b)
+
+
 class TestMinMarkedCompletion:
     def test_cluster_graph_needs_nothing(self):
         g = layer_from_edges(4, [(1, 2)])
-        assert min_marked_completion(g, frozenset({1}), 0) == frozenset()
+        assert min_marked_completion(g.adj, vertex_mask({1}), 0) == frozenset()
 
     def test_p3_with_marked_center(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])
-        m = min_marked_completion(g, frozenset({2}), 1)
+        m = min_marked_completion(g.adj, vertex_mask({2}), 1)
         assert m in (frozenset({(1, 2)}), frozenset({(2, 3)}))
 
     def test_p3_with_zero_budget(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])
-        assert min_marked_completion(g, frozenset({2}), 0) is None
+        assert min_marked_completion(g.adj, vertex_mask({2}), 0) is None
 
     def test_precondition_enforced(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])
         with pytest.raises(RuntimeError):
-            min_marked_completion(g, frozenset(), 2)
+            min_marked_completion(g.adj, 0, 2)
 
     def test_minimality_against_enumeration(self, rng):
-        for _ in range(60):
-            n = rng.randint(3, 5)
+        # the fewest marked-touching toggles, by brute force over their
+        # subsets of up to 3 pairs and a cluster test of its own
+        sizes = Counter()
+        for _ in range(120):
+            n = rng.randint(3, 7)
             marked = frozenset(v for v in range(1, n + 1) if rng.random() < 0.4)
+            unmarked = [v for v in range(1, n + 1) if v not in marked]
+            group = {v: rng.randrange(3) for v in unmarked}
             pairs = list(combinations(range(1, n + 1), 2))
-            g = layer_from_edges(n, [p for p in pairs if rng.random() < 0.5])
-            if not is_cluster_graph(g, frozenset(range(1, n + 1)) - marked):
-                continue
             allowed = [p for p in pairs if p[0] in marked or p[1] in marked]
-            best = None
-            for size in range(len(allowed) + 1):
-                if best is not None:
-                    break
-                for combo in combinations(allowed, size):
-                    if is_cluster_graph(apply_edits(g, frozenset(combo))):
-                        best = size
-                        break
-            for budget in range(4):
-                got = min_marked_completion(g, marked, budget)
-                if budget < best:
+            edges = {p for p in pairs if p[0] in group and p[1] in group
+                     and group[p[0]] == group[p[1]]}
+            edges |= {p for p in allowed if rng.random() < 0.5}
+            best = next((size for size in range(4)
+                         if any(transitive(n, edges ^ set(combo))
+                                for combo in combinations(allowed, size))), None)
+            sizes[best] += 1
+            g = layer_from_edges(n, edges)
+            for budget in range(-1, 4):
+                got = min_marked_completion(g.adj, vertex_mask(marked), budget)
+                if best is None or budget < best:
                     assert got is None
                 else:
                     assert got is not None and len(got) == best
-                    assert is_cluster_graph(apply_edits(g, got))
+                    assert transitive(n, edges ^ got)
                     assert all(p[0] in marked or p[1] in marked for p in got)
+        assert sizes[None] and all(sizes[size] for size in range(4))
 
 
 class TestRule3:
@@ -533,7 +611,7 @@ class TestRule3:
         inst = Instance("mlce", 7, (g,), 0, 1)
         ctx = SearchContext(inst)
         c = encode(ctx, {7})
-        assert min_marked_completion(g, frozenset({7}), 0) is None
+        assert min_marked_completion(g.adj, vertex_mask({7}), 0) is None
         assert branching_rule_3(ctx, c) == []
 
     def test_children_extend_and_progress(self):
@@ -545,7 +623,7 @@ class TestRule3:
         ctx = SearchContext(inst)
         c = encode(ctx, {4}, (frozenset({(1, 2)}),))
         assert min_marked_completion(
-            apply_edits(g, frozenset({(1, 2)})), frozenset({4}), 0) is None
+            apply_edits(g, frozenset({(1, 2)})).adj, vertex_mask({4}), 0) is None
         children = branching_rule_3(ctx, c)
         assert children
         for ch in children:
