@@ -42,7 +42,7 @@ EXIT_INTERNAL = 3
 # is the one that runs.
 SOLVERS = {
     ("branch", MLCE): lambda inst, trace, stats: solve_mlce(inst, trace=trace, stats=stats),
-    ("xp", TCE): lambda inst, trace, stats: solve_tce_xp(inst),
+    ("xp", TCE): lambda inst, trace, stats: solve_tce_xp(inst, stats=stats),
     ("oracle", MLCE): lambda inst, trace, stats: oracle_mlce(inst),
     ("oracle", TCE): lambda inst, trace, stats: oracle_tce(inst),
     ("structured", MLCE): lambda inst, trace, stats: structured_mlce(inst),
@@ -161,7 +161,8 @@ def _resolve(inst: Instance, algo: str) -> str:
 
 def _dispatch(inst: Instance, algo: str, trace: bool = False,
               stats: Optional[SearchStats] = None) -> Optional[Solution]:
-    """Run one algorithm; the branch search counts its nodes into ``stats``."""
+    """Run one algorithm; the branch search counts its nodes into ``stats``,
+    and the xp search its part nodes."""
     algo = _resolve(inst, algo)
     solver = SOLVERS.get((algo, inst.mode))
     if solver is None:

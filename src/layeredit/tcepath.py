@@ -3,11 +3,14 @@
 Every cluster editing set of size at most k is a node of its layer's part
 (non-minimal sets included on purpose: a later layer may only be reachable
 after splitting clusters that were locally fine), enumerated by placing the
-vertices one by one into clusters within budget.  Consecutive nodes are
-compatible when the edited graphs agree up to d marked vertices, decided by
-matching weight alone on cluster labels read off ``LayerGraph.adj`` with
-each node's edits toggled in; only the final path's gaps get a mark set.
-The instance is a yes iff the first part reaches the last.
+vertices one by one into clusters within budget, highest degree first with
+ties broken by id; once a branch has spent the budget, its remaining
+vertices are placed in one loop, each into the only cluster that costs
+nothing.  Consecutive nodes are compatible when the edited graphs agree up
+to d marked vertices, decided by matching weight alone on cluster labels
+read off ``LayerGraph.adj`` with each node's edits toggled in; only the
+final path's gaps get a mark set.  The instance is a yes iff the first part
+reaches the last.
 
 A node's predecessor is the first reachable node of the previous part that
 is compatible with it.  With d = 0 only equal labels are compatible, so the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .branching import SearchStats
 from .core import (
     TCE,
     InputError,
@@ -37,36 +41,72 @@ from .twolayer import clusterings_compatible, solve_two_layer_zero_edit
 
 def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
     """All edit sets of size at most k that turn g into a cluster graph,
-    each exactly once, ordered lexicographically by sorted pair list."""
+    each exactly once, ordered lexicographically by sorted pair list.
+
+    Vertices are placed in descending degree, ties broken by id, so most
+    pairs are priced by the first few placements and an over-budget branch
+    dies near the root.  Once a branch has spent the budget it is finished
+    in one loop without branching: each remaining vertex must join the
+    cluster equal to its placed neighbourhood, or open a new one if that is
+    empty, the only choice that costs nothing."""
     if k < 0:
         raise InputError("negative edit budget")
-    # below[v]: bitmask of v's neighbours u < v, the vertices placed before v
-    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(g.adj)]
+    n, adj = g.n, g.adj
+    order = sorted(range(1, n + 1), key=lambda v: (-adj[v].bit_count(), v))
+    # before[i]: bitmask of the neighbours of order[i] placed before it
+    before = []
+    placed = 0
+    for v in order:
+        before.append(adj[v] & placed)
+        placed |= 1 << v
     found = []
     # Depth-first without recursion; a partition fixes its edited graph, so
     # each set is reached once.  Entry: (vertices placed, edits spent, toggle
-    # chain, clusters as bitmasks).  The chain links (mask, v, rest) records,
-    # mask holding the u < v whose pair (u, v) is toggled; it is decoded into
-    # pairs only at the leaves.
+    # chain, clusters as bitmasks over the vertex ids).  The chain links
+    # (mask, v, rest) records, mask holding the placed u whose pair with v
+    # is toggled; it is decoded into pairs only at the leaves.
     stack = [(0, 0, None, ())]
     while stack:
-        placed, spent, chain, clusters = stack.pop()
-        if placed == g.n:
-            toggles = []
-            while chain is not None:
-                mask, v, chain = chain
-                toggles += [(u, v) for u in range(1, v) if mask >> u & 1]
-            toggles.sort()
-            found.append(tuple(toggles))
+        i, spent, chain, clusters = stack.pop()
+        if spent == k or i == n:
+            # Budget spent (or nothing left to place): each remaining vertex
+            # joins the cluster equal to its placed neighbours, or opens one
+            # if it has none, or the branch ends.  Clusters are disjoint and
+            # nonempty, so no other choice is free.
+            open_clusters = list(clusters)
+            for j in range(i, n):
+                nbrs = before[j]
+                if not nbrs:
+                    open_clusters.append(1 << order[j])
+                elif nbrs in open_clusters:
+                    open_clusters[open_clusters.index(nbrs)] = nbrs | 1 << order[j]
+                else:
+                    break
+            else:
+                found.append(_toggled_pairs(chain))
             continue
-        v = placed + 1
+        v = order[i]
         for idx, members in enumerate(clusters + (0,)):  # 0 opens a new cluster
-            mask = members ^ below[v]  # non-edges inside, edges leaving it
+            mask = members ^ before[i]  # non-edges inside, edges leaving it
             cost = mask.bit_count()
             if spent + cost <= k:
-                stack.append((v, spent + cost, (mask, v, chain) if mask else chain,
+                stack.append((i + 1, spent + cost, (mask, v, chain) if mask else chain,
                               clusters[:idx] + (members | 1 << v,) + clusters[idx + 1:]))
     return [frozenset(t) for t in sorted(found)]
+
+
+def _toggled_pairs(chain) -> tuple[Pair, ...]:
+    """The pairs a toggle chain records, sorted."""
+    toggles = []
+    while chain is not None:
+        mask, v, chain = chain
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            toggles.append((u, v) if u < v else (v, u))
+            mask ^= low
+    toggles.sort()
+    return tuple(toggles)
 
 
 def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, ...]]:
@@ -83,12 +123,12 @@ def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, 
     return labels
 
 
-def solve_tce_xp(inst: Instance) -> Optional[Solution]:
+def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optional[Solution]:
     """Path search over the compatibility structure, one frontier at a time.
 
     Layer i's part holds the edit sets within its own budget k_i; a
     negative one leaves the part empty.  Returns a verified solution or
-    None.
+    None.  ``stats.nodes`` counts the part nodes enumerated.
     """
     if inst.mode != TCE:
         raise InputError("solve_tce_xp expects a tce instance")
@@ -98,7 +138,13 @@ def solve_tce_xp(inst: Instance) -> Optional[Solution]:
 
     # Every layer's part is kept, so the path's edit sets are read back from
     # it; only the current frontier's clusterings live across the sweep.
-    parts = [enumerate_cluster_editing_sets(inst.layers[0], budgets[0])]
+    def enumerate_part(i: int) -> list[frozenset[Pair]]:
+        part = enumerate_cluster_editing_sets(inst.layers[i], budgets[i])
+        if stats is not None:
+            stats.nodes += len(part)
+        return part
+
+    parts = [enumerate_part(0)]
     prev_clusters = _part_labels(inst.layers[0], parts[0])
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
@@ -106,7 +152,7 @@ def solve_tce_xp(inst: Instance) -> Optional[Solution]:
     predecessors: list[list[Optional[int]]] = [[None] * len(parts[0])]
 
     for i in range(1, inst.ell):
-        parts.append(enumerate_cluster_editing_sets(inst.layers[i], budgets[i]))
+        parts.append(enumerate_part(i))
         clusters = _part_labels(inst.layers[i], parts[i])
         if inst.d == 0:
             # Without marks only equal labels are compatible: look each node

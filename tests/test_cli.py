@@ -1,12 +1,15 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
 from layeredit import branching, cli
 from layeredit.cli import run
 from layeredit.core import Solution, verify
-from layeredit.fileio import parse_instance, parse_solution, serialize_instance, serialize_solution
+from layeredit.fileio import (PlantedParams, generate_planted, parse_instance, parse_solution,
+                              serialize_instance, serialize_solution)
+from layeredit.tcepath import enumerate_cluster_editing_sets
 
 from conftest import ref_instance, ref_tce_solution
 
@@ -199,6 +202,18 @@ def test_bench_csv_schema(files, capsys):
                        "nodes_expanded"]
     assert len(rows) == 3
     assert all(row[6] in ("yes", "no") for row in rows[1:])
+
+
+def test_bench_counts_xp_part_nodes(files):
+    write, tmp = files
+    out = str(tmp / "bench.csv")
+    assert run(["bench", "--mode", "tce", "--n", "10", "--ell", "3", "--k", "2",
+                "--d", "1", "--seeds", "1", "--timeout", "20", "--out", out]) == 0
+    rows = list(csv.reader(io.StringIO((tmp / "bench.csv").read_text())))
+    inst = replace(generate_planted(PlantedParams(10, 3, 6, 1, 1, 0), "tce"), k=2, d=1)
+    parts = [enumerate_cluster_editing_sets(g, 2) for g in inst.layers]
+    assert rows[1][4:7] == ["xp", "0", "yes"]
+    assert rows[1][8] == str(sum(map(len, parts)))
 
 
 def test_unknown_subcommand(capsys):

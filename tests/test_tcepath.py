@@ -1,11 +1,13 @@
 from collections import Counter
 from dataclasses import replace
+from hashlib import sha256
 from itertools import combinations
 from math import comb
 from operator import eq
 
 import pytest
 
+from layeredit.branching import SearchStats
 from layeredit.core import (Instance, InputError, Solution, apply_edits, edited_layers,
                             is_cluster_graph, layer_from_edges, pair, verify)
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
@@ -134,6 +136,60 @@ class TestEnumeration:
         assert enumerate_cluster_editing_sets(g, 0) == [frozenset()]
 
 
+def renamed_sets(sets, perm):
+    """Edit sets with vertex v renamed perm[v], in the enumerator's order."""
+    return [frozenset(t) for t in sorted(tuple(sorted(pair(perm[u], perm[v]) for u, v in m))
+                                         for m in sets)]
+
+
+# Part sizes and sha256 of repr([sorted(m) for m in part]) of each layer of
+# generate_planted(PlantedParams(n, ell, n // 2 + 1, 1, 1, seed), "tce"),
+# computed by placing the vertices in 1..n order, so they do not rest on the
+# degree order.
+PINNED_PARTS = {
+    (20, 4, 4, 0): ([892, 443, 415, 483], [
+        "3d15e8e6153adae13b963603342e958a8b08f3cc5b6d82d527ec128785998622",
+        "c38777dd037ffb5eb049a2e395a6a6654aafb1c1b7421eaca4010f0cd17ff38c",
+        "2a2c6a463fac8e22e8c2432cef79dc8fb692be7a954bad984f3ec467a37ce404",
+        "361b903ee0be74f1c3e1063f188892e4df78716efbcbfd518c32cb6361045060"]),
+    (60, 3, 3, 0): ([1051, 841, 898], [
+        "2392654f54a2d1e143fe8e05ce67401e6886c57d6459170a2ab9a405a029ee47",
+        "653191d4c7829146340e563244ea7162454a208a567d5cb1327def8849b90dfb",
+        "11a547aaf18e0086a1f035b85512c57337d70ff4d67703142b9728a12efb55db"]),
+    (60, 3, 3, 1): ([905, 770, 970], [
+        "fc3f594467b297f72cd1ce349303688191b13698db31ec1a2cd5da1c06bfa0e7",
+        "0e0b8a9c2c5bf1f633f443e337deb81cedc9ce3b8dd2983b675353b5a33dd029",
+        "7475119bb8812ee32fac0721c090ae06305ff2d151fa13c433f1723c4facd2ce"]),
+}
+
+
+class TestEnumerationPastDeskScale:
+    def test_independent_of_vertex_names(self, rng):
+        star = layer_from_edges(7, [(v, 7) for v in range(1, 7)])  # highest degree, highest id
+        path = layer_from_edges(8, [(v, v + 1) for v in range(1, 8)])
+        cases = [(g, k) for g in (star, path) for k in range(5)]
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            g = random_layers(rng, n, 1, density=rng.choice((0.2, 0.5, 0.8)))[0]
+            cases.append((g, rng.randint(0, 4)))
+        for g, k in cases:
+            perm = [0] + rng.sample(range(1, g.n + 1), g.n)
+            renamed = layer_from_edges(g.n, [pair(perm[u], perm[v]) for u, v in g.edges])
+            want = renamed_sets(enumerate_cluster_editing_sets(g, k), perm)
+            assert enumerate_cluster_editing_sets(renamed, k) == want
+
+    @pytest.mark.parametrize("n, ell, k, seed", sorted(PINNED_PARTS))
+    def test_planted_parts_are_pinned(self, n, ell, k, seed):
+        inst = generate_planted(PlantedParams(n, ell, n // 2 + 1, 1, 1, seed), "tce")
+        parts = [enumerate_cluster_editing_sets(g, k) for g in inst.layers]
+        sizes, digests = PINNED_PARTS[n, ell, k, seed]
+        assert [len(part) for part in parts] == sizes
+        assert [sha256(repr([sorted(m) for m in part]).encode()).hexdigest()
+                for part in parts] == digests
+        for g, part in zip(inst.layers, parts):
+            assert all(is_cluster_graph(apply_edits(g, m)) for m in part)
+
+
 class TestSweepCheck:
     def test_weight_decision_matches_the_two_layer_solver(self, rng):
         for _ in range(600):
@@ -228,6 +284,12 @@ class TestSolveTceXp:
                 assert serialize_solution(solve_tce_xp(inst), inst) == want
                 answers[want.splitlines()[1]] += 1
         assert answers["answer yes"] > 50 and answers["answer no"] > 10
+
+    def test_stats_count_the_part_nodes(self):
+        inst = replace(generate_planted(PlantedParams(10, 3, 6, 1, 1, 0), "tce"), k=2, d=1)
+        stats = SearchStats()
+        assert solve_tce_xp(inst, stats=stats) is not None  # a yes: every part enumerated
+        assert stats.nodes == sum(len(enumerate_cluster_editing_sets(g, 2)) for g in inst.layers)
 
     def test_per_layer_budgets(self):
         # the stray edge in layer 1 can only be fixed where the budget sits
