@@ -5,9 +5,9 @@ permanent pairs whose status is frozen) that always aligns all edited
 layers outside the marked set.  Starting from a greedy majority-vote
 alignment, it applies, in order, three branching rules (destroy a P3,
 repair an edit-budget overflow, repair a layer that cannot be completed by
-marked-only edits), and drops the children that rule 0 (a budget reject)
-or a lower bound declares dead before entering them.  When no rule
-applies, a full solution is assembled from the constraint.
+marked-only edits), and drops the children that a lower bound declares
+dead before entering them.  When no rule applies, a full solution is
+assembled from the constraint.
 
 Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 (bit v for vertex v); each edit set and the permanent set is a bitmask over
@@ -20,17 +20,18 @@ pair's bit, the pairs touching each vertex, every layer's edge set as a
 pair bitmask and edit budget k_i, and a memo of P3 rows.  The search reads
 masks only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj``
 with its edits toggled in (``toggled_adj``), and is skipped on a mark child
-of a constraint it did not apply to; the frozen-edit bound reads a layer's
-P3 rows (``toggled_p3s``, derived from the rows with one toggled pair
-fewer); rule 3 and extraction run ``min_marked_completion`` on toggled
-adjacencies.  Only ``kernel_k`` on rule 3's offending layer and the
-returned ``Solution`` decode to frozensets and ``LayerGraph`` values.
+of a constraint it did not apply to; the frozen-edit bound and rule 3's
+per-layer kernel (``kernel_k``) read a layer's P3 rows (``toggled_p3s``,
+derived from the rows with one toggled pair fewer); rule 3 and extraction
+run ``min_marked_completion`` on toggled adjacencies.  Only the returned
+``Solution`` decodes to frozensets.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
-toggle child that rule 0 would reject.  Of the other children, the search
-drops before entering them one whose permanent set grew (a toggle child, or
-rule 3's commit child) that rule 0's budget test or the frozen-edit bound
-(``frozen_edit_bound``) rejects, and one whose loose edits need more new
+toggle child that gives a layer more frozen edits than its budget k_i.  Of
+the other children, the search drops before entering them one whose
+permanent set grew (a toggle child, or rule 3's commit child) that the
+frozen-edit bound (``frozen_edit_bound``) rejects, first of all for a layer
+with more frozen edits than k_i, and one whose loose edits need more new
 marks than the marks and the budgets have left (``mark_bound_rejects``, a
 matching bound; a mark child's inputs to it come from its parent's).  The
 frozen-edit bound reads only the permanent pairs and the frozen edits,
@@ -54,17 +55,12 @@ from .core import (
     MLCE,
     InputError,
     Instance,
-    LayerGraph,
     Pair,
     Solution,
-    apply_edits,
     bits,
-    count_p3_through_pair,
     first_p3,
-    induced_p3s,
     p3_through_pair,
     pair,
-    pairs_of,
     verify,
 )
 
@@ -85,13 +81,12 @@ class Constraint(NamedTuple):
 @dataclass
 class SearchStats:
     """Counters of one search.  ``nodes`` counts the constraints it entered;
-    ``pruned_rule0``, ``pruned_bound`` and ``pruned_marks`` count the
-    children it dropped before entering them, by rule 0, by the frozen-edit
-    bound and by the marks bound."""
+    ``pruned_bound`` and ``pruned_marks`` count the children it dropped
+    before entering them, by the frozen-edit bound (which also rejects a
+    layer with more frozen edits than its budget) and by the marks bound."""
 
     nodes: int = 0
     max_depth: int = 0
-    pruned_rule0: int = 0
     pruned_bound: int = 0
     pruned_marks: int = 0
 
@@ -204,19 +199,6 @@ def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
 
 
-def rule0_rejects(c: Constraint, budgets: tuple[int, ...], d: int) -> bool:
-    """Dead branch: too many marks, or some layer has more frozen edits
-    than its budget."""
-    if c.marked.bit_count() > d:
-        return True
-    permanent = c.permanent
-    if permanent:
-        for m, k_i in zip(c.edits, budgets):
-            if (m & permanent).bit_count() > k_i:
-                return True
-    return False
-
-
 def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
                       budget: int) -> Optional[int]:
     """Lower bound on layer i's edit count in every solution below a
@@ -326,7 +308,7 @@ def _toggle_child(c: Constraint, bit: int) -> Constraint:
 def _mark_children(ctx: SearchContext, c: Constraint, vertices: Iterable[int]) -> list[Constraint]:
     """Mark each of ``vertices`` that carries no permanent pair, dropping
     every edit at it so the child stays clean; none once c has d marks, as
-    rule 0 would drop them all."""
+    no solution has more."""
     if c.marked.bit_count() >= ctx.inst.d:
         return []
     touching = ctx.touching
@@ -361,7 +343,7 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     together with the permanent ones, k_i+1 edits of the layer are covered,
     and branches on undoing each of them: either freeze the edit, or mark
     one endpoint and drop the edit everywhere.  A layer whose frozen edits
-    fill its budget admits only toggles of its own edits (rule 0 drops the rest).
+    fill its budget admits only toggles of its own edits (the others overrun it).
     """
     for over, k_i in zip(c.edits, ctx.budgets):
         if over.bit_count() > k_i:
@@ -384,46 +366,50 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     return children
 
 
-def kernel_k(g: LayerGraph, budget: int, marked: frozenset[int],
-             obligatory: frozenset[Pair]) -> Optional[tuple[frozenset[Pair], frozenset[Pair]]]:
-    """Per-layer cluster-editing kernel with frozen (obligatory) pairs.
+def kernel_k(ctx: SearchContext, i: int, x: int, budget: int, marked: int,
+             obligatory: int) -> Optional[tuple[int, int]]:
+    """Per-layer cluster-editing kernel with frozen (obligatory) pairs, on
+    layer i with the pairs of ``x`` toggled; ``marked`` is a vertex mask and
+    ``obligatory`` a pair mask.
 
     Repeatedly applies, first match wins: fail when the budget is negative
     or an all-obligatory P3 exists; force-toggle the first pair (in sorted
     order) sitting in more induced P3s than the remaining budget allows
     (fail if it is obligatory).  The kernel's vertices are then the
     vertices of the remaining P3s; fails if there are more than
-    budget**2 + 2*budget of them.  Returns (forced unmarked edits,
-    remaining unmarked non-obligatory pairs), or None for failure.
+    budget**2 + 2*budget of them.  Returns pair masks (forced unmarked
+    edits, remaining unmarked non-obligatory pairs), or None for failure.
     """
-    oblig = set(obligatory)
-    forced: set[Pair] = set()
+    at_marks = ctx.touching_mask(marked)
+    forced = 0
     while True:
         if budget < 0:
             return None
-        p3s = induced_p3s(g)
-        if any(pair(a, b) in oblig and pair(b, c) in oblig and (a, c) in oblig
-               for a, b, c in p3s):
-            return None
-        candidates = sorted({p for a, b, c in p3s for p in (pair(a, b), pair(b, c), (a, c))})
-        hit = next((p for p in candidates if count_p3_through_pair(g, p) > budget), None)
+        rows = ctx.toggled_p3s(i, x)
+        counts: Counter[int] = Counter()
+        for _, p3 in rows:
+            if not p3 & ~obligatory:
+                return None
+            counts.update(bits(p3))
+        hit = min((j for j, count in counts.items() if count > budget), default=None)
         if hit is None:
             break
-        if hit in oblig:
+        hit = 1 << hit
+        if hit & obligatory:
             return None
-        g = apply_edits(g, {hit})
-        oblig.add(hit)
+        x ^= hit
+        obligatory |= hit
         budget -= 1
-        if hit[0] not in marked and hit[1] not in marked:
-            forced.add(hit)
+        if not hit & at_marks:
+            forced |= hit
 
-    verts = {v for p3 in p3s for v in p3}
-    if len(verts) > budget * budget + 2 * budget:
+    inside = 0
+    for (b, a, c), _ in rows:
+        inside |= 1 << a | 1 << b | 1 << c
+    if inside.bit_count() > budget * budget + 2 * budget:
         return None
-    open_pairs = frozenset(
-        p for p in pairs_of(verts)
-        if p[0] not in marked and p[1] not in marked and p not in oblig)
-    return frozenset(forced), open_pairs
+    inside_pairs = ctx.touching_mask(inside) & ~ctx.touching_mask(ctx.vertices & ~inside)
+    return forced, inside_pairs & ~at_marks & ~obligatory
 
 
 def min_marked_completion(adj: Sequence[int], marked: int,
@@ -481,8 +467,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
         return None
 
     permanent = c.permanent
-    kernel = kernel_k(apply_edits(ctx.inst.layers[i], ctx.pair_set(m_i)), k_i - m_i.bit_count(),
-                      ctx.vertex_set(c.marked), ctx.pair_set(m_i & permanent))
+    kernel = kernel_k(ctx, i, m_i, k_i - m_i.bit_count(), c.marked, m_i & permanent)
 
     children: list[Constraint] = []
     for j in bits(m_i & ~permanent):
@@ -495,16 +480,14 @@ def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     forced, open_pairs = kernel
     base_quality = constraint_quality(c)
     extra: list[Constraint] = []
-    for p in sorted(forced):
-        extra += _mark_children(ctx, c, p)
+    for j in bits(forced):
+        extra += _mark_children(ctx, c, ctx.pairs[j])
     if forced:
-        forced_mask = ctx.pair_mask(forced)
-        extra.append(Constraint(c.marked,
-                                tuple(m ^ forced_mask for m in c.edits),
-                                permanent | m_i | forced_mask))
-    for p in sorted(open_pairs):
-        extra += _mark_children(ctx, c, p)
-        extra.append(_toggle_child(c, ctx.pair_bit[p[0]][p[1]]))
+        extra.append(Constraint(c.marked, tuple(m ^ forced for m in c.edits),
+                                permanent | m_i | forced))
+    for j in bits(open_pairs):
+        extra += _mark_children(ctx, c, ctx.pairs[j])
+        extra.append(_toggle_child(c, 1 << j))
     # The kernel ignores permanent pairs it was not told about, so on dead
     # branches it can propose undoing one; such children neither extend the
     # parent nor make progress and are never needed for completeness.
@@ -597,12 +580,12 @@ class _Search:
         return None
 
     def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass rule 0, the frozen-edit bound and the
-        marks bound, in order.  A child that kept the parent's permanent
-        pairs is a mark child within d marks, with the parent's frozen-edit
-        verdict and its marks-bound inputs less the pairs at its mark x."""
+        """The children that pass the frozen-edit bound and the marks bound,
+        in order.  A child that kept the parent's permanent pairs is a mark
+        child within d marks, with the parent's frozen-edit verdict and its
+        marks-bound inputs less the pairs at its mark x."""
         ctx, stats = self.ctx, self.stats
-        budgets, d, touching = ctx.budgets, ctx.inst.d, ctx.touching
+        touching = ctx.touching
         permanent = parent.permanent
         parent_loose, parent_room = _loose_and_room(ctx, parent)
         kept = []
@@ -610,9 +593,6 @@ class _Search:
             if child.permanent == permanent:
                 x = (child.marked ^ parent.marked).bit_length() - 1
                 loose, room = parent_loose & ~touching[x], parent_room - 1
-            elif rule0_rejects(child, budgets, d):
-                stats.pruned_rule0 += 1
-                continue
             elif self.dead_by_bound(child):
                 stats.pruned_bound += 1
                 continue

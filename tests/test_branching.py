@@ -21,7 +21,6 @@ from layeredit.branching import (
     kernel_k,
     mark_bound_rejects,
     min_marked_completion,
-    rule0_rejects,
     solve_mlce,
 )
 from layeredit.core import (
@@ -30,8 +29,12 @@ from layeredit.core import (
     adj_p3s,
     all_pairs,
     apply_edits,
+    count_p3_through_pair,
     find_p3,
+    induced_p3s,
     layer_from_edges,
+    pair,
+    pairs_of,
     verify,
     vertex_mask,
 )
@@ -44,10 +47,17 @@ def empty_constraint(ell):
     return Constraint(0, (0,) * ell, 0)
 
 
-def context(n, ell=1):
-    """Search tables for n vertices and ell edgeless layers."""
+def context(n, ell=1, budgets=(), d=0):
+    """Search tables for n vertices and ell edgeless layers with these edit
+    budgets (default: all 0) and d."""
     g = layer_from_edges(n, [])
-    return SearchContext(Instance("mlce", n, (g,) * ell, 0, 0))
+    return SearchContext(Instance("mlce", n, (g,) * ell, max(budgets, default=0), d,
+                                  budgets=budgets))
+
+
+def layer_context(g):
+    """Search tables of the one-layer instance on ``g``."""
+    return SearchContext(Instance("mlce", g.n, (g,), 0, 0))
 
 
 def encode(ctx, marked=(), edits=None, permanent=()):
@@ -118,24 +128,28 @@ class TestGreedy:
 
 
 class TestRule0:
+    # the budget tests of a dead branch: frozen edits over a layer's k_i are
+    # the frozen-edit bound's first reject, and no child exceeds d marks
     def test_empty_constraint_passes(self):
-        assert not rule0_rejects(empty_constraint(2), (0, 0), 0)
+        assert not bound_rejects(context(2, ell=2), empty_constraint(2))
 
     def test_too_many_marks(self):
-        c = encode(context(2), {1, 2})
-        assert rule0_rejects(c, (5,), 1)
+        ctx = context(2, budgets=(5,), d=1)
+        assert branching._mark_children(ctx, encode(ctx, {1}), [2]) == []
+        with pytest.raises(InvariantViolation, match="more than d marks"):
+            branching._check_children(ctx, empty_constraint(1), [encode(ctx, {1, 2})], 0)
 
     def test_too_many_permanent_edits(self):
         m = frozenset({(1, 2), (3, 4)})
-        c = encode(context(4), (), (m,), m)
-        assert rule0_rejects(c, (1,), 5)
-        assert not rule0_rejects(c, (2,), 5)
+        for budgets, rejects in (((1,), True), ((2,), False)):
+            ctx = context(4, budgets=budgets, d=5)
+            assert bound_rejects(ctx, encode(ctx, (), (m,), m)) == rejects
 
     def test_each_layer_against_its_own_budget(self):
         m = frozenset({(1, 2), (3, 4)})
-        c = encode(context(4, ell=2), (), (m, frozenset()), m)
-        assert rule0_rejects(c, (1, 2), 5)
-        assert not rule0_rejects(c, (2, 1), 5)
+        for budgets, rejects in (((1, 2), True), ((2, 1), False)):
+            ctx = context(4, ell=2, budgets=budgets, d=5)
+            assert bound_rejects(ctx, encode(ctx, (), (m, frozenset()), m)) == rejects
 
 
 def fewest_free_toggles(ctx, h, permanent):
@@ -454,9 +468,14 @@ class TestRule2:
         assert branching_rule_2(ctx, encode(ctx, (), (m, frozenset()))) is None
 
     def test_builds_no_child_rule_0_drops(self, rng):
-        # along random descents through children rule 0 keeps, rule 2's
-        # children all pass rule 0, also where a layer's frozen edits fill
-        # its budget or the marks are used up
+        # along random descents through children within budget, rule 2's
+        # children all keep to the budgets, also where a layer's frozen
+        # edits fill its budget or the marks are used up
+        def over_budget(ctx, ch):
+            # more than d marks, or a layer with more frozen edits than k_i
+            return ch.marked.bit_count() > ctx.inst.d or any(
+                (m & ch.permanent).bit_count() > k_i for m, k_i in zip(ch.edits, ctx.budgets))
+
         seen = Counter()
         for _ in range(400):
             inst = random_instance(rng, "mlce", max_n=7, max_ell=4, max_k=2, max_d=2)
@@ -465,7 +484,7 @@ class TestRule2:
             for _ in range(12):
                 children = branching_rule_2(ctx, c)
                 if children is not None:
-                    assert not any(rule0_rejects(ch, ctx.budgets, inst.d) for ch in children)
+                    assert not any(over_budget(ctx, ch) for ch in children)
                     seen["full"] += any((m & c.permanent).bit_count() == k_i
                                         for m, k_i in zip(c.edits, ctx.budgets))
                     seen["at d"] += c.marked.bit_count() == inst.d
@@ -473,8 +492,7 @@ class TestRule2:
                     children = rule(ctx, c)
                     if children is not None:
                         break
-                children = [ch for ch in children or ()
-                            if not rule0_rejects(ch, ctx.budgets, inst.d)]
+                children = [ch for ch in children or () if not over_budget(ctx, ch)]
                 if not children:
                     break
                 c = rng.choice(children)
@@ -499,13 +517,13 @@ class TestRule2:
 class TestKernelK:
     def test_cluster_graph_stripped_entirely(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
-        out = kernel_k(g, 0, frozenset(), frozenset())
-        assert out == (frozenset(), frozenset())
+        out = kernel_k(layer_context(g), 0, 0, 0, 0, 0)
+        assert out == (0, 0)
 
     def test_all_obligatory_p3_fails(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])
-        out = kernel_k(g, 5, frozenset(),
-                       frozenset({(1, 2), (2, 3), (1, 3)}))
+        ctx = layer_context(g)
+        out = kernel_k(ctx, 0, 0, 5, 0, ctx.pair_mask({(1, 2), (2, 3), (1, 3)}))
         assert out is None
 
     def test_star_with_budget_one_fails(self):
@@ -513,16 +531,81 @@ class TestKernelK:
         # first forced toggle spends the budget and the next one overruns it
         g = layer_from_edges(4, [(1, 2), (1, 3), (1, 4)])
         assert count_p3s(g, (1, 2)) == 2
-        assert kernel_k(g, 1, frozenset(), frozenset()) is None
+        assert kernel_k(layer_context(g), 0, 0, 1, 0, 0) is None
 
     def test_forced_edits_respect_marks(self):
         # same star, center marked: forced pairs touching it stay out of R
         g = layer_from_edges(4, [(1, 2), (1, 3), (1, 4)])
-        out = kernel_k(g, 3, frozenset({1}), frozenset())
+        ctx = layer_context(g)
+        out = kernel_k(ctx, 0, 0, 3, vertex_mask({1}), 0)
         assert out is not None
         forced, open_pairs = out
-        assert forced == frozenset()
-        assert all(1 not in p for p in open_pairs)
+        assert forced == 0
+        assert all(1 not in p for p in ctx.pair_set(open_pairs))
+
+    def test_same_answer_on_any_memo(self, rng, monkeypatch):
+        # layer g with x toggled: on a fresh context, on one whose P3 rows
+        # were memoised for other toggle sets first, and with no memo at all,
+        # the kernel agrees with a frozenset reference on g xor x
+        def reference(ctx, x, budget, marked, obligatory):
+            out = reference_kernel(apply_edits(ctx.inst.layers[0], ctx.pair_set(x)), budget,
+                                   ctx.vertex_set(marked), ctx.pair_set(obligatory))
+            return out and (ctx.pair_mask(out[0]), ctx.pair_mask(out[1]))
+
+        cases, seen = [], Counter()
+        for _ in range(120):
+            n = rng.randint(1, 9)
+            g = random_layers(rng, n, 1, rng.random())[0]
+            for _ in range(4):
+                x = random_mask(rng, n, rng.choice((0.0, 0.1, 0.3)))
+                cases.append((g, x, rng.randint(-1, 4), random_mask(rng, n, 0.2, vertices=True),
+                              x & random_mask(rng, n, rng.choice((0.0, 0.3, 1.0)))))
+        warm = {g: layer_context(g) for g, *_ in cases}
+        for g, x, budget, marked, oblig in cases:
+            ctx = warm[g]
+            want = reference(ctx, x, budget, marked, oblig)
+            assert kernel_k(layer_context(g), 0, x, budget, marked, oblig) == want
+            assert kernel_k(ctx, 0, x, budget, marked, oblig) == want
+            ctx.toggled_p3s(0, x ^ random_mask(rng, g.n, 0.2))
+            seen["none" if want is None else "forced" if want[0] else "kept"] += 1
+        monkeypatch.setattr(branching, "FAILED_CAP", 0)
+        for g, x, budget, marked, oblig in cases:
+            ctx = layer_context(g)
+            assert kernel_k(ctx, 0, x, budget, marked, oblig) == \
+                reference(ctx, x, budget, marked, oblig)
+        assert seen["forced"] > 15 and seen["none"] > 100 and seen["kept"] > 100, seen
+
+
+def random_mask(rng, n, rate, vertices=False):
+    """A random vertex mask over 1..n, or a pair mask over all_pairs(n)."""
+    items = range(1, n + 1) if vertices else range(n * (n - 1) // 2)
+    return sum(1 << j for j in items if rng.random() < rate)
+
+
+def reference_kernel(g, budget, marked, obligatory):
+    """``kernel_k`` on frozensets of pairs, rescanning the layer each round."""
+    oblig, forced = set(obligatory), set()
+    while True:
+        if budget < 0:
+            return None
+        p3s = induced_p3s(g)
+        if any({pair(a, b), pair(b, c), (a, c)} <= oblig for a, b, c in p3s):
+            return None
+        candidates = sorted({p for a, b, c in p3s for p in (pair(a, b), pair(b, c), (a, c))})
+        hit = next((p for p in candidates if count_p3_through_pair(g, p) > budget), None)
+        if hit is None:
+            break
+        if hit in oblig:
+            return None
+        g = apply_edits(g, {hit})
+        oblig.add(hit)
+        budget -= 1
+        if not marked & set(hit):
+            forced.add(hit)
+    verts = {v for p3 in p3s for v in p3}
+    if len(verts) > budget * budget + 2 * budget:
+        return None
+    return forced, {p for p in pairs_of(verts) if not marked & set(p) and p not in oblig}
 
 
 def count_p3s(g, p):
@@ -641,12 +724,11 @@ class TestRule3:
         ctx = SearchContext(inst)
         c = encode(ctx, {4}, (frozenset({(1, 2)}),))
         children = branching_rule_3(ctx, c)
-        kernel = kernel_k(apply_edits(g, frozenset({(1, 2)})), 0,
-                          frozenset({4}), frozenset())
+        kernel = kernel_k(ctx, 0, ctx.pair_mask({(1, 2)}), 0, vertex_mask({4}), 0)
         bound = 3 * 1 + 1
         if kernel is not None:
             forced, open_pairs = kernel
-            bound = 3 * 1 + 2 * len(forced) + 1 + 3 * len(open_pairs)
+            bound = 3 * 1 + 2 * forced.bit_count() + 1 + 3 * open_pairs.bit_count()
         assert len(children) <= bound
 
 

@@ -32,8 +32,8 @@ from collections import Counter
 
 import pytest
 
-from layeredit.branching import SearchStats, kernel_k, solve_mlce
-from layeredit.core import all_pairs, layer_from_edges
+from layeredit.branching import SearchContext, SearchStats, kernel_k, solve_mlce
+from layeredit.core import Instance, all_pairs, layer_from_edges, vertex_mask
 from layeredit.fileio import (
     Formula223,
     PlantedParams,
@@ -120,7 +120,7 @@ def test_no_instance_counts_pruned_children():
     assert rules and all(parts[3].startswith("children=") and parts[4].startswith("pruned=")
                          for parts in rules)
     pruned = sum(int(parts[4].removeprefix("pruned=")) for parts in rules)
-    assert pruned == stats.pruned_rule0 + stats.pruned_bound + stats.pruned_marks
+    assert pruned == stats.pruned_bound + stats.pruned_marks
 
 
 def test_pinned_set_has_both_answers():
@@ -161,8 +161,10 @@ def kernel_inputs():
 def test_kernel_k_is_pinned():
     outputs = []
     for g, budget, marked, oblig in kernel_inputs():
-        out = kernel_k(g, budget, marked, oblig)
-        outputs.append(None if out is None else (sorted(out[0]), sorted(out[1])))
+        ctx = SearchContext(Instance("mlce", g.n, (g,), 0, 0))
+        out = kernel_k(ctx, 0, 0, budget, vertex_mask(marked), ctx.pair_mask(oblig))
+        outputs.append(None if out is None else
+                       (sorted(ctx.pair_set(out[0])), sorted(ctx.pair_set(out[1]))))
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
     assert (digest, outputs.count(None)) == (KERNEL_DIGEST, KERNEL_NONE)
     assert outputs[:4] == [None, None, None, ([], [])]
