@@ -1,38 +1,56 @@
-"""Exact solvers for multi-layer and temporal cluster editing."""
+"""Exact solvers for multi-layer and temporal cluster editing.
 
-from .core import (
-    MLCE,
-    TCE,
-    InputError,
-    Instance,
-    LayerGraph,
-    P3Witness,
-    Solution,
-    VerifyReport,
-    apply_edits,
-    consistent_after_removal,
-    count_p3_through_pair,
-    find_p3,
-    is_cluster_graph,
-    layer_from_edges,
-    pair,
-    verify,
-)
-from .branching import Constraint, SearchStats, solve_mlce
-from .kernelize import KernelResult, back_transform, kernelize
-from .oracle import CapabilityError, oracle_mlce, oracle_tce, structured_mlce
-from .tcepath import enumerate_cluster_editing_sets, solve_tce_xp
-from .twolayer import max_weight_matching, solve_two_layer_zero_edit
-from .fileio import (
-    Formula223,
-    ParseError,
-    PlantedParams,
-    generate_planted,
-    generate_sat_reduction,
-    parse_instance,
-    parse_solution,
-    serialize_instance,
-    serialize_solution,
-)
+The exports below load on first use (PEP 562), so ``import layeredit``
+loads no submodule and a command loads only the solver it runs.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+import sys
+import types
+
+# export name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "core": ("MLCE", "TCE", "CapabilityError", "InputError", "Instance", "LayerGraph",
+             "P3Witness", "SearchStats", "Solution", "VerifyReport", "apply_edits",
+             "consistent_after_removal", "count_p3_through_pair", "find_p3",
+             "is_cluster_graph", "layer_from_edges", "pair", "verify"),
+    "branching": ("Constraint", "solve_mlce"),
+    "kernelize": ("KernelResult", "back_transform", "kernelize"),
+    "oracle": ("oracle_mlce", "oracle_tce", "structured_mlce"),
+    "tcepath": ("enumerate_cluster_editing_sets", "solve_tce_xp"),
+    "twolayer": ("max_weight_matching", "solve_two_layer_zero_edit"),
+    "fileio": ("Formula223", "ParseError", "PlantedParams", "generate_planted",
+               "generate_sat_reduction", "parse_instance", "parse_solution",
+               "serialize_instance", "serialize_solution"),
+}.items() for name in names}
+# submodules that ``from layeredit import *`` binds too
+_SUBMODULES = ("branching", "core", "fileio", "oracle", "tcepath", "twolayer")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """Keeps ``layeredit.kernelize`` the function: the import system binds
+    each submodule it loads on the package, and the ``kernelize`` submodule
+    shares the function's name."""
+
+    def __setattr__(self, name, value):
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -45,7 +45,6 @@ unpruned search finds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -56,6 +55,7 @@ from .core import (
     InputError,
     Instance,
     Pair,
+    SearchStats,
     Solution,
     bits,
     first_p3,
@@ -76,19 +76,6 @@ class Constraint(NamedTuple):
     marked: int
     edits: tuple[int, ...]
     permanent: int
-
-
-@dataclass
-class SearchStats:
-    """Counters of one search.  ``nodes`` counts the constraints it entered;
-    ``pruned_bound`` and ``pruned_marks`` count the children it dropped
-    before entering them, by the frozen-edit bound (which also rejects a
-    layer with more frozen edits than its budget) and by the marks bound."""
-
-    nodes: int = 0
-    max_depth: int = 0
-    pruned_bound: int = 0
-    pruned_marks: int = 0
 
 
 TraceFn = Callable[[str], None]
@@ -423,9 +410,14 @@ def min_marked_completion(adj: Sequence[int], marked: int,
     marked-touching pairs to branch on.  Iterative deepening returns a true
     minimum.
     """
-    if first_p3(adj, ((1 << len(adj)) - 2) & ~marked) is not None:
+    everything = (1 << len(adj)) - 2
+    if first_p3(adj, everything) is None:
+        return frozenset() if budget >= 0 else None
+    # only a graph with a P3 can break the precondition: an induced
+    # subgraph of a cluster graph is one
+    if first_p3(adj, everything & ~marked) is not None:
         raise RuntimeError("unmarked part must already be a cluster graph")
-    for size in range(budget + 1):
+    for size in range(1, budget + 1):
         found = _complete(adj, marked, size)
         if found is not None:
             return frozenset(found)

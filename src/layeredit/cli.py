@@ -8,15 +8,23 @@ internal error (a solver's own output failed verification).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
+import importlib
 import sys
 import time
 from typing import Optional, Sequence
 
-from .branching import SearchStats, solve_mlce
-from .core import MLCE, MODES, TCE, InputError, Instance, Solution, verify
+from .core import (
+    MLCE,
+    MODES,
+    TCE,
+    CapabilityError,
+    InputError,
+    Instance,
+    SearchStats,
+    Solution,
+    verify,
+)
 from .fileio import (
     PlantedParams,
     generate_planted_logged,
@@ -27,9 +35,6 @@ from .fileio import (
     serialize_instance,
     serialize_solution,
 )
-from .kernelize import kernelize
-from .oracle import CapabilityError, oracle_mlce, oracle_tce, structured_mlce
-from .tcepath import solve_tce_xp
 
 EXIT_YES = 0
 EXIT_NO = 10
@@ -37,15 +42,31 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# One solver per (algorithm, mode); any other pair is a usage error.  The
-# lambdas look the solvers up when called, so a wrapped module attribute
-# is the one that runs.
+# Solver-side names load with their submodule on first use (PEP 562), so a
+# command imports only the solver it runs.
+_LAZY = {"solve_mlce": "branching", "solve_tce_xp": "tcepath", "kernelize": "kernelize",
+         "oracle_mlce": "oracle", "oracle_tce": "oracle", "structured_mlce": "oracle"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# Call sites read the solvers through the module, so a wrapped or patched
+# module attribute is the one that runs.
+_cli = sys.modules[__name__]
+
+# One solver per (algorithm, mode); any other pair is a usage error.
 SOLVERS = {
-    ("branch", MLCE): lambda inst, trace, stats: solve_mlce(inst, trace=trace, stats=stats),
-    ("xp", TCE): lambda inst, trace, stats: solve_tce_xp(inst, stats=stats),
-    ("oracle", MLCE): lambda inst, trace, stats: oracle_mlce(inst),
-    ("oracle", TCE): lambda inst, trace, stats: oracle_tce(inst),
-    ("structured", MLCE): lambda inst, trace, stats: structured_mlce(inst),
+    ("branch", MLCE): lambda inst, trace, stats: _cli.solve_mlce(inst, trace=trace, stats=stats),
+    ("xp", TCE): lambda inst, trace, stats: _cli.solve_tce_xp(inst, stats=stats),
+    ("oracle", MLCE): lambda inst, trace, stats: _cli.oracle_mlce(inst),
+    ("oracle", TCE): lambda inst, trace, stats: _cli.oracle_tce(inst),
+    ("structured", MLCE): lambda inst, trace, stats: _cli.structured_mlce(inst),
 }
 AUTO = {MLCE: "branch", TCE: "xp"}
 ALGOS = ("auto", *dict.fromkeys(name for name, _ in SOLVERS))
@@ -198,7 +219,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_kernelize(args) -> int:
     inst = parse_instance(_read(args.instance))
-    result = kernelize(inst)
+    result = _cli.kernelize(inst)
     if result.is_no:
         _emit("answer no\n", args.out)
         return EXIT_NO
@@ -235,7 +256,10 @@ def _bench_worker(inst: Instance, algo: str, queue) -> None:
 
 
 def _cmd_bench(args) -> int:
-    import multiprocessing  # imported here: only bench needs it, and it slows every start-up
+    # imported here: only bench needs them, and they slow every start-up
+    import csv
+    import io
+    import multiprocessing
 
     rows = []
     ctx = multiprocessing.get_context("fork")

@@ -12,7 +12,10 @@ P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
 set of P3s through a vertex pair, on any such mask list.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
-``Instance.edit_budgets``.
+``Instance.edit_budgets``.  The errors every command maps to an exit code
+(``InputError``, ``CapabilityError``) and the search counters
+(``SearchStats``) live here too, so the CLI reaches them without loading a
+solver.
 """
 
 from __future__ import annotations
@@ -31,6 +34,23 @@ MODES = (MLCE, TCE)
 
 class InputError(ValueError):
     """Raised on malformed user-supplied data (bad pairs, shape mismatch)."""
+
+
+class CapabilityError(RuntimeError):
+    """The instance exceeds the oracle's desk-scale guard."""
+
+
+@dataclass
+class SearchStats:
+    """Counters of one search.  ``nodes`` counts the constraints it entered;
+    ``pruned_bound`` and ``pruned_marks`` count the children it dropped
+    before entering them, by the frozen-edit bound (which also rejects a
+    layer with more frozen edits than its budget) and by the marks bound."""
+
+    nodes: int = 0
+    max_depth: int = 0
+    pruned_bound: int = 0
+    pruned_marks: int = 0
 
 
 def pair(u: int, v: int) -> Pair:

@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     MLCE,
     TCE,
+    CapabilityError,
     InputError,
     Instance,
     LayerGraph,
@@ -40,10 +41,6 @@ ENUM_WORK_CAP = 60_000      # per-layer subsets filtered during edit enumeration
 MARK_SETS_CAP = 300_000     # candidate mark sets in the mark-first route
 COMBINATIONS_CAP = 20_000   # edit-set combinations in the edits-first route
 GAP_SUBSETS_CAP = 200_000   # candidate mark sets per layer gap (temporal)
-
-
-class CapabilityError(RuntimeError):
-    """The instance exceeds the oracle's desk-scale guard."""
 
 
 def _guard_common(inst: Instance) -> None:

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .branching import SearchStats
 from .core import (
     TCE,
     InputError,
     Instance,
     LayerGraph,
     Pair,
+    SearchStats,
     Solution,
     edited_layers,
     verify,

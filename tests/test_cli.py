@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from layeredit import branching, cli
+from layeredit import branching, cli, core, oracle
 from layeredit.cli import run
 from layeredit.core import Solution, verify
 from layeredit.fileio import (PlantedParams, generate_planted, parse_instance, parse_solution,
@@ -143,6 +143,19 @@ def test_oracle_subcommand(files, capsys):
     inst_file = write("f.mlg", serialize_instance(ref_instance("mlce", 1, 2)))
     assert run(["oracle", inst_file]) == 0
     assert "answer yes" in capsys.readouterr().out
+
+
+def test_oracle_guard_exits_2(files, capsys):
+    # k = 5 is past the oracle's k guard; CapabilityError maps to exit 2
+    write, tmp = files
+    inst_file = write("f.mlg", serialize_instance(ref_instance("mlce", 5, 2)))
+    for argv in (["oracle", inst_file], ["solve", "--algo", "oracle", inst_file]):
+        assert run(argv + ["--out", str(tmp / "out.sol")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: oracle guard: k=5 > 4\n"
+        assert captured.out == ""
+        assert not (tmp / "out.sol").exists()
+    assert oracle.CapabilityError is core.CapabilityError
 
 
 def test_kernelize_roundtrip(files, capsys):
