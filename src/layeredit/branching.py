@@ -14,10 +14,11 @@ Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
 ascending bits are lexicographic pair order.  Every constraint is clean: no
 edit touches a marked vertex, because a mark child drops the edits at its
-new mark when it is built.  A ``SearchContext`` holds the tables of one
-instance that the search needs, built once per solve: the pair list, each
-pair's bit, the pairs touching each vertex, every layer's edge set as a
-pair bitmask and edit budget k_i, and a memo of P3 rows.  The search reads
+new mark when it is built.  A ``SearchContext`` is a ``core.PairIndex``
+(the pair list, each pair's bit, the pairs touching each vertex and the
+matching test of the marks bound) that also holds the tables of one
+instance the search needs, built once per solve: every layer's edge set as
+a pair bitmask and edit budget k_i, and a memo of P3 rows.  The search reads
 masks only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj``
 with its edits toggled in (``toggled_adj``), and is skipped on a mark child
 of a constraint it did not apply to; the frozen-edit bound and rule 3's
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
 from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -55,6 +55,7 @@ from .core import (
     InputError,
     Instance,
     Pair,
+    PairIndex,
     SearchStats,
     Solution,
     bits,
@@ -84,32 +85,18 @@ FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 
                       # (also caps the bound verdicts and the P3 rows kept per search)
 
 
-class SearchContext:
+class SearchContext(PairIndex):
     """Tables of one instance for the int-encoded search, built once per solve."""
 
     def __init__(self, inst: Instance):
+        super().__init__(inst.n)
         self.inst = inst
-        self.pairs = list(combinations(range(1, inst.n + 1), 2))  # all_pairs(n), unchecked
-        # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
-        pair_bit = [[0] * (inst.n + 1) for _ in range(inst.n + 1)]
-        for i, (u, v) in enumerate(self.pairs):
-            pair_bit[u][v] = pair_bit[v][u] = 1 << i
-        self.pair_bit = pair_bit
-        self.touching = [sum(row) for row in pair_bit]  # pairs at each vertex (distinct bits)
+        pair_bit = self.pair_bit
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
                                   for a, b, c in g.p3s] for i, g in enumerate(inst.layers)}
-
-    def pair_mask(self, pairs: Iterable[Pair]) -> int:
-        mask = 0
-        for p in pairs:
-            mask |= self.pair_bit[p[0]][p[1]]
-        return mask
-
-    def pair_set(self, mask: int) -> frozenset[Pair]:
-        return frozenset(self.pairs[i] for i in bits(mask))
 
     def toggled_adj(self, i: int, mask: int) -> list[int]:
         """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
@@ -148,13 +135,6 @@ class SearchContext:
     @staticmethod
     def vertex_set(mask: int) -> frozenset[int]:
         return frozenset(bits(mask))
-
-    def touching_mask(self, marked: int) -> int:
-        """All pairs with an endpoint among the marked vertices."""
-        mask = 0
-        for v in bits(marked):
-            mask |= self.touching[v]
-        return mask
 
 
 def is_aligning(ctx: SearchContext, c: Constraint) -> bool:
@@ -261,7 +241,7 @@ def mark_bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
     Returns early, without building M, when |L| alone stays within
     d - |marked| + S.
     """
-    return _matching_exceeds(ctx, *_loose_and_room(ctx, c))
+    return ctx.matching_exceeds(*_loose_and_room(ctx, c))
 
 
 def _loose_and_room(ctx: SearchContext, c: Constraint) -> tuple[int, int]:
@@ -272,20 +252,6 @@ def _loose_and_room(ctx: SearchContext, c: Constraint) -> tuple[int, int]:
         for m in edits:
             room -= (m & permanent).bit_count()
     return reduce(or_, edits) & ~permanent, room
-
-
-def _matching_exceeds(ctx: SearchContext, loose: int, room: int) -> bool:
-    if loose.bit_count() <= room:
-        return False
-    pairs, touching = ctx.pairs, ctx.touching
-    matched = 0
-    while loose:
-        u, v = pairs[(loose & -loose).bit_length() - 1]
-        matched += 1
-        if matched > room:
-            return True
-        loose &= ~(touching[u] | touching[v])
-    return False
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:
@@ -590,7 +556,7 @@ class _Search:
                 continue
             else:
                 loose, room = _loose_and_room(ctx, child)
-            if _matching_exceeds(ctx, loose, room):
+            if ctx.matching_exceeds(loose, room):
                 stats.pruned_marks += 1
                 continue
             kept.append(child)

@@ -10,6 +10,9 @@ component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
 P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
 set of P3s through a vertex pair, on any such mask list.
+``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
+the positions in ``all_pairs(n)``, with the vertex-cover tests on such
+masks that the branch search and the tce sweep share.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
 ``Instance.edit_budgets``.  The errors every command maps to an exit code
@@ -132,6 +135,73 @@ def bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+class PairIndex:
+    """The package's one pair encoding: a set of vertex pairs of 1..n is an
+    int bitmask, a pair's bit being its position in ``all_pairs(n)``, so
+    ascending bits are lexicographic pair order."""
+
+    def __init__(self, n: int):
+        self.pairs = list(combinations(range(1, n + 1), 2))  # all_pairs(n), unchecked
+        # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
+        pair_bit = [[0] * (n + 1) for _ in range(n + 1)]
+        for i, (u, v) in enumerate(self.pairs):
+            pair_bit[u][v] = pair_bit[v][u] = 1 << i
+        self.pair_bit = pair_bit
+        self.touching = [sum(row) for row in pair_bit]  # pairs at each vertex (distinct bits)
+
+    def pair_mask(self, pairs: Iterable[Pair]) -> int:
+        mask = 0
+        for p in pairs:
+            mask |= self.pair_bit[p[0]][p[1]]
+        return mask
+
+    def pair_set(self, mask: int) -> frozenset[Pair]:
+        return frozenset(self.pairs[i] for i in bits(mask))
+
+    def touching_mask(self, marked: int) -> int:
+        """All pairs with an endpoint among the marked vertices."""
+        mask = 0
+        for v in bits(marked):
+            mask |= self.touching[v]
+        return mask
+
+    def matching_exceeds(self, mask: int, room: int) -> bool:
+        """Whether a greedy matching of the pairs of ``mask`` (lowest pair
+        first, each vertex in at most one pair) holds more than ``room``
+        pairs; then no ``room`` vertices touch every pair, as each touches
+        at most one matched pair.  Returns early when ``mask`` has at most
+        ``room`` pairs."""
+        if mask.bit_count() <= room:
+            return False
+        pairs, touching = self.pairs, self.touching
+        matched = 0
+        while mask:
+            u, v = pairs[(mask & -mask).bit_length() - 1]
+            matched += 1
+            if matched > room:
+                return True
+            mask &= ~(touching[u] | touching[v])
+        return False
+
+    def cover_within(self, mask: int, d: int) -> bool:
+        """Whether at most d vertices touch every pair of ``mask``.
+
+        Exact: a matching of more than d pairs needs more than d vertices,
+        and at most d pairs are covered by one end each.  Otherwise every
+        cover holds an end u or v of the lowest pair, so it is u plus a
+        cover of the pairs u misses within d - 1, or the same for v.  The
+        branching has up to 2^d leaves, so a large d is slow where the
+        matching does not decide."""
+        if self.matching_exceeds(mask, d):
+            return False
+        if mask.bit_count() <= d:
+            return True
+        u, v = self.pairs[(mask & -mask).bit_length() - 1]
+        touching = self.touching
+        return (self.cover_within(mask & ~touching[u], d - 1)
+                or self.cover_within(mask & ~touching[v], d - 1))
 
 
 def layer_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> LayerGraph:

@@ -6,19 +6,25 @@ after splitting clusters that were locally fine), enumerated by placing the
 vertices one by one into clusters within budget, highest degree first with
 ties broken by id; once a branch has spent the budget, its remaining
 vertices are placed in one loop, each into the only cluster that costs
-nothing.  Consecutive nodes are compatible when the edited graphs agree up
-to d marked vertices, decided by matching weight alone on cluster labels
-read off ``LayerGraph.adj`` with each node's edits toggled in; only the
-final path's gaps get a mark set.  The instance is a yes iff the first part
-reaches the last.
+nothing.  The instance is a yes iff the first part reaches the last.
+
+Consecutive nodes are compatible when their edited graphs agree up to d
+marked vertices.  Node p of part i-1 with edits E_p and node c of part i
+with edits E_c give H_p = G_{i-1} xor E_p and H_c = G_i xor E_c, which
+differ on F = Delta_i xor E_p xor E_c, Delta_i = G_{i-1} xor G_i.  They
+agree outside a mark set D exactly when D touches every pair of F, so the
+check is whether F has a vertex cover of at most d vertices: the partition
+distance of the two clusterings (Gusfield, IPL 2002).  Every node is a
+``core.PairIndex`` pair mask, so F costs two int xors.
 
 A node's predecessor is the first reachable node of the previous part that
-is compatible with it.  With d = 0 only equal labels are compatible, so the
-reachable nodes are indexed by their label tuples and each node does one
-lookup.  With d > 0 every reachable node is tried in order with
-``clusterings_compatible``, which settles most checks by its counting
-bounds (equal labels, then cell count, diagonal and row/column maxima) and
-solves an assignment only when they leave the answer open.
+is compatible with it.  With d = 0 F must be empty, E_c = E_p xor Delta_i,
+so the reachable nodes are indexed by E_p xor Delta_i and each node does
+one lookup.  With d > 0 every reachable node is tried in order with
+``PairIndex.cover_within``, which settles most checks by the size of F or
+a greedy matching of it and otherwise branches on the ends of its lowest
+pair, 2^d leaves at worst.  Only the final path's gaps get a mark set,
+from ``solve_two_layer_zero_edit``.
 """
 
 from __future__ import annotations
@@ -31,12 +37,13 @@ from .core import (
     Instance,
     LayerGraph,
     Pair,
+    PairIndex,
     SearchStats,
     Solution,
     edited_layers,
     verify,
 )
-from .twolayer import clusterings_compatible, solve_two_layer_zero_edit
+from .twolayer import solve_two_layer_zero_edit
 
 
 def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
@@ -109,20 +116,6 @@ def _toggled_pairs(chain) -> tuple[Pair, ...]:
     return tuple(toggles)
 
 
-def _part_labels(g: LayerGraph, part: list[frozenset[Pair]]) -> list[tuple[int, ...]]:
-    """``cluster_labels`` of g edited by each set of the part: a vertex's
-    label is the lowest bit of its closed neighbourhood."""
-    closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
-    labels = []
-    for m in part:
-        nbrs = closed.copy()
-        for u, v in m:
-            nbrs[u] ^= 1 << v
-            nbrs[v] ^= 1 << u
-        labels.append(tuple((x & -x).bit_length() - 1 for x in nbrs[1:]))
-    return labels
-
-
 def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optional[Solution]:
     """Path search over the compatibility structure, one frontier at a time.
 
@@ -137,7 +130,9 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
         return None
 
     # Every layer's part is kept, so the path's edit sets are read back from
-    # it; only the current frontier's clusterings live across the sweep.
+    # it; only the current frontier's pair masks live across the sweep.
+    index = PairIndex(inst.n)
+
     def enumerate_part(i: int) -> list[frozenset[Pair]]:
         part = enumerate_cluster_editing_sets(inst.layers[i], budgets[i])
         if stats is not None:
@@ -145,7 +140,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
         return part
 
     parts = [enumerate_part(0)]
-    prev_clusters = _part_labels(inst.layers[0], parts[0])
+    prev_masks = [index.pair_mask(m) for m in parts[0]]
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
@@ -153,22 +148,22 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
 
     for i in range(1, inst.ell):
         parts.append(enumerate_part(i))
-        clusters = _part_labels(inst.layers[i], parts[i])
+        masks = [index.pair_mask(m) for m in parts[i]]
+        delta = index.pair_mask(inst.layers[i - 1].edges ^ inst.layers[i].edges)
         if inst.d == 0:
-            # Without marks only equal labels are compatible: look each node
-            # up by its labels, keeping the first reachable node per labels.
-            first: dict[tuple[int, ...], int] = {}
+            # Without marks F must be empty: look each node up by its edits,
+            # keeping the first reachable node per E_p xor Delta_i.
+            first: dict[int, int] = {}
             for j in reachable:
-                first.setdefault(prev_clusters[j], j)
-            preds = [first.get(c) for c in clusters]
+                first.setdefault(prev_masks[j] ^ delta, j)
+            preds = [first.get(m) for m in masks]
         else:
-            frontier = [(j, prev_clusters[j]) for j in reachable]
-            preds = [next((j for j, p in frontier if clusterings_compatible(p, c, inst.d)),
-                          None)
-                     for c in clusters]
+            frontier = [(j, prev_masks[j] ^ delta) for j in reachable]
+            preds = [next((j for j, f in frontier if index.cover_within(f ^ m, inst.d)), None)
+                     for m in masks]
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
-        prev_clusters = clusters
+        prev_masks = masks
         if not reachable:
             return None
 

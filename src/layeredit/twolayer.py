@@ -1,16 +1,13 @@
 """Exact zero-edit two-layer solver via maximum-weight bipartite matching.
 
-Both layers must already be cluster graphs.  In each layer every vertex is
-named by its cluster's smallest vertex (``cluster_labels``), and the
-bipartite weights count the vertices of each (left label, right label) cell.  A marking set of size
-at most d exists iff the maximum matching weight is at least n - d, and the
-marked set is the vertices whose cell is not matched.  ``clusterings_compatible``
-decides that threshold for the tce sweep cheapest test first: equal labels,
-then the number of nonempty cells as an upper bound on the matching weight,
-the diagonal cells as a lower bound, min(sum of row maxima, sum of column
-maxima) as a tighter upper bound, and an assignment solve only when the
-bounds straddle n - d.  n - (maximum matching weight) is the partition
-distance of the two clusterings (Gusfield, IPL 2002).
+The tce search uses it only for the witness of its final path: the mark
+set of each gap.  Both layers must already be cluster graphs.  In each
+layer every vertex is named by its cluster's smallest vertex
+(``cluster_labels``), and the bipartite weights count the vertices of each
+(left label, right label) cell.  A marking set of size at most d exists iff
+the maximum matching weight is at least n - d, and the marked set is the
+vertices whose cell is not matched.  n - (maximum matching weight) is the
+partition distance of the two clusterings (Gusfield, IPL 2002).
 
 The assignment is solved by successive shortest augmenting paths, one row
 at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
@@ -24,8 +21,7 @@ solve, on weights that carry a tie-break below the cell counts
 from __future__ import annotations
 
 from collections import Counter
-from operator import eq
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import InputError, LayerGraph, is_cluster_graph
 
@@ -109,44 +105,6 @@ def max_weight_matching(weights: dict[tuple[int, int], int]
         {cell: weights[cell] << (m + 1) | 1 << (m - 1 - rank)
          for rank, cell in enumerate(sorted(weights))})
     return tuple(sorted(mate_l.items())), total >> (m + 1)
-
-
-def clusterings_compatible(left: Sequence[int], right: Sequence[int], d: int) -> bool:
-    """Whether solve_two_layer_zero_edit finds a marking set for two cluster
-    graphs given by their ``cluster_labels``, decided by matching weight alone.
-
-    The first test that settles it wins, cheapest first:
-
-    1. equal labels accept;
-    2. a matching takes at most one nonempty cell per cluster of the smaller
-       side, and every cell it leaves out loses at least one vertex, so more
-       than d cells beyond that cluster count reject;
-    3. the diagonal cells (a, a) form a matching, since a label names at
-       most one cluster per side, so their weight (the vertices labelled
-       alike on both sides) reaching n - d accepts;
-    4. min(sum of row maxima, sum of column maxima) of the cell counts
-       bounds every matching from above, so falling below n - d rejects;
-    5. otherwise one assignment solve decides.
-
-    Test 2 is implied by test 4 but needs no counts; it settles most
-    sweep checks at d > 0.
-    """
-    need = len(left) - d
-    if left == right:
-        return True
-    if len(set(zip(left, right))) - min(len(set(left)), len(set(right))) > d:
-        return False
-    if sum(map(eq, left, right)) >= need:
-        return True
-    cells = Counter(zip(left, right))
-    row_max: dict[int, int] = {}
-    col_max: dict[int, int] = {}
-    for (a, b), w in cells.items():
-        row_max[a] = max(row_max.get(a, 0), w)
-        col_max[b] = max(col_max.get(b, 0), w)
-    if min(sum(row_max.values()), sum(col_max.values())) < need:
-        return False
-    return linear_sum_assignment(cells)[0] >= need
 
 
 def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optional[frozenset[int]]:

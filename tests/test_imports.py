@@ -75,6 +75,7 @@ def files(tmp_path):
     inst = ref_instance("mlce", 1, 2)
     (tmp_path / "ref.mlg").write_text(serialize_instance(inst))
     (tmp_path / "ref.sol").write_text(serialize_solution(ref_mlce_solution_k1_d2(), inst))
+    (tmp_path / "tce.mlg").write_text(serialize_instance(ref_instance("tce", 1, 1)))
     (tmp_path / "f.cnf").write_text("1 2 3\n1 -2 -3\n-1 2 -3\n-1 -2 3\n")
     return tmp_path
 
@@ -95,10 +96,12 @@ def test_generate_and_verify_load_no_solver(files):
 
 
 def test_solve_and_kernelize_load_their_solver_only(files):
-    for argv, module in ((["solve", str(files / "ref.mlg")], "branching"),
-                         (["kernelize", str(files / "ref.mlg")], "kernelize")):
+    # the tce solve shares core's pair index with the branch search, not the search
+    for argv, modules in ((["solve", str(files / "ref.mlg")], {"branching"}),
+                          (["solve", str(files / "tce.mlg")], {"tcepath", "twolayer"}),
+                          (["kernelize", str(files / "ref.mlg")], {"kernelize"})):
         _, after = loaded_after(argv)
-        assert after == CLI_BASE | {module}, argv
+        assert after == CLI_BASE | modules, argv
 
 
 def test_public_names_are_unchanged():

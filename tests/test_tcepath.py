@@ -3,18 +3,16 @@ from dataclasses import replace
 from hashlib import sha256
 from itertools import combinations
 from math import comb
-from operator import eq
 
 import pytest
 
-from layeredit.branching import SearchStats
-from layeredit.core import (Instance, InputError, Solution, apply_edits, edited_layers,
-                            is_cluster_graph, layer_from_edges, pair, verify)
+from layeredit.core import (Instance, InputError, PairIndex, SearchStats, Solution, apply_edits,
+                            edited_layers, is_cluster_graph, layer_from_edges, pair, verify)
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
+from layeredit.oracle import _cover_within as brute_force_cover
 from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
-from layeredit.twolayer import (cluster_labels, clusterings_compatible, linear_sum_assignment,
-                                solve_two_layer_zero_edit)
+from layeredit.twolayer import cluster_labels, solve_two_layer_zero_edit
 
 from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
 
@@ -190,6 +188,19 @@ class TestEnumerationPastDeskScale:
             assert all(is_cluster_graph(apply_edits(g, m)) for m in part)
 
 
+def cover_decision(g1, g2, d):
+    """The sweep's check on two cluster graphs: whether d vertices cover
+    every pair on which they differ, checked against the two-layer
+    matching solver and, at n <= 8, the oracle's cover branching."""
+    index = PairIndex(g1.n)
+    differ = index.pair_mask(g1.edges ^ g2.edges)
+    got = index.cover_within(differ, d)
+    assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
+    if g1.n <= 8:
+        assert got == (brute_force_cover(g1.edges ^ g2.edges, d) is not None)
+    return got, not (differ.bit_count() <= d or index.matching_exceeds(differ, d))
+
+
 class TestSweepCheck:
     def test_weight_decision_matches_the_two_layer_solver(self, rng):
         for _ in range(600):
@@ -198,37 +209,45 @@ class TestSweepCheck:
             g1, g2 = random_cluster_graph(rng, n), random_cluster_graph(rng, n)
             if rng.random() < 0.3:
                 g2 = g1
-            got = clusterings_compatible(cluster_labels(g1), cluster_labels(g2), d)
-            assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
+            cover_decision(g1, g2, d)
 
     def test_near_equal_clusterings_reach_the_bound_band(self, rng):
-        # Moving d-1 .. d+2 vertices puts the matching weight next to n - d,
-        # where neither the diagonal nor the upper bound alone decides.
-        needed_solve = bound_rejects = 0
+        # Moving d-1 .. d+2 vertices puts the partition distance next to d,
+        # where neither the pair count nor the matching alone decides.
+        answers, branched = Counter(), 0
         for _ in range(1500):
-            n = rng.randint(2, 16)
+            n = rng.randint(2, 24)
             d = rng.randint(1, 4)
             left = list(cluster_labels(random_cluster_graph(rng, n)))
             right = list(left)
             for v in rng.sample(range(n), min(n, rng.randint(d - 1, d + 2))):
                 right[v] = rng.choice(right + [0])  # 0: a new cluster
-            g1, g2 = graph_of(left), graph_of(right)
-            left, right = cluster_labels(g1), cluster_labels(g2)
-            cells = Counter(zip(left, right))
-            weight, _ = linear_sum_assignment(cells)
-            diagonal = sum(map(eq, left, right))
-            row_max, col_max = Counter(), Counter()
-            for (a, b), w in cells.items():
-                row_max[a] = max(row_max[a], w)
-                col_max[b] = max(col_max[b], w)
-            bound = min(sum(row_max.values()), sum(col_max.values()))
-            cell_bound = n - (len(cells) - min(len(set(left)), len(set(right))))
-            assert diagonal <= weight <= bound <= cell_bound
-            got = clusterings_compatible(left, right, d)
-            assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
-            needed_solve += diagonal < n - d <= bound
-            bound_rejects += bound < n - d <= cell_bound
-        assert needed_solve > 50 and bound_rejects > 10
+            got, undecided = cover_decision(graph_of(left), graph_of(right), d)
+            answers[got] += 1
+            branched += undecided
+        assert answers[True] >= 50 and answers[False] >= 50 and branched > 50
+
+    def test_cover_and_matching_on_small_masks(self):
+        index = PairIndex(5)
+        mask = index.pair_mask
+        single = mask([(2, 3)])
+        star = mask([(1, 2), (1, 3), (1, 4), (1, 5)])
+        triangle = mask([(1, 2), (1, 3), (2, 3)])
+        disjoint = mask([(1, 2), (3, 4)])
+        # nothing to cover: accepted at any budget, no matching
+        assert index.cover_within(0, 0) and not index.matching_exceeds(0, 0)
+        # d = 0 covers nothing
+        assert not index.cover_within(single, 0) and index.matching_exceeds(single, 0)
+        # a star: its centre covers it, a matching holds one pair
+        assert index.cover_within(star, 1) and not index.cover_within(star, 0)
+        assert not index.matching_exceeds(star, 1) and index.matching_exceeds(star, 0)
+        # a triangle needs 2, yet a matching holds one pair: only the branching rejects d = 1
+        assert index.cover_within(triangle, 2) and not index.cover_within(triangle, 1)
+        assert not index.matching_exceeds(triangle, 1)
+        # |F| <= d accepts without a matching; two disjoint pairs need 2
+        assert index.cover_within(disjoint, 2) and index.cover_within(star, 4)
+        assert not index.cover_within(disjoint, 1) and index.matching_exceeds(disjoint, 1)
+        assert not index.matching_exceeds(star, 4)
 
     def test_clusters_follow_the_edits(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
