@@ -16,15 +16,16 @@ ascending bits are lexicographic pair order.  Every constraint is clean: no
 edit touches a marked vertex, because a mark child drops the edits at its
 new mark when it is built.  A ``SearchContext`` is a ``core.PairIndex``
 (the pair list, each pair's bit, the pairs touching each vertex and the
-matching test of the marks bound) that also holds the tables of one
-instance the search needs, built once per solve: every layer's edge set as
-a pair bitmask and edit budget k_i, and a memo of P3 rows.  The search reads
-masks only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj``
-with its edits toggled in (``toggled_adj``), and is skipped on a mark child
-of a constraint it did not apply to; the frozen-edit bound and rule 3's
-per-layer kernel (``kernel_k``) read a layer's P3 rows (``toggled_p3s``,
-derived from the rows with one toggled pair fewer); rule 3 and extraction
-run ``min_marked_completion`` on toggled adjacencies.  Only the returned
+matching test of the marks bound, shared between solves of the same n)
+that also holds the tables of one instance the search needs, built once
+per solve: every layer's edge set as a pair bitmask and edit budget k_i,
+and a memo of P3 rows.  The search reads masks only: rule 1 runs
+``core.first_p3`` on layer 0's ``LayerGraph.adj`` with its edits toggled in
+(``toggled_adj``), and is skipped on a mark child of a constraint it did
+not apply to; the frozen-edit bound and rule 3's per-layer kernel
+(``kernel_k``) read a layer's P3 rows (``toggled_p3s``, derived from the
+rows with one toggled pair fewer); rule 3 and extraction run
+``min_marked_completion`` on toggled adjacencies.  Only the returned
 ``Solution`` decodes to frozensets.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
@@ -45,6 +46,7 @@ unpruned search finds.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from functools import reduce
 from operator import and_, or_
@@ -126,8 +128,7 @@ class SearchContext(PairIndex):
             else:  # the center b is the end of u-v that w sees, e the other
                 b, e = (u, v) if adj[w] >> u & 1 else (v, u)
                 key = (b, w, e) if w < e else (b, e, w)
-            rows.append((key, low | pair_bit[u][w] | pair_bit[v][w]))
-        rows.sort()
+            insort(rows, (key, low | pair_bit[u][w] | pair_bit[v][w]))
         if len(self._p3_rows) < FAILED_CAP:
             self._p3_rows[(i, x)] = rows
         return rows

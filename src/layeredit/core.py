@@ -12,7 +12,11 @@ P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
 set of P3s through a vertex pair, on any such mask list.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
 the positions in ``all_pairs(n)``, with the vertex-cover tests on such
-masks that the branch search and the tce sweep share.
+masks that the branch search and the tce sweep share.  Its tables depend on
+n alone, so they are built once per n and shared read-only (as tuples)
+between solves, for the ``PAIR_TABLE_SIZES`` sizes last used; one size
+retains about N^2/16 bytes for its N = n(n-1)/2 pairs, ~1.5 MB at n = 100
+and ~25 MB at n = 200.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
 ``Instance.edit_budgets``.  The errors every command maps to an exit code
@@ -24,7 +28,7 @@ solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -68,8 +72,9 @@ def pairs_of(vertices: Iterable[int]) -> list[Pair]:
     return [pair(u, v) for u, v in combinations(sorted(vertices), 2)]
 
 
-def all_pairs(n: int) -> list[Pair]:
-    return pairs_of(range(1, n + 1))
+def all_pairs(n: int) -> tuple[Pair, ...]:
+    """All pairs of 1..n in lexicographic order."""
+    return tuple(combinations(range(1, n + 1), 2))
 
 
 @dataclass(frozen=True)
@@ -137,19 +142,30 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+PAIR_TABLE_SIZES = 8  # vertex counts whose pair tables stay cached
+
+
+@lru_cache(maxsize=PAIR_TABLE_SIZES)
+def _pair_tables(n: int) -> tuple[tuple[Pair, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``PairIndex``'s tables for n vertices: N = n(n-1)/2 distinct pair
+    bits of up to N bits each, so about N^2/16 bytes."""
+    pairs = all_pairs(n)
+    # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
+    pair_bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(pairs):
+        pair_bit[u][v] = pair_bit[v][u] = 1 << i
+    touching = tuple(sum(row) for row in pair_bit)  # pairs at each vertex (distinct bits)
+    return pairs, tuple(map(tuple, pair_bit)), touching
+
+
 class PairIndex:
     """The package's one pair encoding: a set of vertex pairs of 1..n is an
     int bitmask, a pair's bit being its position in ``all_pairs(n)``, so
-    ascending bits are lexicographic pair order."""
+    ascending bits are lexicographic pair order.  The tables are tuples
+    shared by every index of the same n (``_pair_tables``)."""
 
     def __init__(self, n: int):
-        self.pairs = list(combinations(range(1, n + 1), 2))  # all_pairs(n), unchecked
-        # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
-        pair_bit = [[0] * (n + 1) for _ in range(n + 1)]
-        for i, (u, v) in enumerate(self.pairs):
-            pair_bit[u][v] = pair_bit[v][u] = 1 << i
-        self.pair_bit = pair_bit
-        self.touching = [sum(row) for row in pair_bit]  # pairs at each vertex (distinct bits)
+        self.pairs, self.pair_bit, self.touching = _pair_tables(n)
 
     def pair_mask(self, pairs: Iterable[Pair]) -> int:
         mask = 0

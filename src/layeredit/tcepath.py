@@ -24,7 +24,10 @@ one lookup.  With d > 0 every reachable node is tried in order with
 ``PairIndex.cover_within``, which settles most checks by the size of F or
 a greedy matching of it and otherwise branches on the ends of its lowest
 pair, 2^d leaves at worst.  Only the final path's gaps get a mark set,
-from ``solve_two_layer_zero_edit``.
+and only a gap whose edited layers differ gets a two-layer solve
+(``solve_two_layer_zero_edit``); one whose layers are equal gets the empty
+set, which is what that solve returns there.  ``verify`` still checks
+every layer and gap of the result.
 """
 
 from __future__ import annotations
@@ -180,6 +183,11 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     edited = edited_layers(inst.layers, edits)
     marks = []
     for ga, gb in zip(edited, edited[1:]):
+        if ga.edges == gb.edges:
+            # Equal clusterings: every cell of the matching is alone in its
+            # row and column, so the minimum mark set is empty.
+            marks.append(frozenset())
+            continue
         witness = solve_two_layer_zero_edit(ga, gb, inst.d)
         if witness is None:
             raise RuntimeError("compatibility witness vanished during reconstruction")

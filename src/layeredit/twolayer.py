@@ -1,8 +1,9 @@
 """Exact zero-edit two-layer solver via maximum-weight bipartite matching.
 
 The tce search uses it only for the witness of its final path: the mark
-set of each gap.  Both layers must already be cluster graphs.  In each
-layer every vertex is named by its cluster's smallest vertex
+set of each gap whose two edited layers differ (a gap of equal layers needs
+no marks and gets no solve).  Both layers must already be cluster graphs.
+In each layer every vertex is named by its cluster's smallest vertex
 (``cluster_labels``), and the bipartite weights count the vertices of each
 (left label, right label) cell.  A marking set of size at most d exists iff
 the maximum matching weight is at least n - d, and the marked set is the

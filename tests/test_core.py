@@ -3,12 +3,17 @@ from itertools import combinations
 
 import pytest
 
+from layeredit.branching import solve_mlce
 from layeredit.core import (
+    PAIR_TABLE_SIZES,
     InputError,
     Instance,
     LayerGraph,
     P3Witness,
+    PairIndex,
     Solution,
+    _pair_tables,
+    all_pairs,
     apply_edits,
     consistent_after_removal,
     count_p3_through_pair,
@@ -18,6 +23,7 @@ from layeredit.core import (
     layer_from_edges,
     verify,
 )
+from layeredit.tcepath import solve_tce_xp
 
 from conftest import (
     check_solution_independently,
@@ -345,3 +351,40 @@ class TestInstanceValidation:
             Solution((frozenset(),))
         with pytest.raises(InputError):
             Solution((frozenset(),), marked=frozenset(), marked_per_gap=())
+
+
+def fresh_pair_tables(n):
+    """The pair tables of n vertices built anew, bypassing the shared cache."""
+    return _pair_tables.__wrapped__(n)
+
+
+class TestPairIndex:
+    def test_tables_encode_all_pairs(self):
+        for n in range(1, 11):
+            index, size = PairIndex(n), n * (n - 1) // 2
+            assert index.pairs == all_pairs(n)
+            bit = index.pair_bit
+            assert all(bit[u][v] == bit[v][u] for u in range(n + 1) for v in range(n + 1))
+            assert [bit[u][v] for u, v in index.pairs] == [1 << i for i in range(size)]
+            assert sum(map(sum, bit)) == 2 * ((1 << size) - 1)  # no other bits
+            for v in range(n + 1):
+                assert index.touching[v] == sum(1 << i for i, p in enumerate(index.pairs)
+                                                if v in p)
+
+    def test_indexes_of_one_n_share_their_tables(self):
+        a, b = PairIndex(7), PairIndex(7)
+        assert a.pairs is b.pairs and a.pair_bit is b.pair_bit and a.touching is b.touching
+        assert isinstance(a.pairs, tuple) and isinstance(a.touching, tuple)
+        assert all(isinstance(row, tuple) for row in a.pair_bit)
+
+    def test_cache_is_bounded(self):
+        for n in range(30, 31 + PAIR_TABLE_SIZES + 3):
+            PairIndex(n)
+        assert _pair_tables.cache_info().currsize <= PAIR_TABLE_SIZES
+
+    def test_solves_leave_the_shared_tables_intact(self):
+        mlce, tce = ref_instance("mlce", 1, 2), ref_instance("tce", 1, 1)
+        assert solve_mlce(mlce) is not None and solve_tce_xp(tce) is not None
+        for n in {mlce.n, tce.n}:
+            index = PairIndex(n)
+            assert (index.pairs, index.pair_bit, index.touching) == fresh_pair_tables(n)

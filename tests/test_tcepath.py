@@ -11,6 +11,7 @@ from layeredit.core import (Instance, InputError, PairIndex, SearchStats, Soluti
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
 from layeredit.oracle import _cover_within as brute_force_cover
+from layeredit import tcepath
 from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
 from layeredit.twolayer import cluster_labels, solve_two_layer_zero_edit
 
@@ -303,6 +304,43 @@ class TestSolveTceXp:
                 assert serialize_solution(solve_tce_xp(inst), inst) == want
                 answers[want.splitlines()[1]] += 1
         assert answers["answer yes"] > 50 and answers["answer no"] > 10
+
+    @staticmethod
+    def record_witness_solves(monkeypatch):
+        """The layer pairs solve_tce_xp passes to solve_two_layer_zero_edit."""
+        calls = []
+
+        def recorded(g1, g2, d):
+            calls.append((g1.edges, g2.edges))
+            return solve_two_layer_zero_edit(g1, g2, d)
+
+        monkeypatch.setattr(tcepath, "solve_two_layer_zero_edit", recorded)
+        return calls
+
+    def test_no_witness_solve_without_marks(self, monkeypatch):
+        calls = self.record_witness_solves(monkeypatch)
+        for seed in range(5):
+            inst = replace(generate_planted(PlantedParams(10, 4, 6, 0, 1, seed), "tce"), k=2, d=0)
+            sol = solve_tce_xp(inst)
+            assert sol is not None and sol.marked_per_gap == (frozenset(),) * 3
+        assert calls == []
+
+    def test_witness_solves_only_gaps_whose_layers_differ(self, monkeypatch):
+        calls = self.record_witness_solves(monkeypatch)
+        gaps = Counter()
+        for seed in range(8):
+            inst = replace(generate_planted(PlantedParams(10, 4, 6, 1, 1, seed), "tce"), k=2, d=1)
+            del calls[:]
+            sol = solve_tce_xp(inst)
+            assert sol is not None
+            edited = edited_layers(inst.layers, sol.edits)
+            differing = [(a.edges, b.edges) for a, b in zip(edited, edited[1:])
+                         if a.edges != b.edges]
+            assert calls == differing
+            for a, b, marks in zip(edited, edited[1:], sol.marked_per_gap):
+                assert marks == solve_two_layer_zero_edit(a, b, inst.d)
+                gaps[a.edges == b.edges] += 1
+        assert gaps[True] >= 3 and gaps[False] >= 15
 
     def test_stats_count_the_part_nodes(self):
         inst = replace(generate_planted(PlantedParams(10, 3, 6, 1, 1, 0), "tce"), k=2, d=1)
