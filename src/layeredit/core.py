@@ -10,6 +10,10 @@ component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
 P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
 set of P3s through a vertex pair, on any such mask list.
+``is_cluster_graph`` needs no P3: it compares closed neighbourhoods, O(n)
+mask operations (each vertex's N[] must equal that of its smallest member,
+so adjacent vertices share N[] and every component is a clique), which
+keeps the cluster tests of ``twolayer`` and the oracles cheap.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
 the positions in ``all_pairs(n)``, with the vertex-cover tests on such
 masks that the branch search and the tce sweep share.  Its tables depend on
@@ -287,8 +291,29 @@ def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optiona
 
 
 def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> bool:
-    """True iff every connected component of g[restrict] is a clique."""
-    return find_p3(g, restrict) is None
+    """True iff every connected component of g[restrict] is a clique.
+
+    O(n) mask operations, no P3 scan: with R the restriction and N[v] the
+    closed neighbourhood, every v in R must have N[v]&R == N[r]&R for
+    r = min(N[v]&R).  That holds in a cluster graph (both are v's
+    component).  Conversely, if it holds everywhere and u is in N[v], then
+    min(N[u]&R) = min(N[v]&R), as each lies in the other's N[], so
+    adjacent vertices share N[] and every component is a clique.
+    ``find_p3`` names a P3 where one is needed."""
+    adj = g.adj
+    inside = (1 << (g.n + 1)) - 2
+    if restrict is not None:
+        inside &= vertex_mask(restrict)
+    rest = inside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        closed = (adj[v] | low) & inside
+        first = closed & -closed
+        if (adj[first.bit_length() - 1] | first) & inside != closed:
+            return False
+    return True
 
 
 def induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
@@ -469,6 +494,5 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
 
 def _first_disagreement(g1: LayerGraph, g2: LayerGraph,
                         removed: frozenset[int]) -> Optional[Pair]:
-    diff = sorted(p for p in g1.edges ^ g2.edges
-                  if p[0] not in removed and p[1] not in removed)
-    return diff[0] if diff else None
+    return min((p for p in g1.edges ^ g2.edges
+                if p[0] not in removed and p[1] not in removed), default=None)

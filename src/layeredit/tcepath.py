@@ -20,14 +20,15 @@ distance of the two clusterings (Gusfield, IPL 2002).  Every node is a
 A node's predecessor is the first reachable node of the previous part that
 is compatible with it.  With d = 0 F must be empty, E_c = E_p xor Delta_i,
 so the reachable nodes are indexed by E_p xor Delta_i and each node does
-one lookup.  With d > 0 every reachable node is tried in order with
-``PairIndex.cover_within``, which settles most checks by the size of F or
-a greedy matching of it and otherwise branches on the ends of its lowest
-pair, 2^d leaves at worst.  Only the final path's gaps get a mark set,
-and only a gap whose edited layers differ gets a two-layer solve
-(``solve_two_layer_zero_edit``); one whose layers are equal gets the empty
-set, which is what that solve returns there.  ``verify`` still checks
-every layer and gap of the result.
+one lookup.  With d > 0 every reachable node is tried in order: an F of
+at most d pairs is accepted on its size, and any other goes to
+``PairIndex.cover_within``, which settles most checks by a greedy matching
+of F and otherwise branches on the ends of its lowest pair, 2^d leaves at
+worst.  Only the final path's gaps get a mark set, and only a gap whose
+edited layers differ gets a two-layer solve (``solve_two_layer_zero_edit``,
+a matching over the vertices those layers disagree on); one whose layers
+are equal gets the empty set, which is what that solve returns there.
+``verify`` still checks every layer and gap of the result.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     # (mask, v, rest) records, mask holding the placed u whose pair with v
     # is toggled; it is decoded into pairs only at the leaves.
     stack = [(0, 0, None, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, spent, chain, clusters = stack.pop()
+        i, spent, chain, clusters = pop()
         if spent == k or i == n:
             # Budget spent (or nothing left to place): each remaining vertex
             # joins the cluster equal to its placed neighbours, or opens one
@@ -95,13 +97,18 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
             else:
                 found.append(_toggled_pairs(chain))
             continue
-        v = order[i]
-        for idx, members in enumerate(clusters + (0,)):  # 0 opens a new cluster
-            mask = members ^ before[i]  # non-edges inside, edges leaving it
-            cost = mask.bit_count()
-            if spent + cost <= k:
-                stack.append((i + 1, spent + cost, (mask, v, chain) if mask else chain,
-                              clusters[:idx] + (members | 1 << v,) + clusters[idx + 1:]))
+        v, nbrs = order[i], before[i]
+        bit = 1 << v
+        i += 1
+        for idx, members in enumerate(clusters):
+            mask = members ^ nbrs  # non-edges inside, edges leaving it
+            cost = spent + mask.bit_count()
+            if cost <= k:
+                push((i, cost, (mask, v, chain) if mask else chain,
+                      clusters[:idx] + (members | bit,) + clusters[idx + 1:]))
+        cost = spent + nbrs.bit_count()  # v opens a new cluster
+        if cost <= k:
+            push((i, cost, (nbrs, v, chain) if nbrs else chain, clusters + (bit,)))
     return [frozenset(t) for t in sorted(found)]
 
 
@@ -135,6 +142,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     # Every layer's part is kept, so the path's edit sets are read back from
     # it; only the current frontier's pair masks live across the sweep.
     index = PairIndex(inst.n)
+    cover_within, d = index.cover_within, inst.d
 
     def enumerate_part(i: int) -> list[frozenset[Pair]]:
         part = enumerate_cluster_editing_sets(inst.layers[i], budgets[i])
@@ -153,7 +161,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
         parts.append(enumerate_part(i))
         masks = [index.pair_mask(m) for m in parts[i]]
         delta = index.pair_mask(inst.layers[i - 1].edges ^ inst.layers[i].edges)
-        if inst.d == 0:
+        if d == 0:
             # Without marks F must be empty: look each node up by its edits,
             # keeping the first reachable node per E_p xor Delta_i.
             first: dict[int, int] = {}
@@ -161,9 +169,18 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
                 first.setdefault(prev_masks[j] ^ delta, j)
             preds = [first.get(m) for m in masks]
         else:
+            # First reachable node whose F has a cover of at most d vertices;
+            # an F of at most d pairs has one without the call.
             frontier = [(j, prev_masks[j] ^ delta) for j in reachable]
-            preds = [next((j for j, f in frontier if index.cover_within(f ^ m, inst.d)), None)
-                     for m in masks]
+            preds = []
+            for m in masks:
+                for j, f in frontier:
+                    f ^= m
+                    if f.bit_count() <= d or cover_within(f, d):
+                        preds.append(j)
+                        break
+                else:
+                    preds.append(None)
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
         prev_masks = masks
@@ -188,7 +205,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
             # row and column, so the minimum mark set is empty.
             marks.append(frozenset())
             continue
-        witness = solve_two_layer_zero_edit(ga, gb, inst.d)
+        witness = solve_two_layer_zero_edit(ga, gb, d)
         if witness is None:
             raise RuntimeError("compatibility witness vanished during reconstruction")
         marks.append(witness)

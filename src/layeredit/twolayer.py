@@ -2,13 +2,19 @@
 
 The tce search uses it only for the witness of its final path: the mark
 set of each gap whose two edited layers differ (a gap of equal layers needs
-no marks and gets no solve).  Both layers must already be cluster graphs.
+no marks and gets no solve).  Both layers must be cluster graphs; the
+solver checks that itself, in O(n) per layer (``is_cluster_graph``), as
+direct callers rely on it, though the search's layers always are.
 In each layer every vertex is named by its cluster's smallest vertex
 (``cluster_labels``), and the bipartite weights count the vertices of each
 (left label, right label) cell.  A marking set of size at most d exists iff
 the maximum matching weight is at least n - d, and the marked set is the
 vertices whose cell is not matched.  n - (maximum matching weight) is the
-partition distance of the two clusterings (Gusfield, IPL 2002).
+partition distance of the two clusterings (Gusfield, IPL 2002).  Only the
+t touched vertices, those in a pair where the layers differ, can be marked:
+any other vertex's cluster is whole and equal in both layers, a cell alone
+in its row and column.  So the solver weighs the touched vertices' cells
+alone and asks for weight t - d.
 
 The assignment is solved by successive shortest augmenting paths, one row
 at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
@@ -111,17 +117,32 @@ def max_weight_matching(weights: dict[tuple[int, int], int]
 def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optional[frozenset[int]]:
     """Marking set D with |D| <= d making the two layers equal, or None.
 
-    Handles non-cluster inputs (answer is then always None).  The returned
-    set has minimum size among all valid marking sets.
+    Handles non-cluster inputs (answer is then always None); both layers
+    are tested, in O(n) each, because direct callers rely on it.  The
+    returned set has minimum size among all valid marking sets.
+
+    Only the t touched vertices get a cell.  An untouched vertex's whole
+    cluster is untouched and the same in both layers, so its cell holds
+    that cluster and is alone in its row and column: every maximum
+    matching holds it, it never raises a mark, and it leaves the tie-break
+    order of the other cells as it is.  So the test is weight >= t - d,
+    and the result is the one the matching over all n vertices gives.
     """
     if g1.n != g2.n:
         raise InputError("layer size mismatch")
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         return None
-    cells = list(zip(cluster_labels(g1), cluster_labels(g2)))
-    weights = Counter(cells)
-    matching, weight = max_weight_matching(weights)
-    if weight < g1.n - d:
+    # Cells of the t touched vertices, those in a pair of g1.edges ^ g2.edges
+    # (their neighbourhoods differ): their ``cluster_labels``, computed for
+    # these vertices alone.
+    cells = {}
+    for v, (a, b) in enumerate(zip(g1.adj, g2.adj)):
+        if a != b:
+            a |= 1 << v
+            b |= 1 << v
+            cells[v] = ((a & -a).bit_length() - 1, (b & -b).bit_length() - 1)
+    matching, weight = max_weight_matching(Counter(cells.values()))
+    if weight < len(cells) - d:
         return None
     matched = set(matching)
-    return frozenset(v for v, cell in enumerate(cells, start=1) if cell not in matched)
+    return frozenset(v for v, cell in cells.items() if cell not in matched)

@@ -31,6 +31,7 @@ from conftest import (
     ref_mlce_solution_k1_d2,
     ref_mlce_solution_k3_d1,
     ref_tce_solution,
+    random_cluster_graph,
     random_instance,
     random_layers,
     with_random_budgets,
@@ -134,6 +135,27 @@ class TestIsClusterGraph:
     def test_ref_layer2_restricted_to_triangle(self):
         g = ref_instance("mlce", 1, 1).layers[1]
         assert is_cluster_graph(g, frozenset({2, 3, 4}))
+
+    def test_agrees_with_find_p3(self, rng):
+        # the closed-neighbourhood test against the P3 scan: cluster graphs a
+        # few toggles off (near the boundary) and dense random graphs, each
+        # under no restriction, the empty one, singletons and random sets
+        yes = 0
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            if rng.random() < 0.7:
+                g = random_cluster_graph(rng, n)
+                flips = [p for p in all_pairs(n) if rng.random() < 0.08]
+                g = apply_edits(g, frozenset(flips))
+            else:
+                g = random_layers(rng, n, 1, density=rng.random())[0]
+            restricts = [None, frozenset(), frozenset({rng.randint(1, n)}),
+                         frozenset(v for v in range(1, n + 1) if rng.random() < 0.6)]
+            for restrict in restricts:
+                got = is_cluster_graph(g, restrict)
+                assert got == (find_p3(g, restrict) is None), (g, restrict)
+                yes += got
+        assert 600 < yes < 2400  # both answers are well represented
 
 
 class TestConsistentAfterRemoval:

@@ -178,12 +178,35 @@ class TestSolveTwoLayer:
                     assert got is not None and len(got) == best
                     assert consistent_after_removal(g1, g2, got)
 
+    def test_equals_the_matching_over_every_vertex(self, rng):
+        # cells only for touched vertices give what one cell per vertex gave,
+        # on random pairs and equal pairs, for every d
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g1 = random_cluster_graph(rng, n)
+            g2 = g1 if rng.random() < 0.2 else random_cluster_graph(rng, n)
+            touched = {v for p in g1.edges ^ g2.edges for v in p}
+            for d in range(n + 1):
+                got = solve_two_layer_zero_edit(g1, g2, d)
+                assert got == _solve_over_every_vertex(g1, g2, d)
+                assert got is None or got <= touched
+
     def test_deterministic(self, rng):
         for _ in range(20):
             g1 = random_cluster_graph(rng, 6)
             g2 = random_cluster_graph(rng, 6)
             assert solve_two_layer_zero_edit(g1, g2, 3) == \
                 solve_two_layer_zero_edit(g1, g2, 3)
+
+
+def _solve_over_every_vertex(g1, g2, d):
+    """The witness with one cell per vertex, as a reference."""
+    cells = list(zip(cluster_labels(g1), cluster_labels(g2)))
+    matching, weight = max_weight_matching(Counter(cells))
+    if weight < g1.n - d:
+        return None
+    matched = set(matching)
+    return frozenset(v for v, cell in enumerate(cells, start=1) if cell not in matched)
 
 
 def test_import_loads_no_numeric_stack():
