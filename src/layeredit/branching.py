@@ -19,14 +19,17 @@ new mark when it is built.  A ``SearchContext`` is a ``core.PairIndex``
 matching test of the marks bound, shared between solves of the same n)
 that also holds the tables of one instance the search needs, built once
 per solve: every layer's edge set as a pair bitmask and edit budget k_i,
-and a memo of P3 rows.  The search reads masks only: rule 1 runs
-``core.first_p3`` on layer 0's ``LayerGraph.adj`` with its edits toggled in
-(``toggled_adj``), and is skipped on a mark child of a constraint it did
-not apply to; the frozen-edit bound and rule 3's per-layer kernel
-(``kernel_k``) read a layer's P3 rows (``toggled_p3s``, derived from the
-rows with one toggled pair fewer); rule 3 and extraction run
-``min_marked_completion`` on toggled adjacencies.  Only the returned
-``Solution`` decodes to frozensets.
+and a memo of P3 rows.  The search reads masks only: the greedy root takes
+the majority of the layers' pair masks with bit-sliced counters
+(``majority_mask``); rule 1 runs ``core.first_p3`` on layer 0's
+``LayerGraph.adj`` with its edits toggled in (``toggled_adj``), and is
+skipped on a mark child of a constraint it did not apply to; the
+frozen-edit bound and rule 3's per-layer kernel (``kernel_k``) read a
+layer's P3 rows (``toggled_p3s``, derived from the rows with one toggled
+pair fewer); rule 3 runs ``min_marked_completion`` on toggled adjacencies,
+once per layer, and an accepted constraint's solution is assembled from
+the completions rule 3 found for it.  Only the returned ``Solution``
+decodes to frozensets, and ``core.verify`` checks it on masks of its own.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
 toggle child that gives a layer more frozen edits than its budget k_i.  Of
@@ -38,10 +41,11 @@ marks than the marks and the budgets have left (``mark_bound_rejects``, a
 matching bound; a mark child's inputs to it come from its parent's).  The
 frozen-edit bound reads only the permanent pairs and the frozen edits,
 which mark children leave alone, so it is evaluated at the root and then
-once per (permanent, frozen edits) of a search; ``SearchStats`` counts the
-drops by cause.  Pruned subtrees hold no solution and the surviving
-children keep their order, so the first solution found is the one an
-unpruned search finds.
+once per (permanent, frozen edits) of a search, starting at the layer that
+rejected last (a verdict over all layers, so the order changes only the
+work); ``SearchStats`` counts the drops by cause.  Pruned subtrees hold no
+solution and the surviving children keep their order, so the first
+solution found is the one an unpruned search finds.
 """
 
 from __future__ import annotations
@@ -97,6 +101,8 @@ class SearchContext(PairIndex):
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
+        ell = inst.ell
+        self.layer_orders = tuple(tuple(range(s, ell)) + tuple(range(s)) for s in range(ell))
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
                                   for a, b, c in g.p3s] for i, g in enumerate(inst.layers)}
 
@@ -159,12 +165,37 @@ def constraint_quality(c: Constraint) -> int:
 def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     """Majority-vote alignment: a pair present in at least half of the layers
     is added everywhere, any other pair is deleted everywhere."""
-    inst = ctx.inst
-    if inst.mode != MLCE:
+    if ctx.inst.mode != MLCE:
         raise InputError("greedy alignment is defined for mlce instances")
-    counts = Counter(p for g in inst.layers for p in g.edges)
-    majority = ctx.pair_mask(p for p, cnt in counts.items() if 2 * cnt >= inst.ell)
+    majority = majority_mask(ctx.layer_masks)
     return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
+
+
+def majority_mask(masks: Sequence[int]) -> int:
+    """The bits set in at least half of the (at least one) ``masks``.
+
+    Counted bit-sliced: bit j of ``count[t]`` is bit t of the number of
+    masks holding bit j, so adding a mask is a ripple carry over the slices,
+    and the count is compared with the threshold slice by slice, highest
+    first."""
+    count: list[int] = []
+    for carry in masks:
+        for t, slice_ in enumerate(count):
+            count[t], carry = slice_ ^ carry, slice_ & carry
+            if not carry:
+                break
+        else:
+            count.append(carry)
+    need = (len(masks) + 1) // 2
+    count += [0] * (need.bit_length() - len(count))
+    above, equal = 0, -1  # bits whose higher count slices exceed / match need's
+    for t in reversed(range(len(count))):
+        if need >> t & 1:
+            equal &= count[t]
+        else:
+            above |= equal & count[t]
+            equal &= ~count[t]
+    return above | equal
 
 
 def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
@@ -206,9 +237,18 @@ def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
 
 def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
     """Some layer's ``frozen_edit_bound`` exceeds its budget k_i."""
-    permanent = c.permanent
-    return any(frozen_edit_bound(ctx, i, m & permanent, permanent, k_i) is None
-               for i, (m, k_i) in enumerate(zip(c.edits, ctx.budgets)))
+    return rejecting_layer(ctx, c) is not None
+
+
+def rejecting_layer(ctx: SearchContext, c: Constraint, start: int = 0) -> Optional[int]:
+    """The first layer, in cyclic order from layer ``start``, whose
+    ``frozen_edit_bound`` exceeds its budget k_i; None if none does, from
+    any ``start``."""
+    permanent, edits, budgets = c.permanent, c.edits, ctx.budgets
+    for i in ctx.layer_orders[start]:
+        if frozen_edit_bound(ctx, i, edits[i] & permanent, permanent, budgets[i]) is None:
+            return i
+    return None
 
 
 def mark_bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
@@ -409,19 +449,27 @@ def _complete(adj: Sequence[int], marked: int, budget: int) -> Optional[list[Pai
     return None
 
 
-def branching_rule_3(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
+def branching_rule_3(ctx: SearchContext, c: Constraint,
+                     completions: Optional[list[frozenset[Pair]]] = None
+                     ) -> Optional[list[Constraint]]:
     """Repair the first layer that cannot be finished with marked-only edits.
 
     None when every layer admits a marked-only completion within what is
     left of its budget k_i.  Otherwise branches on undoing a loose edit of
     the layer, on marking an endpoint of an edit forced by the per-layer
     kernel, on committing all kernel decisions at once, and on each open
-    kernel pair.  An empty list signals a dead branch.
+    kernel pair.  An empty list signals a dead branch.  ``completions``, if
+    given, receives each layer's ``min_marked_completion`` up to the first
+    layer that has none, so it holds every layer's when the rule returns
+    None.
     """
+    found = [] if completions is None else completions
     for i, (m_i, k_i) in enumerate(zip(c.edits, ctx.budgets)):
-        if min_marked_completion(ctx.toggled_adj(i, m_i), c.marked,
-                                 k_i - m_i.bit_count()) is None:
+        completion = min_marked_completion(ctx.toggled_adj(i, m_i), c.marked,
+                                           k_i - m_i.bit_count())
+        if completion is None:
             break
+        found.append(completion)
     else:
         return None
 
@@ -478,7 +526,8 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
 
 class _Search:
     """One depth-first search: its reporting hooks, the memo of failed
-    constraints and the bound verdicts by (permanent, frozen edits)."""
+    constraints, the bound verdicts by (permanent, frozen edits) and the
+    layer whose bound rejected last."""
 
     def __init__(self, ctx: SearchContext, trace: Optional[TraceFn], check: bool,
                  stats: Optional[SearchStats]):
@@ -488,6 +537,7 @@ class _Search:
         self.stats = SearchStats() if stats is None else stats
         self.failed: set[Constraint] = set()
         self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.last_reject = 0
 
     def run(self, c: Constraint, depth: int, p3_free: bool = False) -> Optional[Solution]:
         """Depth-first search below ``c``.  A constraint's subtree depends
@@ -513,13 +563,14 @@ class _Search:
             children = branching_rule_2(ctx, c)
             rule = "rule2"
         if children is None:
-            children = branching_rule_3(ctx, c)
+            completions: list[frozenset[Pair]] = []
+            children = branching_rule_3(ctx, c, completions)
             rule = "rule3"
         if children is None:
             if trace:
                 trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
                       f"|B|={c.permanent.bit_count()}")
-            sol = _extract_solution(ctx, c)
+            sol = _extract_solution(ctx, c, completions)
             if self.check:
                 _check_bound_holds(ctx, c, sol)
             return sol
@@ -564,25 +615,28 @@ class _Search:
         return kept
 
     def dead_by_bound(self, c: Constraint) -> bool:
-        """``bound_rejects``, remembered by (permanent, frozen edits)."""
+        """``bound_rejects``, remembered by (permanent, frozen edits),
+        starting at the layer that rejected last."""
         permanent = c.permanent
         key = (permanent, tuple([m & permanent for m in c.edits]))
         dead = self.dead.get(key)
         if dead is None:
-            dead = bound_rejects(self.ctx, c)
+            layer = rejecting_layer(self.ctx, c, self.last_reject)
+            dead = layer is not None
+            if dead:
+                self.last_reject = layer
             if len(self.dead) < FAILED_CAP:
                 self.dead[key] = dead
         return dead
 
 
-def _extract_solution(ctx: SearchContext, c: Constraint) -> Solution:
-    edits = []
-    for i, (m, k_i) in enumerate(zip(c.edits, ctx.budgets)):
-        completion = min_marked_completion(ctx.toggled_adj(i, m), c.marked, k_i - m.bit_count())
-        if completion is None:
-            raise RuntimeError("completion vanished after rules stopped applying")
-        edits.append(ctx.pair_set(m) | completion)
-    return Solution(tuple(edits), marked=ctx.vertex_set(c.marked))
+def _extract_solution(ctx: SearchContext, c: Constraint,
+                      completions: list[frozenset[Pair]]) -> Solution:
+    """The solution of an accepted constraint: each layer's edits plus the
+    marked-only completion rule 3 found for it."""
+    return Solution(tuple([ctx.pair_set(m) | completion
+                           for m, completion in zip(c.edits, completions)]),
+                    marked=ctx.vertex_set(c.marked))
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:

@@ -10,10 +10,14 @@ component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
 P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
 set of P3s through a vertex pair, on any such mask list.
-``is_cluster_graph`` needs no P3: it compares closed neighbourhoods, O(n)
-mask operations (each vertex's N[] must equal that of its smallest member,
-so adjacent vertices share N[] and every component is a clique), which
-keeps the cluster tests of ``twolayer`` and the oracles cheap.
+``is_cluster_adj`` is the one cluster test and needs no P3: it compares
+closed neighbourhoods, O(n) mask operations (each vertex's N[] must equal
+that of its smallest member, so adjacent vertices share N[] and every
+component is a clique); ``is_cluster_graph`` runs it on a layer, and
+``verify`` on each edited layer's masks, so the cluster tests of
+``twolayer``, the oracles and ``verify`` stay cheap.  ``verify`` builds no
+``LayerGraph``, frozenset or ``PairIndex``: it toggles the edits into a
+copy of each layer's masks and compares the layers row by row.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
 the positions in ``all_pairs(n)``, with the vertex-cover tests on such
 masks that the branch search and the tce sweep share.  Its tables depend on
@@ -291,25 +295,30 @@ def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optiona
 
 
 def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> bool:
-    """True iff every connected component of g[restrict] is a clique.
+    """True iff every connected component of g[restrict] is a clique
+    (``is_cluster_adj`` on g's masks).  ``find_p3`` names a P3 where one is
+    needed."""
+    inside = (1 << (g.n + 1)) - 2
+    if restrict is not None:
+        inside &= vertex_mask(restrict)
+    return is_cluster_adj(g.adj, inside)
+
+
+def is_cluster_adj(adj: Sequence[int], inside: int) -> bool:
+    """Whether the graph with bitmask adjacency ``adj`` (index 0 unused),
+    restricted to the vertex mask ``inside``, is a cluster graph.
 
     O(n) mask operations, no P3 scan: with R the restriction and N[v] the
     closed neighbourhood, every v in R must have N[v]&R == N[r]&R for
     r = min(N[v]&R).  That holds in a cluster graph (both are v's
     component).  Conversely, if it holds everywhere and u is in N[v], then
     min(N[u]&R) = min(N[v]&R), as each lies in the other's N[], so
-    adjacent vertices share N[] and every component is a clique.
-    ``find_p3`` names a P3 where one is needed."""
-    adj = g.adj
-    inside = (1 << (g.n + 1)) - 2
-    if restrict is not None:
-        inside &= vertex_mask(restrict)
+    adjacent vertices share N[] and every component is a clique."""
     rest = inside
     while rest:
         low = rest & -rest
         rest ^= low
-        v = low.bit_length() - 1
-        closed = (adj[v] | low) & inside
+        closed = (adj[low.bit_length() - 1] | low) & inside
         first = closed & -closed
         if (adj[first.bit_length() - 1] | first) & inside != closed:
             return False
@@ -444,9 +453,15 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
 
     The report lists all violations: edits over the layer's own budget,
     mark-budget overflow, a layer that is not a cluster graph after its
-    edits (with a P3 witness), and consistency failures (with the
-    witnessing pair and layers).  An empty report means the solution is
-    valid.
+    edits (with ``first_p3``'s witness), and consistency failures (with the
+    lowest pair on which two layers differ outside the marks).  An empty
+    report means the solution is valid.
+
+    The check applies the edits itself, to a copy of each layer's
+    ``LayerGraph.adj``, and reads nothing else a solver built: one
+    ``is_cluster_adj`` test per layer, and each pair of layers compared on
+    their rows with the marks cleared.  It keeps ell adjacency lists, n^2
+    bits per layer.
     """
     if len(sol.edits) != inst.ell:
         raise InputError(f"solution has {len(sol.edits)} edit sets, instance has {inst.ell} layers")
@@ -470,29 +485,57 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
             where = "" if inst.mode == MLCE else f" at gap {i}"
             violations.append(f"mark budget exceeded{where}: {len(dset)} > d={inst.d}")
 
-    edited = edited_layers(inst.layers, sol.edits)
-    for i, g in enumerate(edited, start=1):
-        w = find_p3(g)
-        if w is not None:
+    n = inst.n
+    edited = []
+    for g, m in zip(inst.layers, sol.edits):
+        adj = list(g.adj)
+        for u, v in m:
+            if not 1 <= u < v <= n:
+                raise InputError(f"edit pair ({u}, {v}) out of range for n={n}")
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        edited.append(adj)
+    everything = (1 << (n + 1)) - 2
+    for i, adj in enumerate(edited, start=1):
+        if not is_cluster_adj(adj, everything):
+            a, b, c = first_p3(adj, everything)
             violations.append(
-                f"layer {i} is not a cluster graph after edits: induced P3 ({w.a},{w.b},{w.c})")
+                f"layer {i} is not a cluster graph after edits: induced P3 ({a},{b},{c})")
 
     if inst.mode == MLCE:
+        rows = [_unmarked_rows(adj, sol.marked) for adj in edited]
         for i, j in combinations(range(inst.ell), 2):
-            bad = _first_disagreement(edited[i], edited[j], sol.marked)
+            bad = _first_disagreement(rows[i], rows[j])
             if bad is not None:
                 violations.append(
                     f"layers {i + 1} and {j + 1} differ outside marks on pair {bad}")
     else:
-        for i in range(inst.ell - 1):
-            bad = _first_disagreement(edited[i], edited[i + 1], sol.marked_per_gap[i])
+        for i, marked in enumerate(sol.marked_per_gap):
+            bad = _first_disagreement(_unmarked_rows(edited[i], marked),
+                                      _unmarked_rows(edited[i + 1], marked))
             if bad is not None:
                 violations.append(
                     f"layers {i + 1} and {i + 2} differ outside marks on pair {bad} (gap {i + 1})")
     return VerifyReport(tuple(violations))
 
 
-def _first_disagreement(g1: LayerGraph, g2: LayerGraph,
-                        removed: frozenset[int]) -> Optional[Pair]:
-    return min((p for p in g1.edges ^ g2.edges
-                if p[0] not in removed and p[1] not in removed), default=None)
+def _unmarked_rows(adj: Sequence[int], marked: Iterable[int]) -> list[int]:
+    """``adj`` with every marked vertex's row and bit cleared."""
+    keep = ~vertex_mask(marked)
+    rows = [row & keep for row in adj]
+    for v in marked:
+        rows[v] = 0
+    return rows
+
+
+def _first_disagreement(rows1: list[int], rows2: list[int]) -> Optional[Pair]:
+    """The lowest pair on which two symmetric adjacency lists differ.  Its
+    smaller end u is the first differing row: a differing bit v < u would
+    make row v differ first."""
+    if rows1 == rows2:
+        return None
+    for u, (r1, r2) in enumerate(zip(rows1, rows2)):
+        diff = r1 ^ r2
+        if diff:
+            return u, (diff & -diff).bit_length() - 1
+    return None

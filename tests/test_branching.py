@@ -19,8 +19,10 @@ from layeredit.branching import (
     greedy_initial_constraint,
     is_aligning,
     kernel_k,
+    majority_mask,
     mark_bound_rejects,
     min_marked_completion,
+    rejecting_layer,
     solve_mlce,
 )
 from layeredit.core import (
@@ -125,6 +127,21 @@ class TestGreedy:
             frozenset({(4, 5), (2, 5), (3, 5)}))
         assert is_aligning(ctx, c)
         assert ctx.vertex_set(c.marked) == frozenset() and ctx.pair_set(c.permanent) == frozenset()
+
+    def test_mask_majority_is_the_counter_rule(self, rng):
+        # a pair in at least half of the layers, ties (2 * count == ell) included
+        ties = 0
+        for ell in range(1, 7):
+            for _ in range(30):
+                n = rng.randint(2, 7)
+                density = rng.choice((0.0, 0.5, 1.0, rng.random()))
+                layers = random_layers(rng, n, ell, density=density)
+                counts = Counter(p for g in layers for p in g.edges)
+                ctx = SearchContext(Instance("mlce", n, layers, 0, 0))
+                want = ctx.pair_mask(p for p, cnt in counts.items() if 2 * cnt >= ell)
+                assert majority_mask(ctx.layer_masks) == want
+                ties += any(2 * cnt == ell for cnt in counts.values())
+        assert ties > 15
 
 
 class TestRule0:
@@ -240,6 +257,27 @@ class TestFrozenEditBound:
         frozen = encode(ctx, (), ({(1, 2), (2, 3), (3, 4)},), {(1, 2)})
         assert bound_rejects(ctx, frozen)
 
+    def test_verdict_does_not_depend_on_the_first_layer(self, rng):
+        # along random descents, every child gets bound_rejects' verdict
+        # from every starting layer, and the layer named is the first
+        # rejecting one in cyclic order from the start
+        verdicts = Counter()
+        for _ in range(120):
+            ctx = SearchContext(random_instance(rng, "mlce", max_n=7, max_ell=4, max_k=2, max_d=2))
+            ell = ctx.inst.ell
+            for _, children in descents(ctx, rng):
+                for child in children:
+                    dead = [frozen_edit_bound(ctx, i, m & child.permanent, child.permanent,
+                                              k_i) is None
+                            for i, (m, k_i) in enumerate(zip(child.edits, ctx.budgets))]
+                    assert bound_rejects(ctx, child) == any(dead)
+                    for start in range(ell):
+                        order = [(start + j) % ell for j in range(ell)]
+                        assert rejecting_layer(ctx, child, start) == next(
+                            (i for i in order if dead[i]), None)
+                    verdicts[any(dead), sum(dead) > 1] += 1
+        assert min(verdicts.values()) > 20 and len(verdicts) == 3
+
     def test_invariant_check_catches_an_extraction_below_the_bound(self, monkeypatch):
         # one layer holding the P3 1-2-3 and k = 1: the search accepts after
         # freezing one toggle, whose layer bound is then 1
@@ -247,7 +285,8 @@ class TestFrozenEditBound:
         assert solve_mlce(inst, check_invariants=True) is not None
         extract = branching._extract_solution
         monkeypatch.setattr(branching, "_extract_solution",
-                            lambda ctx, c: Solution((frozenset(),), marked=extract(ctx, c).marked))
+                            lambda ctx, c, completions: Solution(
+                                (frozenset(),), marked=extract(ctx, c, completions).marked))
         with pytest.raises(InvariantViolation):
             solve_mlce(inst, check_invariants=True)
 
@@ -779,6 +818,32 @@ class TestSolveMlce:
             assert stats.nodes >= nodes
             skipped += stats.nodes - nodes
         assert skipped > 0
+
+    def test_accepted_leaf_completes_each_layer_once(self, rng, monkeypatch):
+        calls = []
+        complete = branching.min_marked_completion
+        monkeypatch.setattr(branching, "min_marked_completion",
+                            lambda *args: calls.append(args) or complete(*args))
+        # equal cluster layers: rule 3 completes each layer, and the root is accepted
+        g = layer_from_edges(5, [(1, 2), (3, 4)])
+        assert solve_mlce(Instance("mlce", 5, (g,) * 3, 0, 0)) is not None
+        assert len(calls) == 3
+        # on deeper searches, extraction completes no layer again
+        extract = branching._extract_solution
+        during = []
+
+        def counted(*args):
+            before = len(calls)
+            sol = extract(*args)
+            during.append(len(calls) - before)
+            return sol
+
+        monkeypatch.setattr(branching, "_extract_solution", counted)
+        marked = 0
+        for _ in range(60):
+            sol = solve_mlce(random_instance(rng, "mlce", max_n=6))
+            marked += sol is not None and bool(sol.marked)
+        assert during and not any(during) and marked > 5
 
     def test_trace_emits_lines(self):
         lines = []

@@ -131,7 +131,7 @@ def test_solver_runtime_error_is_an_internal_error(files, capsys, monkeypatch):
     inst = ref_instance("mlce", 1, 2)
     inst_file = write("f.mlg", serialize_instance(inst))
     wrong = Solution((frozenset(),) * inst.ell, marked=frozenset())
-    monkeypatch.setattr(branching, "_extract_solution", lambda ctx, c: wrong)
+    monkeypatch.setattr(branching, "_extract_solution", lambda ctx, c, completions: wrong)
     assert run(["solve", inst_file]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: extracted solution failed verification")

@@ -21,6 +21,12 @@ matching bound ``branching.mark_bound_rejects``): the satisfiable formula
 fell from 825 to 55 nodes and the unsatisfiable one from 511 to 7.  The
 planted pins, every solution digest, yes flag and kernel pin stayed as
 they were.
+
+``PRUNED`` pins the children each search drops before entering them, by
+cause (``SearchStats.pruned_bound``, ``pruned_marks``), for the same
+planted and SAT-reduction instances.  The frozen-edit bound tries the
+layers starting at the one that rejected last; its verdict is over all
+layers, so the order must move none of these counts.
 """
 
 from __future__ import annotations
@@ -79,6 +85,12 @@ SAT = [
 ]
 
 
+# (pruned_bound, pruned_marks): the 20 planted seeds in order, then the two SAT formulas
+PRUNED = [(21, 0), (49, 0), (0, 0), (23, 0), (4, 0), (0, 0), (16, 0), (6, 0), (0, 0), (7, 0),
+          (8, 0), (0, 0), (10, 0), (6, 0), (0, 0), (10, 0), (2, 0), (0, 0), (6, 0), (59, 0),
+          (0, 30), (0, 8)]
+
+
 def planted_instance(seed: int):
     """n 8-16, ell 3-4; the stored budgets, one mark fewer, or one edit fewer."""
     n = 8 + seed % 9
@@ -109,6 +121,21 @@ def test_sat_reduction_search_is_pinned(clauses, expected):
     formula = Formula223(max(abs(lit) for c in clauses for lit in c), clauses)
     assert formula.satisfiable() == expected[4]
     assert observe(generate_sat_reduction(formula)) == expected
+
+
+def sat_instance(clauses):
+    return generate_sat_reduction(Formula223(max(abs(lit) for c in clauses for lit in c), clauses))
+
+
+def test_pruned_children_are_pinned():
+    insts = [planted_instance(seed) for seed, _ in PLANTED]
+    insts += [sat_instance(clauses) for clauses, _ in SAT]
+    pruned = []
+    for inst in insts:
+        stats = SearchStats()
+        solve_mlce(inst, stats=stats)
+        pruned.append((stats.pruned_bound, stats.pruned_marks))
+    assert pruned == PRUNED
 
 
 def test_no_instance_counts_pruned_children():
