@@ -14,22 +14,26 @@ Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
 ascending bits are lexicographic pair order.  Every constraint is clean: no
 edit touches a marked vertex, because a mark child drops the edits at its
-new mark when it is built.  A ``SearchContext`` is a ``core.PairIndex``
-(the pair list, each pair's bit, the pairs touching each vertex and the
-matching test of the marks bound, shared between solves of the same n)
-that also holds the tables of one instance the search needs, built once
-per solve: every layer's edge set as a pair bitmask and edit budget k_i,
-and a memo of P3 rows.  The search reads masks only: the greedy root takes
+new mark when it is built.  A ``SearchContext`` is one search of one
+instance: a ``core.PairIndex`` (the pair list, each pair's bit, the pairs
+touching each vertex and the matching test of the marks bound, shared
+between solves of the same n) that also holds the instance's tables, built
+once per solve (every layer's edge set as a pair bitmask and edit budget
+k_i), the search's memos, each capped at ``FAILED_CAP`` entries (P3 rows,
+failed constraints, bound verdicts), and its trace and stats hooks; its
+``run`` is the search.  The search reads masks only: the greedy root takes
 the majority of the layers' pair masks with bit-sliced counters
 (``majority_mask``); rule 1 runs ``core.first_p3`` on layer 0's
 ``LayerGraph.adj`` with its edits toggled in (``toggled_adj``), and is
 skipped on a mark child of a constraint it did not apply to; the
 frozen-edit bound and rule 3's per-layer kernel (``kernel_k``) read a
 layer's P3 rows (``toggled_p3s``, derived from the rows with one toggled
-pair fewer); rule 3 runs ``min_marked_completion`` on toggled adjacencies,
-once per layer, and an accepted constraint's solution is assembled from
-the completions rule 3 found for it.  Only the returned ``Solution``
-decodes to frozensets, and ``core.verify`` checks it on masks of its own.
+pair fewer, down to the layer's ``core.adj_p3s``); rule 3 runs
+``min_marked_completion`` (``core.is_cluster_adj`` for its cluster tests,
+``core.first_p3`` for the P3 it branches on) on toggled adjacencies, once
+per layer, and an accepted constraint's solution is assembled from the
+completions rule 3 found for it.  Only the returned ``Solution`` decodes to
+frozensets, and ``core.verify`` checks it on masks of its own.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
 toggle child that gives a layer more frozen edits than its budget k_i.  Of
@@ -64,8 +68,10 @@ from .core import (
     PairIndex,
     SearchStats,
     Solution,
+    adj_p3s,
     bits,
     first_p3,
+    is_cluster_adj,
     p3_through_pair,
     pair,
     verify,
@@ -92,9 +98,13 @@ FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 
 
 
 class SearchContext(PairIndex):
-    """Tables of one instance for the int-encoded search, built once per solve."""
+    """One depth-first search of one instance: the tables it reads, built
+    once per solve, its reporting hooks, and its memos (the P3 rows, the
+    failed constraints, the bound verdicts by (permanent, frozen edits) and
+    the layer whose bound rejected last)."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, trace: Optional[TraceFn] = None, check: bool = False,
+                 stats: Optional[SearchStats] = None):
         super().__init__(inst.n)
         self.inst = inst
         pair_bit = self.pair_bit
@@ -104,7 +114,14 @@ class SearchContext(PairIndex):
         ell = inst.ell
         self.layer_orders = tuple(tuple(range(s, ell)) + tuple(range(s)) for s in range(ell))
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
-                                  for a, b, c in g.p3s] for i, g in enumerate(inst.layers)}
+                                  for a, b, c in adj_p3s(g.adj)]
+                         for i, g in enumerate(inst.layers)}
+        self.trace = trace
+        self.check = check
+        self.stats = SearchStats() if stats is None else stats
+        self.failed: set[Constraint] = set()
+        self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.last_reject = 0
 
     def toggled_adj(self, i: int, mask: int) -> list[int]:
         """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
@@ -142,6 +159,95 @@ class SearchContext(PairIndex):
     @staticmethod
     def vertex_set(mask: int) -> frozenset[int]:
         return frozenset(bits(mask))
+
+    def run(self, c: Constraint, depth: int, p3_free: bool = False) -> Optional[Solution]:
+        """Depth-first search below ``c``.  A constraint's subtree depends
+        on it alone, so one in ``failed`` is not expanded again.  Rule 1 is
+        skipped when ``p3_free``: c marks one more vertex than a parent it
+        did not apply to, and an induced subgraph of a cluster graph is one."""
+        trace, stats = self.trace, self.stats
+        stats.nodes += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if not depth and self.dead_by_bound(c):
+            if trace:
+                trace("TRACE 0 rule0 reject bound")
+            return None
+        if c in self.failed:
+            if trace:
+                trace(f"TRACE {depth} seen")
+            return None
+
+        children = None if p3_free else branching_rule_1(self, c)
+        rule = "rule1"
+        if children is None:
+            children = branching_rule_2(self, c)
+            rule = "rule2"
+        if children is None:
+            completions: list[frozenset[Pair]] = []
+            children = branching_rule_3(self, c, completions)
+            rule = "rule3"
+        if children is None:
+            if trace:
+                trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
+                      f"|B|={c.permanent.bit_count()}")
+            sol = _extract_solution(self, c, completions)
+            if self.check:
+                _check_bound_holds(self, c, sol)
+            return sol
+
+        if self.check:
+            _check_children(self, c, children, depth)
+        viable = self.viable(c, children)
+        if trace:
+            trace(f"TRACE {depth} {rule} children={len(children)} "
+                  f"pruned={len(children) - len(viable)}")
+        for child in viable:
+            found = self.run(child, depth + 1, rule != "rule1" and child.permanent == c.permanent)
+            if found is not None:
+                return found
+        if len(self.failed) < FAILED_CAP:
+            self.failed.add(c)
+        return None
+
+    def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
+        """The children that pass the frozen-edit bound and the marks bound,
+        in order.  A child that kept the parent's permanent pairs is a mark
+        child within d marks, with the parent's frozen-edit verdict and its
+        marks-bound inputs less the pairs at its mark x."""
+        stats, touching = self.stats, self.touching
+        permanent = parent.permanent
+        parent_loose, parent_room = _loose_and_room(self, parent)
+        kept = []
+        for child in children:
+            if child.permanent == permanent:
+                x = (child.marked ^ parent.marked).bit_length() - 1
+                loose, room = parent_loose & ~touching[x], parent_room - 1
+            elif self.dead_by_bound(child):
+                stats.pruned_bound += 1
+                continue
+            else:
+                loose, room = _loose_and_room(self, child)
+            if self.matching_exceeds(loose, room):
+                stats.pruned_marks += 1
+                continue
+            kept.append(child)
+        return kept
+
+    def dead_by_bound(self, c: Constraint) -> bool:
+        """``bound_rejects``, remembered by (permanent, frozen edits),
+        starting at the layer that rejected last."""
+        permanent = c.permanent
+        key = (permanent, tuple([m & permanent for m in c.edits]))
+        dead = self.dead.get(key)
+        if dead is None:
+            layer = rejecting_layer(self, c, self.last_reject)
+            dead = layer is not None
+            if dead:
+                self.last_reject = layer
+            if len(self.dead) < FAILED_CAP:
+                self.dead[key] = dead
+        return dead
 
 
 def is_aligning(ctx: SearchContext, c: Constraint) -> bool:
@@ -418,11 +524,11 @@ def min_marked_completion(adj: Sequence[int], marked: int,
     minimum.
     """
     everything = (1 << len(adj)) - 2
-    if first_p3(adj, everything) is None:
+    if is_cluster_adj(adj, everything):
         return frozenset() if budget >= 0 else None
     # only a graph with a P3 can break the precondition: an induced
     # subgraph of a cluster graph is one
-    if first_p3(adj, everything & ~marked) is not None:
+    if not is_cluster_adj(adj, everything & ~marked):
         raise RuntimeError("unmarked part must already be a cluster graph")
     for size in range(1, budget + 1):
         found = _complete(adj, marked, size)
@@ -512,122 +618,16 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
         raise InputError("solve_mlce expects an mlce instance")
     if min(inst.edit_budgets) < 0:
         return None
-    ctx = SearchContext(inst)
+    ctx = SearchContext(inst, trace, check_invariants, stats)
     root = greedy_initial_constraint(ctx)
     if check_invariants and not is_aligning(ctx, root):
         raise InvariantViolation("greedy constraint is not aligning")
-    sol = _Search(ctx, trace, check_invariants, stats).run(root, 0)
+    sol = ctx.run(root, 0)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
             raise RuntimeError(f"extracted solution failed verification: {report}")
     return sol
-
-
-class _Search:
-    """One depth-first search: its reporting hooks, the memo of failed
-    constraints, the bound verdicts by (permanent, frozen edits) and the
-    layer whose bound rejected last."""
-
-    def __init__(self, ctx: SearchContext, trace: Optional[TraceFn], check: bool,
-                 stats: Optional[SearchStats]):
-        self.ctx = ctx
-        self.trace = trace
-        self.check = check
-        self.stats = SearchStats() if stats is None else stats
-        self.failed: set[Constraint] = set()
-        self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
-        self.last_reject = 0
-
-    def run(self, c: Constraint, depth: int, p3_free: bool = False) -> Optional[Solution]:
-        """Depth-first search below ``c``.  A constraint's subtree depends
-        on it alone, so one in ``failed`` is not expanded again.  Rule 1 is
-        skipped when ``p3_free``: c marks one more vertex than a parent it
-        did not apply to, and an induced subgraph of a cluster graph is one."""
-        ctx, trace, stats = self.ctx, self.trace, self.stats
-        stats.nodes += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if not depth and self.dead_by_bound(c):
-            if trace:
-                trace("TRACE 0 rule0 reject bound")
-            return None
-        if c in self.failed:
-            if trace:
-                trace(f"TRACE {depth} seen")
-            return None
-
-        children = None if p3_free else branching_rule_1(ctx, c)
-        rule = "rule1"
-        if children is None:
-            children = branching_rule_2(ctx, c)
-            rule = "rule2"
-        if children is None:
-            completions: list[frozenset[Pair]] = []
-            children = branching_rule_3(ctx, c, completions)
-            rule = "rule3"
-        if children is None:
-            if trace:
-                trace(f"TRACE {depth} accept |D|={c.marked.bit_count()} "
-                      f"|B|={c.permanent.bit_count()}")
-            sol = _extract_solution(ctx, c, completions)
-            if self.check:
-                _check_bound_holds(ctx, c, sol)
-            return sol
-
-        if self.check:
-            _check_children(ctx, c, children, depth)
-        viable = self.viable(c, children)
-        if trace:
-            trace(f"TRACE {depth} {rule} children={len(children)} "
-                  f"pruned={len(children) - len(viable)}")
-        for child in viable:
-            found = self.run(child, depth + 1, rule != "rule1" and child.permanent == c.permanent)
-            if found is not None:
-                return found
-        if len(self.failed) < FAILED_CAP:
-            self.failed.add(c)
-        return None
-
-    def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass the frozen-edit bound and the marks bound,
-        in order.  A child that kept the parent's permanent pairs is a mark
-        child within d marks, with the parent's frozen-edit verdict and its
-        marks-bound inputs less the pairs at its mark x."""
-        ctx, stats = self.ctx, self.stats
-        touching = ctx.touching
-        permanent = parent.permanent
-        parent_loose, parent_room = _loose_and_room(ctx, parent)
-        kept = []
-        for child in children:
-            if child.permanent == permanent:
-                x = (child.marked ^ parent.marked).bit_length() - 1
-                loose, room = parent_loose & ~touching[x], parent_room - 1
-            elif self.dead_by_bound(child):
-                stats.pruned_bound += 1
-                continue
-            else:
-                loose, room = _loose_and_room(ctx, child)
-            if ctx.matching_exceeds(loose, room):
-                stats.pruned_marks += 1
-                continue
-            kept.append(child)
-        return kept
-
-    def dead_by_bound(self, c: Constraint) -> bool:
-        """``bound_rejects``, remembered by (permanent, frozen edits),
-        starting at the layer that rejected last."""
-        permanent = c.permanent
-        key = (permanent, tuple([m & permanent for m in c.edits]))
-        dead = self.dead.get(key)
-        if dead is None:
-            layer = rejecting_layer(self.ctx, c, self.last_reject)
-            dead = layer is not None
-            if dead:
-                self.last_reject = layer
-            if len(self.dead) < FAILED_CAP:
-                self.dead[key] = dead
-        return dead
 
 
 def _extract_solution(ctx: SearchContext, c: Constraint,
@@ -674,10 +674,7 @@ def _check_children(ctx: SearchContext, parent: Constraint,
 
 def _check_loose_edit_spread(ctx: SearchContext, c: Constraint) -> None:
     """A non-permanent unmarked edit may occur in at most half of the layers."""
-    keep = ~c.permanent & ~ctx.touching_mask(c.marked)
-    loose = 0
-    for m in c.edits:
-        loose |= m & keep
+    loose = reduce(or_, c.edits) & ~c.permanent & ~ctx.touching_mask(c.marked)
     for i in bits(loose):
         occurrences = sum(m >> i & 1 for m in c.edits)
         if 2 * occurrences > ctx.inst.ell:

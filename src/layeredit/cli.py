@@ -82,18 +82,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=ALGOS, default="auto")
     p_solve.add_argument("--trace", action="store_true", help="log rule applications to stderr")
     p_solve.add_argument("--out", help="solution file (default: stdout)")
+    p_solve.set_defaults(cmd=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="solve by brute force only")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--out", help="solution file (default: stdout)")
+    p_oracle.set_defaults(cmd=_cmd_solve, algo="oracle", trace=False)
 
     p_verify = sub.add_parser("verify", help="check a solution file against an instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("solution")
+    p_verify.set_defaults(cmd=_cmd_verify)
 
     p_kern = sub.add_parser("kernelize", help="shrink an instance to its kernel")
     p_kern.add_argument("instance")
     p_kern.add_argument("--out", help="output file (default: stdout)")
+    p_kern.set_defaults(cmd=_cmd_kernelize)
 
     p_gen = sub.add_parser("generate", help="emit instances")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
@@ -106,9 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_planted.add_argument("--noise", type=int, default=0)
     p_planted.add_argument("--seed", type=int, default=0)
     p_planted.add_argument("--out", help="instance file (default: stdout)")
+    p_planted.set_defaults(cmd=_cmd_planted)
     p_sat = gen_sub.add_parser("sat", help="hardness reduction from a (2,2)-3-SAT formula")
     p_sat.add_argument("formula", help="text file, one clause of signed literals per line")
     p_sat.add_argument("--out", help="instance file (default: stdout)")
+    p_sat.set_defaults(cmd=_cmd_sat)
 
     p_bench = sub.add_parser("bench", help="parameter sweep, CSV output")
     p_bench.add_argument("--mode", choices=MODES, default=MLCE)
@@ -123,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--timeout", type=float, default=30.0,
                          help="wall-clock seconds per instance")
     p_bench.add_argument("--out", help="CSV file (default: stdout)")
+    p_bench.set_defaults(cmd=_cmd_bench)
     return parser
 
 
@@ -133,19 +140,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, algo=args.algo, trace=args.trace)
-        if args.command == "oracle":
-            return _cmd_solve(args, algo="oracle", trace=False)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "kernelize":
-            return _cmd_kernelize(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise AssertionError(args.command)
+        return args.cmd(args)
     except (InputError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -196,14 +191,14 @@ def _dispatch(inst: Instance, algo: str, trace: bool = False,
     return solver(inst, trace_fn, stats)
 
 
-def _cmd_solve(args, algo: str, trace: bool) -> int:
+def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
-    sol = _dispatch(inst, algo, trace)
+    sol = _dispatch(inst, args.algo, args.trace)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
             return _internal_error(f"solver output failed verification: {report}")
-    _emit(serialize_solution(sol, inst), getattr(args, "out", None))
+    _emit(serialize_solution(sol, inst), args.out)
     return EXIT_YES if sol is not None else EXIT_NO
 
 
@@ -230,20 +225,19 @@ def _cmd_kernelize(args) -> int:
     return EXIT_YES
 
 
-def _cmd_generate(args) -> int:
-    if args.generator == "planted":
-        params = PlantedParams(n=args.n, ell=args.ell, cluster_count=args.clusters,
-                               drift_per_layer=args.drift, noise_edits=args.noise,
-                               seed=args.seed)
-        inst, log = generate_planted_logged(params, args.mode)
-        _emit(serialize_instance(inst, log), args.out)
-        return EXIT_YES
-    if args.generator == "sat":
-        formula = parse_formula(_read(args.formula))
-        inst = generate_sat_reduction(formula)
-        _emit(serialize_instance(inst), args.out)
-        return EXIT_YES
-    raise AssertionError(args.generator)
+def _cmd_planted(args) -> int:
+    params = PlantedParams(n=args.n, ell=args.ell, cluster_count=args.clusters,
+                           drift_per_layer=args.drift, noise_edits=args.noise,
+                           seed=args.seed)
+    inst, log = generate_planted_logged(params, args.mode)
+    _emit(serialize_instance(inst, log), args.out)
+    return EXIT_YES
+
+
+def _cmd_sat(args) -> int:
+    inst = generate_sat_reduction(parse_formula(_read(args.formula)))
+    _emit(serialize_instance(inst), args.out)
+    return EXIT_YES
 
 
 def _bench_worker(inst: Instance, algo: str, queue) -> None:

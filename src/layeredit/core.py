@@ -8,23 +8,27 @@ are immutable after construction and safe to share between workers.
 neighbourhood as an int bitmask, bit v standing for vertex v.  The P3,
 component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
-P3 scan, ``adj_p3s`` the one P3 enumeration and ``p3_through_pair`` the one
-set of P3s through a vertex pair, on any such mask list.
+P3 scan, ``adj_p3s`` the one P3 enumeration (``LayerGraph.p3s`` keeps its
+result for the kernel) and ``p3_through_pair`` the one set of P3s through
+a vertex pair, on any such mask list.
 ``is_cluster_adj`` is the one cluster test and needs no P3: it compares
 closed neighbourhoods, O(n) mask operations (each vertex's N[] must equal
 that of its smallest member, so adjacent vertices share N[] and every
 component is a clique); ``is_cluster_graph`` runs it on a layer, and
 ``verify`` on each edited layer's masks, so the cluster tests of
-``twolayer``, the oracles and ``verify`` stay cheap.  ``verify`` builds no
-``LayerGraph``, frozenset or ``PairIndex``: it toggles the edits into a
-copy of each layer's masks and compares the layers row by row.
+``twolayer``, the oracles and ``verify`` stay cheap.  ``_toggled_adj`` is
+the one check-and-toggle of an edit set into a copy of a layer's masks:
+``apply_edits`` builds the edited layer on it, and ``verify`` builds no
+``LayerGraph``, frozenset or ``PairIndex`` but compares the toggled copies
+row by row.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
 the positions in ``all_pairs(n)``, with the vertex-cover tests on such
 masks that the branch search and the tce sweep share.  Its tables depend on
 n alone, so they are built once per n and shared read-only (as tuples)
 between solves, for the ``PAIR_TABLE_SIZES`` sizes last used; one size
 retains about N^2/16 bytes for its N = n(n-1)/2 pairs, ~1.5 MB at n = 100
-and ~25 MB at n = 200.
+and ~25 MB at n = 200, and a size past 1 GiB (n > 512) is refused with a
+``CapabilityError`` before anything is built.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
 ``Instance.edit_budgets``.  The errors every command maps to an exit code
@@ -108,8 +112,8 @@ class LayerGraph:
 
     @cached_property
     def p3s(self) -> tuple[tuple[int, int, int], ...]:
-        """``induced_p3s`` of this layer, scanned once."""
-        return tuple(induced_p3s(self))
+        """``adj_p3s`` of this layer, scanned once."""
+        return tuple(adj_p3s(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (pair(u, v)) in self.edges
@@ -151,12 +155,16 @@ def bits(mask: int) -> list[int]:
 
 
 PAIR_TABLE_SIZES = 8  # vertex counts whose pair tables stay cached
+PAIR_TABLE_BYTES = 1 << 30  # largest pair tables built for one n: n <= 512
 
 
 @lru_cache(maxsize=PAIR_TABLE_SIZES)
 def _pair_tables(n: int) -> tuple[tuple[Pair, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """``PairIndex``'s tables for n vertices: N = n(n-1)/2 distinct pair
-    bits of up to N bits each, so about N^2/16 bytes."""
+    bits of up to N bits each, so about N^2/16 bytes; refused before any
+    is built when that passes ``PAIR_TABLE_BYTES``."""
+    if (n * (n - 1) // 2) ** 2 // 16 > PAIR_TABLE_BYTES:
+        raise CapabilityError(f"n={n} needs pair tables of over 1 GiB; the limit is n=512")
     pairs = all_pairs(n)
     # pair_bit[u][v] == pair_bit[v][u] is the bit of pair (u, v)
     pair_bit = [[0] * (n + 1) for _ in range(n + 1)]
@@ -234,22 +242,22 @@ def layer_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> LayerGraph:
 
 def apply_edits(g: LayerGraph, m: frozenset[Pair] | set[Pair]) -> LayerGraph:
     """Toggle every pair of ``m`` in ``g`` (symmetric difference); involutive."""
-    for u, v in m:
-        if not (1 <= u < v <= g.n):
-            raise InputError(f"edit pair ({u}, {v}) out of range for n={g.n}")
+    adj = _toggled_adj(g, m)  # O(n + |m|) from g's, not a rebuild from every edge
     edited = LayerGraph(g.n, g.edges ^ frozenset(m))
-    adj = list(g.adj)  # O(n + |m|) from g's, not a rebuild from every edge
-    for u, v in m:
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
     edited.__dict__["adj"] = tuple(adj)
     return edited
 
 
-def edited_layers(layers: Iterable[LayerGraph],
-                  edit_sets: Iterable[frozenset[Pair]]) -> tuple[LayerGraph, ...]:
-    """Each layer with its own edit set applied."""
-    return tuple(apply_edits(g, m) for g, m in zip(layers, edit_sets))
+def _toggled_adj(g: LayerGraph, m: Iterable[Pair]) -> list[int]:
+    """A copy of ``g.adj`` with every pair of ``m`` toggled, after checking
+    that each is a canonical pair of 1..n."""
+    adj = list(g.adj)
+    for u, v in m:
+        if not 1 <= u < v <= g.n:
+            raise InputError(f"edit pair ({u}, {v}) out of range for n={g.n}")
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return adj
 
 
 @dataclass(frozen=True)
@@ -325,15 +333,10 @@ def is_cluster_adj(adj: Sequence[int], inside: int) -> bool:
     return True
 
 
-def induced_p3s(g: LayerGraph) -> list[tuple[int, int, int]]:
-    """Every induced P3 a - b - c of the layer, with a < c, centers b
-    ascending."""
-    return list(adj_p3s(g.adj))
-
-
 def adj_p3s(adj: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """``induced_p3s`` of the graph with bitmask adjacency ``adj`` (index 0
-    unused), lazily: centers b ascending, then a ascending, then c > a."""
+    """Every induced P3 a - b - c, with a < c, of the graph with bitmask
+    adjacency ``adj`` (index 0 unused), lazily: centers b ascending, then a
+    ascending, then c > a."""
     for b in range(1, len(adj)):
         nbrs = adj[b]
         if not nbrs & (nbrs - 1):
@@ -485,17 +488,8 @@ def verify(inst: Instance, sol: Solution) -> VerifyReport:
             where = "" if inst.mode == MLCE else f" at gap {i}"
             violations.append(f"mark budget exceeded{where}: {len(dset)} > d={inst.d}")
 
-    n = inst.n
-    edited = []
-    for g, m in zip(inst.layers, sol.edits):
-        adj = list(g.adj)
-        for u, v in m:
-            if not 1 <= u < v <= n:
-                raise InputError(f"edit pair ({u}, {v}) out of range for n={n}")
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-        edited.append(adj)
-    everything = (1 << (n + 1)) - 2
+    edited = [_toggled_adj(g, m) for g, m in zip(inst.layers, sol.edits)]
+    everything = (1 << (inst.n + 1)) - 2
     for i, adj in enumerate(edited, start=1):
         if not is_cluster_adj(adj, everything):
             a, b, c = first_p3(adj, everything)

@@ -112,6 +112,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"layer {want} in a {ell}-layer file")
             current = set()
         elif toks[0] == "end":
+            if len(toks) != 1:
+                raise ParseError(line_no, f"expected 'end', found {' '.join(toks)!r}")
             if current is not None:
                 layers.append(frozenset(current))
             done = True
@@ -187,11 +189,11 @@ def parse_solution(text: str, inst: Instance) -> Optional[Solution]:
     marked_per_gap: list[set[int]] = [set() for _ in range(max(inst.ell - 1, 0))]
     done = False
     for line_no, toks in lines[2:]:
+        if done:
+            raise ParseError(line_no, "content after 'end'")
         if toks == ["end"]:
             done = True
             continue
-        if done:
-            raise ParseError(line_no, "content after 'end'")
         if toks[0] == "mark":
             if inst.mode != MLCE:
                 raise ParseError(line_no, "'mark' line in a tce solution (use 'markat')")

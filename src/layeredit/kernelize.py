@@ -2,7 +2,9 @@
 
 The rules work on ``Instance`` with one edit budget per layer
 (``Instance.budgets``); an edit spends its layer's budget and replaces that
-layer alone, so only its P3s (``LayerGraph.p3s``) are scanned again.  Eight
+layer alone, so only its P3s (``LayerGraph.p3s``, the layer's
+``core.adj_p3s``) are scanned again.  Rules 5 and 6 read the union and the
+intersection of the layers, both built by ``_merged``.  Eight
 reduction rules shrink the instance (or reject it outright); afterwards a
 clique gadget of 2k+2 fresh vertices restores a uniform budget, yielding a
 plain decision-equivalent instance.  In temporal mode every occurrence of
@@ -22,6 +24,8 @@ Rules, in application order (lower id first, restart after every change):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import and_, or_
 from typing import Optional
 
 from .core import (
@@ -60,18 +64,10 @@ class KernelResult:
         return self.trivial_no_rule is not None
 
 
-def _union_graph(inst: Instance) -> LayerGraph:
-    edges: frozenset[Pair] = frozenset()
-    for g in inst.layers:
-        edges |= g.edges
-    return LayerGraph(inst.n, edges)
-
-
-def _intersection_graph(inst: Instance) -> LayerGraph:
-    edges = inst.layers[0].edges
-    for g in inst.layers[1:]:
-        edges &= g.edges
-    return LayerGraph(inst.n, edges)
+def _merged(inst: Instance, op) -> LayerGraph:
+    """The graph whose edge set is ``op`` (``or_`` or ``and_``) of every
+    layer's."""
+    return LayerGraph(inst.n, reduce(op, (g.edges for g in inst.layers)))
 
 
 def _remove_vertices(inst: Instance, doomed: frozenset[int]) -> Instance:
@@ -145,8 +141,8 @@ def apply_rule(inst: Instance,
     if rule_id == 5:
         # A union component is connected in the intersection graph iff it is
         # one of that graph's components, which refine the union's.
-        inter_comps = set(_intersection_graph(inst).components())
-        for comp in _union_graph(inst).components():
+        inter_comps = set(_merged(inst, and_).components())
+        for comp in _merged(inst, or_).components():
             if comp & dirty_all:
                 continue
             if comp in inter_comps:
@@ -156,7 +152,7 @@ def apply_rule(inst: Instance,
 
     if rule_id == 6:
         threshold = k + deff + 3
-        for comp in _intersection_graph(inst).components():
+        for comp in _merged(inst, and_).components():
             clean = comp - dirty_all
             if len(clean) >= threshold:
                 victim = frozenset({min(clean)})

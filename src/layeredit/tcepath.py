@@ -44,7 +44,7 @@ from .core import (
     PairIndex,
     SearchStats,
     Solution,
-    edited_layers,
+    apply_edits,
     verify,
 )
 from .twolayer import solve_two_layer_zero_edit
@@ -197,7 +197,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     path.reverse()
 
     edits = tuple(part[j] for part, j in zip(parts, path))
-    edited = edited_layers(inst.layers, edits)
+    edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
     marks = []
     for ga, gb in zip(edited, edited[1:]):
         if ga.edges == gb.edges:

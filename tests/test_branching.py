@@ -33,7 +33,6 @@ from layeredit.core import (
     apply_edits,
     count_p3_through_pair,
     find_p3,
-    induced_p3s,
     layer_from_edges,
     pair,
     pairs_of,
@@ -204,6 +203,19 @@ class TestToggledP3s:
             assert all(m == pb[a][b] | pb[b][c] | pb[a][c] for (b, a, c), m in rows)
             assert ctx.toggled_p3s(i, x) is rows  # memoised
         assert min(shapes.values()) > 50
+
+    def test_root_rows_are_each_layers_p3s(self, rng):
+        # built from the layer's adjacency, in its order, and cached on no layer
+        for _ in range(40):
+            inst = random_instance(rng, "mlce", max_n=8, max_ell=4)
+            ctx = SearchContext(inst)
+            pb = ctx.pair_bit
+            for i, g in enumerate(inst.layers):
+                rows = ctx._p3_rows[(i, 0)]
+                assert [(a, b, c) for (b, a, c), _ in rows] == list(adj_p3s(g.adj))
+                assert all(m == pb[a][b] | pb[b][c] | pb[a][c] for (b, a, c), m in rows)
+            solve_mlce(inst)
+            assert not any("p3s" in g.__dict__ for g in inst.layers)
 
     def test_rows_without_the_memo(self, monkeypatch):
         monkeypatch.setattr(branching, "FAILED_CAP", 0)
@@ -627,7 +639,7 @@ def reference_kernel(g, budget, marked, obligatory):
     while True:
         if budget < 0:
             return None
-        p3s = induced_p3s(g)
+        p3s = list(adj_p3s(g.adj))
         if any({pair(a, b), pair(b, c), (a, c)} <= oblig for a, b, c in p3s):
             return None
         candidates = sorted({p for a, b, c in p3s for p in (pair(a, b), pair(b, c), (a, c))})

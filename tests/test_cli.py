@@ -158,6 +158,20 @@ def test_oracle_guard_exits_2(files, capsys):
     assert oracle.CapabilityError is core.CapabilityError
 
 
+def test_pair_tables_past_their_limit_exit_2(files, capsys, monkeypatch):
+    # edgeless n=1000 files: both searches refuse before building a table
+    write, tmp = files
+    monkeypatch.setattr(core, "all_pairs", lambda n: pytest.fail(f"built tables for n={n}"))
+    for mode in ("mlce", "tce"):
+        text = f"mlg 1\nmode {mode}\nn 1000\nell 2\nk 1\nd 1\nlayer 1\nlayer 2\nend\n"
+        inst_file = write(f"big-{mode}.mlg", text)
+        assert run(["solve", inst_file, "--out", str(tmp / "out.sol")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: n=1000 needs pair tables of over 1 GiB; the limit is n=512\n"
+        assert captured.out == ""
+        assert not (tmp / "out.sol").exists()
+
+
 def test_kernelize_roundtrip(files, capsys):
     write, tmp = files
     inst = ref_instance("mlce", 1, 2)

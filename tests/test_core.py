@@ -3,9 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from layeredit import core
 from layeredit.branching import solve_mlce
 from layeredit.core import (
     PAIR_TABLE_SIZES,
+    CapabilityError,
     InputError,
     Instance,
     LayerGraph,
@@ -13,12 +15,12 @@ from layeredit.core import (
     PairIndex,
     Solution,
     _pair_tables,
+    adj_p3s,
     all_pairs,
     apply_edits,
     consistent_after_removal,
     count_p3_through_pair,
     find_p3,
-    induced_p3s,
     is_cluster_graph,
     layer_from_edges,
     verify,
@@ -227,7 +229,7 @@ class TestInducedP3s:
             want = [(a, b, c) for b in range(1, n + 1)
                     for a, c in combinations([v for v in range(1, n + 1) if v != b], 2)
                     if g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c)]
-            assert induced_p3s(g) == want
+            assert list(adj_p3s(g.adj)) == want
 
 
 class TestComponents:
@@ -403,6 +405,18 @@ class TestPairIndex:
         for n in range(30, 31 + PAIR_TABLE_SIZES + 3):
             PairIndex(n)
         assert _pair_tables.cache_info().currsize <= PAIR_TABLE_SIZES
+
+    def test_sizes_past_a_gibibyte_are_refused_before_building(self, monkeypatch):
+        def no_tables(n):
+            raise LookupError(n)
+
+        monkeypatch.setattr(core, "all_pairs", no_tables)  # reached only when building
+        with pytest.raises(CapabilityError, match="limit is n=512"):
+            PairIndex(10**6)
+        with pytest.raises(LookupError):
+            _pair_tables.__wrapped__(512)  # ~1.0e9 bytes: built
+        with pytest.raises(CapabilityError):
+            _pair_tables.__wrapped__(513)  # ~1.08e9 bytes: refused
 
     def test_solves_leave_the_shared_tables_intact(self):
         mlce, tce = ref_instance("mlce", 1, 2), ref_instance("tce", 1, 1)

@@ -112,6 +112,12 @@ class TestInstanceErrors:
             parse_instance(bad)
         assert "end" in str(err.value)
 
+    def test_end_takes_no_arguments(self):
+        assert REF_TEXT.endswith("end\n")
+        with pytest.raises(ParseError) as err:
+            parse_instance(REF_TEXT[:-len("end\n")] + "end extra\n")
+        assert "expected 'end'" in str(err.value)
+
     def test_wrong_endpoint_order(self):
         bad = REF_TEXT.replace("1 2\n1 3", "2 1\n1 3")
         with pytest.raises(ParseError):
@@ -164,6 +170,13 @@ class TestSolutionRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_solution("sol 1\nanswer yes\nmark 1\nend\n", inst)
         assert "markat" in str(err.value)
+
+    def test_second_end(self):
+        inst = ref_instance("mlce", 1, 2)
+        for text in ("sol 1\nanswer yes\nend\nend\n", "sol 1\nanswer yes\nmark 1\nend\nend\n"):
+            with pytest.raises(ParseError) as err:
+                parse_solution(text, inst)
+            assert "content after 'end'" in str(err.value)
 
     def test_del_of_absent_edge(self):
         inst = ref_instance("mlce", 1, 2)

@@ -1,10 +1,13 @@
+import hashlib
 import importlib
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from layeredit import core
-from layeredit.core import Instance, induced_p3s, layer_from_edges
+from layeredit.core import Instance, adj_p3s, layer_from_edges
+from layeredit.fileio import PlantedParams, generate_planted, serialize_instance
 from layeredit.kernelize import (
     APPLIED,
     NOT_APPLICABLE,
@@ -191,6 +194,73 @@ class TestBackTransform:
             assert [g.edges for g in transformed.layers] == [g.edges for g in sb.layers]
 
 
+# Kernel pins: (mode, n, ell, clusters (None: n//2+1), noise, seed, k, d,
+# per-layer budgets or None, sha256 of ``kernel_record``) for planted
+# instances with drift 1.  The comments name the rules applied and the
+# trivial-no rule.
+KERNEL_PINS = [
+    ("mlce", 20, 3, None, 3, 1, 2, 0, None,
+     "a38d217411c0b4affbc4542ca46b2abe8a150be132134f964b6ab4fc0cef6957"),  # rules [1, 2, 3], no=1
+    ("mlce", 20, 3, 6, 3, 0, 3, 1, None,
+     "169a65788db5a4265264b31d4164cc10d79e476fa2a2c34b0ea41fefbd15c73c"),  # rules [2, 3, 5, 6, 8], no=8
+    ("mlce", 20, 3, 6, 3, 0, 3, 2, None,
+     "a9731d57c5c825572ee12ebcec6f5b22239b41bd281357c6b0eda0bf7516592c"),  # rules [2, 3, 5, 6], no=None
+    ("mlce", 20, 4, 3, 1, 0, 3, 0, None,
+     "6fa815c903744f24c622a1f2c14e6a2561754ebf9a890c8f6c48b6e54a1ae998"),  # rules [2, 3, 6, 7], no=7
+    ("mlce", 20, 4, 6, 3, 0, 3, 2, None,
+     "cf27703308824ce66155032c820568edfb9dc932bee7979b47b0439eeb8830d4"),  # rules [2, 3, 6], no=None
+    ("mlce", 40, 3, 6, 1, 0, 1, 1, None,
+     "80a99c74cfa69eb4624a711d2bd024c190e85f2ac67d5c69ba8f900ee5234beb"),  # rules [2, 5, 6, 8], no=8
+    ("mlce", 48, 4, None, 1, 5, 3, 3, None,
+     "05637cda6a70cecd938b80ffb04458169b5045d7ba73d488d17c90b884aeec91"),  # rules [2, 5], no=None
+    ("mlce", 60, 4, None, 1, 0, 3, 2, None,
+     "7d1b2ee9462a541a20dc7583effe61224d00c4d9435e287ef71774bb7d7a70d5"),  # rules [5], no=None
+    ("tce", 24, 3, None, 4, 2, 2, 1, None,
+     "dc7ea8f53abaa12cd0db89961f0ea8cb9d8e3d8194a7d46b1c271c695486bda5"),  # rules [1, 2], no=1
+    ("tce", 20, 3, 6, 3, 0, 3, 0, None,
+     "c155730443b5b6247d1d128017d62fc5d1f38e2b561042816cb03694c8d109b3"),  # rules [2, 3, 5, 6, 7], no=7
+    ("tce", 20, 4, 6, 1, 0, 1, 2, None,
+     "da40eadcafac8eeb0a6b408bcec2936d9e5bd4c77a8f3e26c6c7cab911ba7987"),  # rules [2, 3, 5], no=None
+    ("tce", 20, 3, 3, 1, 1, 3, 1, None,
+     "7ff610f73b7a9ae1743cb4fc243490d773c90b914724d709715cc83994671c0c"),  # rules [2, 5, 6], no=None
+    ("tce", 30, 3, None, 1, 10, 3, 2, None,
+     "e0ac37d80bc33d419d2a9352bac451d22293e77729b2cfc1661b17dbfb7c4951"),  # rules [2, 5], no=None
+    ("tce", 40, 4, 6, 1, 1, 3, 1, None,
+     "f7801d309911c19446802fa36640ee33bf9d85b1727965beb52982a943c85db9"),  # rules [2, 3, 5, 6], no=None
+    ("tce", 54, 3, None, 1, 14, 3, 1, None,
+     "9134d12121f14f3917f78211e8560cc5bd63528b128573ab08de1f2e7777c56e"),  # rules [2, 5], no=None
+    ("tce", 60, 3, None, 1, 0, 3, 1, None,
+     "927c316ec2613ed24e32ffe19d8f559d76be6118aa0be851214e1ccf60475a35"),  # rules [5], no=None
+    ("mlce", 24, 3, None, 1, 20, 3, 1, (3, 1, 2),
+     "d9997d908f91c728d9070b35340e9c7fb90b2e1014b41fb5fa99a55d640691b7"),  # rules [2, 5], no=None
+    ("mlce", 30, 4, 6, 3, 22, 3, 2, (3, 2, 3, 1),
+     "e62dc3987d08aa5a110da3dc2d5e030e816a0b7c443870e7b9b813434a773991"),  # rules [1, 2], no=1
+    ("tce", 30, 3, None, 1, 21, 3, 1, (2, 3, 0),
+     "9492aeeb20d70368c90b476503d7c54b1bd02a4aeb11140526baf7654fd9a1fa"),  # rules [1, 2], no=1
+    ("tce", 20, 4, 6, 1, 23, 2, 1, (2, 2, 1, 2),
+     "cb4f7867a1bca431af5c0592cc397c7d4223c010592f49b219429ff991309dca"),  # rules [2, 5], no=None
+]
+
+
+def kernel_record(inst) -> str:
+    """The serialized kernel (or "answer no"), the rule log, the id map and
+    the trivial-no rule of ``kernelize(inst)``."""
+    result = kernelize(inst)
+    kernel = "answer no" if result.reduced is None else serialize_instance(result.reduced)
+    return "\n".join([kernel, *result.rule_log, repr(sorted(result.id_map.items())),
+                      repr(result.trivial_no_rule)])
+
+
+def test_kernels_are_pinned():
+    for mode, n, ell, clusters, noise, seed, k, d, budgets, digest in KERNEL_PINS:
+        params = PlantedParams(n, ell, n // 2 + 1 if clusters is None else clusters, 1, noise, seed)
+        inst = replace(generate_planted(params, mode), k=k, d=d)
+        if budgets is not None:
+            inst = replace(inst, budgets=budgets)
+        record = kernel_record(inst).encode()
+        assert hashlib.sha256(record).hexdigest() == digest, (mode, n, ell, seed)
+
+
 class TestKernelize:
     def test_clean_instance_reduces_to_gadget(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
@@ -217,7 +287,7 @@ class TestKernelize:
         # only the layer it changed, and a removal rescans none: it renames
         # the scanned P3s (here a shared triangle below a P3 goes first)
         calls = []
-        monkeypatch.setattr(core, "induced_p3s", lambda g: calls.append(g) or induced_p3s(g))
+        monkeypatch.setattr(core, "adj_p3s", lambda adj: calls.append(adj) or adj_p3s(adj))
         edges = list(combinations([1, 2, 3], 2)) + [(4, 5), (5, 6)]
         cases = [sb_from("mlce", [layer_from_edges(6, edges) for _ in range(2)], [2, 2], 0)]
         cases += [random_instance(rng, "mlce", max_n=8, max_ell=3) for _ in range(20)]
@@ -226,16 +296,16 @@ class TestKernelize:
             del calls[:]
             for rule_id in range(3, 9):
                 apply_rule(sb, rule_id)
-            assert sorted(map(id, calls)) == sorted(map(id, sb.layers))
+            assert sorted(map(id, calls)) == sorted(id(g.adj) for g in sb.layers)
             for rule_id in (2, 3, 5, 6):
                 status, nxt, _, _ = apply_rule(sb, rule_id)
                 if status != APPLIED:
                     continue
                 del calls[:]
                 for g in nxt.layers:
-                    assert g.p3s == tuple(induced_p3s(g))
+                    assert g.p3s == tuple(adj_p3s(g.adj))
                 changed = [g for g, h in zip(nxt.layers, sb.layers) if g is not h]
-                assert calls == (changed if rule_id in (2, 3) else [])
+                assert calls == ([g.adj for g in changed] if rule_id in (2, 3) else [])
                 assert len(changed) == (1 if rule_id in (2, 3) else sb.ell)
                 applied.add(rule_id)
                 break

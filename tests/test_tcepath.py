@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from layeredit.core import (Instance, InputError, PairIndex, SearchStats, Solution, apply_edits,
-                            edited_layers, is_cluster_graph, layer_from_edges, pair, verify)
+                            is_cluster_graph, layer_from_edges, pair, verify)
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
 from layeredit.oracle import _cover_within as brute_force_cover
@@ -54,7 +54,7 @@ def reference_xp(inst):
         path.append(predecessors[i][path[-1]])
     path.reverse()
     edits = tuple(part[j] for part, j in zip(parts, path))
-    edited = edited_layers(inst.layers, edits)
+    edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
     marks = tuple(solve_two_layer_zero_edit(a, b, inst.d) for a, b in zip(edited, edited[1:]))
     return Solution(edits, marked_per_gap=marks)
 
@@ -333,7 +333,7 @@ class TestSolveTceXp:
             del calls[:]
             sol = solve_tce_xp(inst)
             assert sol is not None
-            edited = edited_layers(inst.layers, sol.edits)
+            edited = [apply_edits(g, m) for g, m in zip(inst.layers, sol.edits)]
             differing = [(a.edges, b.edges) for a, b in zip(edited, edited[1:])
                          if a.edges != b.edges]
             assert calls == differing

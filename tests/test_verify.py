@@ -21,7 +21,7 @@ from layeredit.core import (
     LayerGraph,
     Solution,
     VerifyReport,
-    edited_layers,
+    apply_edits,
     find_p3,
     layer_from_edges,
     verify,
@@ -53,7 +53,7 @@ def reference_verify(inst, sol) -> VerifyReport:
             where = "" if inst.mode == MLCE else f" at gap {i}"
             violations.append(f"mark budget exceeded{where}: {len(dset)} > d={inst.d}")
 
-    edited = edited_layers(inst.layers, sol.edits)
+    edited = [apply_edits(g, m) for g, m in zip(inst.layers, sol.edits)]
     for i, g in enumerate(edited, start=1):
         w = find_p3(g)
         if w is not None:
