@@ -13,7 +13,7 @@ _EXPORTS = {name: module for module, names in {
     "core": ("MLCE", "TCE", "CapabilityError", "InputError", "Instance", "LayerGraph",
              "P3Witness", "SearchStats", "Solution", "VerifyReport", "apply_edits",
              "consistent_after_removal", "count_p3_through_pair", "find_p3",
-             "is_cluster_graph", "layer_from_edges", "pair", "verify"),
+             "is_cluster_graph", "layer_from_edges", "pair", "replace", "verify"),
     "branching": ("Constraint", "solve_mlce"),
     "kernelize": ("KernelResult", "back_transform", "kernelize"),
     "oracle": ("oracle_mlce", "oracle_tce", "structured_mlce"),
@@ -26,7 +26,8 @@ _EXPORTS = {name: module for module, names in {
 # submodules that ``from layeredit import *`` binds too
 _SUBMODULES = ("branching", "core", "fileio", "oracle", "tcepath", "twolayer")
 
-__all__ = sorted([*_EXPORTS, *_SUBMODULES])
+# ``replace`` is exported but not star-imported: its name is too generic
+__all__ = sorted({*_EXPORTS, *_SUBMODULES} - {"replace"})
 
 
 def __getattr__(name):
@@ -40,7 +41,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
 
 
 class _Package(types.ModuleType):

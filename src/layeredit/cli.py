@@ -8,7 +8,6 @@ internal error (a solver's own output failed verification).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import sys
 import time
@@ -23,6 +22,7 @@ from .core import (
     Instance,
     SearchStats,
     Solution,
+    replace,
     verify,
 )
 from .fileio import (
@@ -153,8 +153,11 @@ def main() -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -267,7 +270,7 @@ def _cmd_bench(args) -> int:
                             drift_per_layer=args.drift, noise_edits=args.noise,
                             seed=seed)
                         inst, _ = generate_planted_logged(params, args.mode)
-                        inst = dataclasses.replace(inst, k=k, d=d)
+                        inst = replace(inst, k=k, d=d)
                         resolved = _resolve(inst, args.algo)
                         queue = ctx.Queue()
                         proc = ctx.Process(target=_bench_worker,

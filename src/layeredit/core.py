@@ -31,15 +31,15 @@ and ~25 MB at n = 200, and a size past 1 GiB (n > 512) is refused with a
 ``CapabilityError`` before anything is built.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
-``Instance.edit_budgets``.  The errors every command maps to an exit code
-(``InputError``, ``CapabilityError``) and the search counters
-(``SearchStats``) live here too, so the CLI reaches them without loading a
-solver.
+``Instance.edit_budgets``.  ``Record`` is the base of every record class
+of the package, and ``replace`` rebuilds one with some fields changed.
+The errors every command maps to an exit code (``InputError``,
+``CapabilityError``) and the search counters (``SearchStats``) live here
+too, so the CLI reaches them without loading a solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -59,8 +59,68 @@ class CapabilityError(RuntimeError):
     """The instance exceeds the oracle's desk-scale guard."""
 
 
-@dataclass
-class SearchStats:
+class Record:
+    """Base of the package's records, the part of ``dataclasses`` they use
+    without importing it (that import alone adds ~8 ms to each command).
+
+    A subclass's fields are its base's, then the names annotated in its
+    body, in order; a value assigned there is the field's default.  It gets
+    an ``__init__`` taking the fields by position or keyword, then calling
+    the class's ``__post_init__`` if it has one; equality with records of
+    the same class; the dataclass ``repr``; and, unless declared with
+    ``mutable=True``, a hash and an ``AttributeError`` on assigning or
+    deleting an attribute after ``__init__`` (``object.__setattr__`` still
+    writes).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, mutable: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        params = ", ".join(f"{f}=_cls.{f}" if hasattr(cls, f) else f for f in fields)
+        store = "self.{0} = {0}" if mutable else "_set(self, {0!r}, {0})"
+        body = [store.format(f) for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        # one generated __init__: a generic *args/**kwargs one would double
+        # the cost of building a LayerGraph or a Solution
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        if mutable:
+            cls.__hash__ = None
+        else:
+            cls.__setattr__ = cls.__delattr__ = Record._frozen
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r} of a frozen "
+                             f"{type(self).__qualname__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(obj: Record, **changes):
+    """A copy of ``obj`` with the fields in ``changes`` replaced, built by
+    its class's ``__init__``, so validation and normalisation run again."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
+
+
+class SearchStats(Record, mutable=True):
     """Counters of one search.  ``nodes`` counts the constraints it entered;
     ``pruned_bound`` and ``pruned_marks`` count the children it dropped
     before entering them, by the frozen-edit bound (which also rejects a
@@ -89,8 +149,7 @@ def all_pairs(n: int) -> tuple[Pair, ...]:
     return tuple(combinations(range(1, n + 1), 2))
 
 
-@dataclass(frozen=True)
-class LayerGraph:
+class LayerGraph(Record):
     """One layer: a simple graph on vertices 1..n given by its edge set."""
 
     n: int
@@ -260,8 +319,7 @@ def _toggled_adj(g: LayerGraph, m: Iterable[Pair]) -> list[int]:
     return adj
 
 
-@dataclass(frozen=True)
-class P3Witness:
+class P3Witness(Record):
     """An induced path a - b - c (edge a-b, edge b-c, non-edge a-c)."""
 
     a: int
@@ -377,8 +435,7 @@ def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,
     return True
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A multi-layer (mode=mlce) or temporal (mode=tce) editing instance.
 
     ``budgets`` gives each layer its own edit budget, at most ``k``; a
@@ -419,8 +476,7 @@ class Instance:
         return self.budgets or (self.k,) * self.ell
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """Per-layer edit sets plus marked vertices.
 
     ``marked`` is the single mark set of an mlce solution; ``marked_per_gap``
@@ -437,8 +493,7 @@ class Solution:
             raise InputError("exactly one of marked / marked_per_gap must be set")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     violations: tuple[str, ...]
 
     @property

@@ -32,7 +32,6 @@ any other version is a ``ParseError``.  Solution format:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -43,6 +42,7 @@ from .core import (
     Instance,
     LayerGraph,
     Pair,
+    Record,
     Solution,
     all_pairs,
     pair,
@@ -272,8 +272,7 @@ def serialize_solution(sol: Optional[Solution], inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class PlantedParams:
+class PlantedParams(Record):
     """Knobs of the planted-clustering generator.
 
     ``drift_per_layer`` vertices move to another ground-truth cluster
@@ -347,8 +346,7 @@ def _assign_str(assign: dict[int, int]) -> str:
     return " ".join(f"{v}:{c}" for v, c in sorted(assign.items()))
 
 
-@dataclass(frozen=True)
-class Formula223:
+class Formula223(Record):
     """A (2,2)-3-SAT formula: clauses of 2-3 literals, every variable
     occurring exactly twice positively and twice negatively."""
 

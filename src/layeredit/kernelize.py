@@ -23,7 +23,6 @@ Rules, in application order (lower id first, restart after every change):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
 from typing import Optional
@@ -33,10 +32,12 @@ from .core import (
     Instance,
     LayerGraph,
     Pair,
+    Record,
     apply_edits,
     count_p3_through_pair,
     pair,
     pairs_of,
+    replace,
 )
 
 RULE_COUNT = 8
@@ -52,8 +53,7 @@ def _d_effective(inst: Instance) -> int:
     return inst.d * inst.ell if inst.mode == TCE else inst.d
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(Record):
     reduced: Optional[Instance]
     trivial_no_rule: Optional[int]
     id_map: dict[int, Optional[int]]

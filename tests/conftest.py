@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from layeredit.core import Instance, LayerGraph, Solution, layer_from_edges, pair
+from layeredit.core import Instance, LayerGraph, Solution, layer_from_edges, pair, replace
 
 REF_LAYERS = (
     ((1, 2), (1, 3), (2, 3), (3, 4), (1, 4), (2, 4), (4, 5)),

@@ -1,17 +1,16 @@
 import csv
 import io
-from dataclasses import replace
 
 import pytest
 
 from layeredit import branching, cli, core, oracle
 from layeredit.cli import run
-from layeredit.core import Solution, verify
+from layeredit.core import Solution, replace, verify
 from layeredit.fileio import (PlantedParams, generate_planted, parse_instance, parse_solution,
                               serialize_instance, serialize_solution)
 from layeredit.tcepath import enumerate_cluster_editing_sets
 
-from conftest import ref_instance, ref_tce_solution
+from conftest import ref_instance, ref_mlce_solution_k1_d2, ref_tce_solution
 
 
 @pytest.fixture
@@ -170,6 +169,24 @@ def test_pair_tables_past_their_limit_exit_2(files, capsys, monkeypatch):
         assert captured.err == "error: n=1000 needs pair tables of over 1 GiB; the limit is n=512\n"
         assert captured.out == ""
         assert not (tmp / "out.sol").exists()
+
+
+@pytest.mark.parametrize("argv", [["solve", "{bad}"], ["oracle", "{bad}"], ["kernelize", "{bad}"],
+                                  ["generate", "sat", "{bad}"], ["verify", "{bad}", "{sol}"],
+                                  ["verify", "{inst}", "{bad}"]])
+def test_undecodable_input_exits_2(files, capsys, argv):
+    write, tmp = files
+    inst = ref_instance("mlce", 1, 2)
+    paths = {"inst": write("f.mlg", serialize_instance(inst)),
+             "sol": write("f.sol", serialize_solution(ref_mlce_solution_k1_d2(), inst)),
+             "bad": str(tmp / "latin1.txt")}
+    (tmp / "latin1.txt").write_bytes(b"# caf\xe9\n1 2 3\n")
+    out = [] if argv[0] == "verify" else ["--out", str(tmp / "out")]
+    assert run([arg.format(**paths) for arg in argv] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {paths['bad']}: not UTF-8 text (byte 5)\n"
+    assert captured.out == ""
+    assert not (tmp / "out").exists()
 
 
 def test_kernelize_roundtrip(files, capsys):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -13,6 +12,7 @@ from layeredit.core import (
     LayerGraph,
     P3Witness,
     PairIndex,
+    SearchStats,
     Solution,
     _pair_tables,
     adj_p3s,
@@ -23,6 +23,7 @@ from layeredit.core import (
     find_p3,
     is_cluster_graph,
     layer_from_edges,
+    replace,
     verify,
 )
 from layeredit.tcepath import solve_tce_xp
@@ -354,6 +355,12 @@ class TestInstanceBudgets:
         assert inst != Instance("tce", 5, layers, 2, 1)
         assert replace(inst, d=0).budgets == (2, 0, -1)
 
+    def test_replace_validates_and_normalises_again(self):
+        inst = Instance("tce", 5, ref_instance("tce", 2, 1).layers, 2, 1, budgets=[2, 0, 1])
+        with pytest.raises(InputError):
+            replace(inst, k=-1)
+        assert replace(inst, budgets=(2,) * inst.ell).budgets == ()
+
     @pytest.mark.parametrize("k, d, budgets", [(-1, 0, ()), (1, -1, ()), (1, 0, (1, 1)),
                                                (1, 0, (1, 2, 0))])
     def test_invalid_budgets_rejected(self, k, d, budgets):
@@ -375,6 +382,51 @@ class TestInstanceValidation:
             Solution((frozenset(),))
         with pytest.raises(InputError):
             Solution((frozenset(),), marked=frozenset(), marked_per_gap=())
+
+    def test_missing_or_unknown_field(self):
+        g = layer_from_edges(3, [])
+        for build in (lambda: Instance("mlce", 3, (g,), 0),
+                      lambda: Instance("mlce", 3, (g,), 0, 0, budgets=(), extra=1),
+                      lambda: Instance("mlce", 3, (g,), 0, 0, (), 1),
+                      lambda: replace(g, size=3)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_fields_by_position_or_keyword(self):
+        g = LayerGraph(edges=frozenset({(1, 2)}), n=3)
+        assert g == LayerGraph(3, frozenset({(1, 2)})) and hash(g) == hash(replace(g))
+        assert replace(g) is not g
+        assert repr(g) == "LayerGraph(n=3, edges=frozenset({(1, 2)}))"
+        assert repr(Solution((), marked=frozenset())) == \
+            "Solution(edits=(), marked=frozenset(), marked_per_gap=None)"
+
+    def test_records_are_frozen(self):
+        inst = ref_instance("mlce", 1, 1)
+        report = verify(inst, Solution((frozenset(),) * 3, frozenset()))
+        for record, name in ((inst, "k"), (inst, "other"), (inst.layers[0], "edges"),
+                             (P3Witness(1, 2, 3), "a"), (report, "violations")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            del inst.k
+        assert inst.k == 1
+
+    def test_records_of_different_classes_never_compare_equal(self):
+        assert P3Witness(1, 2, 3) != (1, 2, 3)
+
+        class Witness(P3Witness):
+            pass
+
+        assert Witness(1, 2, 3) != P3Witness(1, 2, 3) and P3Witness(1, 2, 3) != Witness(1, 2, 3)
+
+    def test_search_stats_are_mutable_and_unhashable(self):
+        stats = SearchStats()
+        stats.nodes += 2
+        stats.max_depth = 1
+        assert stats == SearchStats(2, 1) and stats != SearchStats()
+        assert repr(stats) == "SearchStats(nodes=2, max_depth=1, pruned_bound=0, pruned_marks=0)"
+        with pytest.raises(TypeError):
+            hash(stats)
 
 
 def fresh_pair_tables(n):

@@ -1,9 +1,8 @@
 
-from dataclasses import replace
 
 import pytest
 
-from layeredit.core import Instance, verify
+from layeredit.core import Instance, replace, verify
 from layeredit.fileio import (
     Formula223,
     ParseError,

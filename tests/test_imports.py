@@ -40,6 +40,10 @@ PUBLIC_NAMES = [
 
 LOADED = ("sorted(m.split('.', 1)[1] for m in sys.modules "
           "if m.startswith('layeredit.'))")
+# stdlib modules whose import costs every command milliseconds of start-up
+# (``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``); the ones the
+# interpreter loaded before the code ran do not count
+AVOIDED = "sorted({'dataclasses', 'inspect'} & set(sys.modules) - before)"
 
 
 def run_fresh(code: str):
@@ -52,17 +56,20 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(*argvs) -> list[set[str]]:
-    """The layeredit submodules loaded after ``import layeredit.cli`` and
-    after each ``cli.run(argv)`` in turn; every run must exit 0."""
+def loaded_after(*argvs, watched: str = LOADED) -> list[set[str]]:
+    """The ``watched`` modules (by default the layeredit submodules) loaded
+    after ``import layeredit.cli`` and after each ``cli.run(argv)`` in turn;
+    every run must exit 0."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
         "import layeredit.cli as cli\n"
-        f"steps = [[0, {LOADED}]]\n"
+        f"steps = [[0, {watched}]]\n"
         f"for argv in {list(map(list, argvs))!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.run(argv)\n"
-        f"    steps.append([code, {LOADED}])\n"
+        f"    steps.append([code, {watched}])\n"
         "print(json.dumps(steps))\n"
     )
     steps = run_fresh(code)
@@ -102,6 +109,19 @@ def test_solve_and_kernelize_load_their_solver_only(files):
                           (["kernelize", str(files / "ref.mlg")], {"kernelize"})):
         _, after = loaded_after(argv)
         assert after == CLI_BASE | modules, argv
+
+
+def test_commands_load_neither_dataclasses_nor_inspect(files):
+    planted = ["generate", "planted", "--n", "8", "--ell", "3", "--clusters", "3",
+               "--noise", "1", "--drift", "1", "--out", str(files / "p.mlg")]
+    steps = loaded_after(planted,
+                         ["generate", "sat", str(files / "f.cnf"), "--out", str(files / "s.mlg")],
+                         ["solve", str(files / "ref.mlg"), "--out", str(files / "out.sol")],
+                         ["solve", str(files / "tce.mlg")],
+                         ["verify", str(files / "ref.mlg"), str(files / "ref.sol")],
+                         ["kernelize", str(files / "p.mlg")],
+                         watched=AVOIDED)
+    assert steps == [set()] * 7
 
 
 def test_public_names_are_unchanged():

@@ -1,12 +1,11 @@
 import hashlib
 import importlib
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from layeredit import core
-from layeredit.core import Instance, adj_p3s, layer_from_edges
+from layeredit.core import Instance, adj_p3s, layer_from_edges, replace
 from layeredit.fileio import PlantedParams, generate_planted, serialize_instance
 from layeredit.kernelize import (
     APPLIED,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from layeredit.branching import solve_mlce
-from layeredit.core import Instance, InputError, layer_from_edges, verify
+from layeredit.core import Instance, InputError, layer_from_edges, replace, verify
 from layeredit.oracle import (
     CapabilityError,
     oracle_mlce,
@@ -124,9 +124,8 @@ class TestOracleAgreement:
             inst = random_instance(rng, "mlce", max_k=1, max_d=1)
             if oracle_mlce(inst) is None:
                 continue
-            import dataclasses
-            assert oracle_mlce(dataclasses.replace(inst, k=inst.k + 1)) is not None
-            assert oracle_mlce(dataclasses.replace(inst, d=inst.d + 1)) is not None
+            assert oracle_mlce(replace(inst, k=inst.k + 1)) is not None
+            assert oracle_mlce(replace(inst, d=inst.d + 1)) is not None
 
     def test_yes_outputs_self_verify(self, rng):
         for mode in ("mlce", "tce"):

@@ -31,7 +31,6 @@ layers, so the order must move none of these counts.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -39,7 +38,7 @@ from collections import Counter
 import pytest
 
 from layeredit.branching import SearchContext, SearchStats, kernel_k, solve_mlce
-from layeredit.core import Instance, all_pairs, layer_from_edges, vertex_mask
+from layeredit.core import Instance, all_pairs, layer_from_edges, replace, vertex_mask
 from layeredit.fileio import (
     Formula223,
     PlantedParams,
@@ -98,7 +97,7 @@ def planted_instance(seed: int):
                            drift_per_layer=1, noise_edits=1 + seed % 2, seed=seed)
     inst = generate_planted(params, "mlce")
     dk, dd = ((0, 0), (0, -1), (-1, 0))[seed % 3]
-    return dataclasses.replace(inst, k=inst.k + dk, d=inst.d + dd)
+    return replace(inst, k=inst.k + dk, d=inst.d + dd)
 
 
 def observe(inst):

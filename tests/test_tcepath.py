@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from hashlib import sha256
 from itertools import combinations
 from math import comb
@@ -7,7 +6,7 @@ from math import comb
 import pytest
 
 from layeredit.core import (Instance, InputError, PairIndex, SearchStats, Solution, apply_edits,
-                            is_cluster_graph, layer_from_edges, pair, verify)
+                            is_cluster_graph, layer_from_edges, pair, replace, verify)
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
 from layeredit.oracle import _cover_within as brute_force_cover

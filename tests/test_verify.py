@@ -10,7 +10,6 @@ exception with the same text.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 from layeredit.core import (
@@ -24,6 +23,7 @@ from layeredit.core import (
     apply_edits,
     find_p3,
     layer_from_edges,
+    replace,
     verify,
 )
 
