@@ -28,7 +28,9 @@ n alone, so they are built once per n and shared read-only (as tuples)
 between solves, for the ``PAIR_TABLE_SIZES`` sizes last used; one size
 retains about N^2/16 bytes for its N = n(n-1)/2 pairs, ~1.5 MB at n = 100
 and ~25 MB at n = 200, and a size past 1 GiB (n > 512) is refused with a
-``CapabilityError`` before anything is built.
+``CapabilityError`` before anything is built.  ``tcepath``'s enumerator
+computes the same bits from each pair's ends, (u-1)(2n-u)/2 + v-u-1, so
+it builds no table.
 ``Instance`` is the one model of edit budgets: every solver, oracle,
 ``verify`` and the kernel read each layer's own budget from
 ``Instance.edit_budgets``.  ``Record`` is the base of every record class
@@ -279,18 +281,21 @@ class PairIndex:
     def cover_within(self, mask: int, d: int) -> bool:
         """Whether at most d vertices touch every pair of ``mask``.
 
-        Exact: a matching of more than d pairs needs more than d vertices,
-        and at most d pairs are covered by one end each.  Otherwise every
-        cover holds an end u or v of the lowest pair, so it is u plus a
-        cover of the pairs u misses within d - 1, or the same for v.  The
-        branching has up to 2^d leaves, so a large d is slow where the
-        matching does not decide."""
-        if self.matching_exceeds(mask, d):
-            return False
+        Exact: at most d pairs are covered by one end each.  Otherwise
+        every cover holds an end u or v of the lowest pair; at d = 1 that
+        end alone must touch every pair, so two masks settle it.  Above,
+        a matching of more than d pairs needs more than d vertices, and
+        else the cover is u plus a cover of the pairs u misses within
+        d - 1, or the same for v.  The branching has up to 2^d leaves, so
+        a large d is slow where the matching does not decide."""
         if mask.bit_count() <= d:
             return True
         u, v = self.pairs[(mask & -mask).bit_length() - 1]
         touching = self.touching
+        if d == 1:
+            return not mask & ~touching[u] or not mask & ~touching[v]
+        if self.matching_exceeds(mask, d):
+            return False
         return (self.cover_within(mask & ~touching[u], d - 1)
                 or self.cover_within(mask & ~touching[v], d - 1))
 

@@ -8,6 +8,12 @@ ties broken by id; once a branch has spent the budget, its remaining
 vertices are placed in one loop, each into the only cluster that costs
 nothing.  The instance is a yes iff the first part reaches the last.
 
+``enumerate_edit_masks`` is the one enumerator.  It emits every node as a
+``core.PairIndex`` pair mask, each pair's bit computed from its ends, and
+the sweep reads nothing else; only the final path's nodes, and the sets of
+the public ``enumerate_cluster_editing_sets``, are decoded into frozensets
+of pairs.
+
 Consecutive nodes are compatible when their edited graphs agree up to d
 marked vertices.  Node p of part i-1 with edits E_p and node c of part i
 with edits E_c give H_p = G_{i-1} xor E_p and H_c = G_i xor E_c, which
@@ -15,24 +21,27 @@ differ on F = Delta_i xor E_p xor E_c, Delta_i = G_{i-1} xor G_i.  They
 agree outside a mark set D exactly when D touches every pair of F, so the
 check is whether F has a vertex cover of at most d vertices: the partition
 distance of the two clusterings (Gusfield, IPL 2002).  Every node is a
-``core.PairIndex`` pair mask, so F costs two int xors.
+pair mask, so F costs two int xors.
 
 A node's predecessor is the first reachable node of the previous part that
 is compatible with it.  With d = 0 F must be empty, E_c = E_p xor Delta_i,
 so the reachable nodes are indexed by E_p xor Delta_i and each node does
 one lookup.  With d > 0 every reachable node is tried in order: an F of
 at most d pairs is accepted on its size, and any other goes to
-``PairIndex.cover_within``, which settles most checks by a greedy matching
-of F and otherwise branches on the ends of its lowest pair, 2^d leaves at
-worst.  Only the final path's gaps get a mark set, and only a gap whose
-edited layers differ gets a two-layer solve (``solve_two_layer_zero_edit``,
-a matching over the vertices those layers disagree on); one whose layers
-are equal gets the empty set, which is what that solve returns there.
-``verify`` still checks every layer and gap of the result.
+``PairIndex.cover_within``.  At d = 1 that settles F by the two ends of its
+lowest pair, one of which must touch every pair; above, a greedy matching
+of F settles most checks, and the rest branch on the ends of the lowest
+pair, 2^d leaves at worst.  Only the final path's gaps get a mark set, and
+only a gap whose edited layers differ gets a two-layer solve
+(``solve_two_layer_zero_edit``, a matching over the vertices those layers
+disagree on); one whose layers are equal gets the empty set, which is what
+that solve returns there.  ``verify`` still checks every layer and gap of
+the result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .core import (
@@ -50,19 +59,22 @@ from .core import (
 from .twolayer import solve_two_layer_zero_edit
 
 
-def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
+def enumerate_edit_masks(g: LayerGraph, k: int) -> list[int]:
     """All edit sets of size at most k that turn g into a cluster graph,
-    each exactly once, ordered lexicographically by sorted pair list.
+    each exactly once as a ``core.PairIndex`` pair mask, ordered
+    lexicographically by sorted pair list.
 
     Vertices are placed in descending degree, ties broken by id, so most
     pairs are priced by the first few placements and an over-budget branch
     dies near the root.  Once a branch has spent the budget it is finished
     in one loop without branching: each remaining vertex must join the
     cluster equal to its placed neighbourhood, or open a new one if that is
-    empty, the only choice that costs nothing."""
+    empty, the only choice that costs nothing.  A pair's bit is computed
+    from ``_pair_rows``, so no pair table is built and any n works."""
     if k < 0:
         raise InputError("negative edit budget")
     n, adj = g.n, g.adj
+    rows = _pair_rows(n)
     order = sorted(range(1, n + 1), key=lambda v: (-adj[v].bit_count(), v))
     # before[i]: bitmask of the neighbours of order[i] placed before it
     before = []
@@ -73,10 +85,11 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
     found = []
     # Depth-first without recursion; a partition fixes its edited graph, so
     # each set is reached once.  Entry: (vertices placed, edits spent, toggle
-    # chain, clusters as bitmasks over the vertex ids).  The chain links
-    # (mask, v, rest) records, mask holding the placed u whose pair with v
-    # is toggled; it is decoded into pairs only at the leaves.
-    stack = [(0, 0, None, ())]
+    # chain, clusters as bitmasks over the vertex ids, a list the entry
+    # owns).  The chain links (mask, v, rest) records, mask holding the
+    # placed u whose pair with v is toggled; a leaf reads it into its
+    # ascending pair bits, the sort key.
+    stack = [(0, 0, None, [])]
     pop, push = stack.pop, stack.append
     while stack:
         i, spent, chain, clusters = pop()
@@ -85,17 +98,25 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
             # joins the cluster equal to its placed neighbours, or opens one
             # if it has none, or the branch ends.  Clusters are disjoint and
             # nonempty, so no other choice is free.
-            open_clusters = list(clusters)
             for j in range(i, n):
                 nbrs = before[j]
                 if not nbrs:
-                    open_clusters.append(1 << order[j])
-                elif nbrs in open_clusters:
-                    open_clusters[open_clusters.index(nbrs)] = nbrs | 1 << order[j]
+                    clusters.append(1 << order[j])
+                elif nbrs in clusters:
+                    clusters[clusters.index(nbrs)] = nbrs | 1 << order[j]
                 else:
                     break
             else:
-                found.append(_toggled_pairs(chain))
+                toggled = []
+                while chain is not None:
+                    mask, v, chain = chain
+                    while mask:
+                        low = mask & -mask
+                        u = low.bit_length() - 1
+                        toggled.append(rows[u] + v - u - 1 if u < v else rows[v] + u - v - 1)
+                        mask ^= low
+                toggled.sort()
+                found.append(tuple(toggled))
             continue
         v, nbrs = order[i], before[i]
         bit = 1 << v
@@ -104,26 +125,48 @@ def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair
             mask = members ^ nbrs  # non-edges inside, edges leaving it
             cost = spent + mask.bit_count()
             if cost <= k:
-                push((i, cost, (mask, v, chain) if mask else chain,
-                      clusters[:idx] + (members | bit,) + clusters[idx + 1:]))
+                joined = clusters.copy()
+                joined[idx] = members | bit
+                push((i, cost, (mask, v, chain) if mask else chain, joined))
         cost = spent + nbrs.bit_count()  # v opens a new cluster
         if cost <= k:
-            push((i, cost, (nbrs, v, chain) if nbrs else chain, clusters + (bit,)))
-    return [frozenset(t) for t in sorted(found)]
+            clusters.append(bit)  # the last child takes the popped list
+            push((i, cost, (nbrs, v, chain) if nbrs else chain, clusters))
+    # Ascending bits are lexicographic pair order, so sorting the bit tuples
+    # sorts the sets by their sorted pair lists.
+    found.sort()
+    masks = []
+    for toggled in found:
+        mask = 0
+        for b in toggled:
+            mask |= 1 << b
+        masks.append(mask)
+    return masks
 
 
-def _toggled_pairs(chain) -> tuple[Pair, ...]:
-    """The pairs a toggle chain records, sorted."""
-    toggles = []
-    while chain is not None:
-        mask, v, chain = chain
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            toggles.append((u, v) if u < v else (v, u))
-            mask ^= low
-    toggles.sort()
-    return tuple(toggles)
+def enumerate_cluster_editing_sets(g: LayerGraph, k: int) -> list[frozenset[Pair]]:
+    """``enumerate_edit_masks`` decoded into pair sets, in the same order."""
+    rows = _pair_rows(g.n)
+    return [_pair_set(rows, mask) for mask in enumerate_edit_masks(g, k)]
+
+
+def _pair_rows(n: int) -> list[int]:
+    """rows[u] = (u-1)(2n-u)/2, the bit of pair (u, u+1) in a ``PairIndex``
+    mask over 1..n, so pair (u, v) with u < v is bit rows[u] + v - u - 1.
+    Ascending from rows[0] = -n, so a bit's row is found by bisection."""
+    return [(u - 1) * (2 * n - u) // 2 for u in range(n + 1)]
+
+
+def _pair_set(rows: list[int], mask: int) -> frozenset[Pair]:
+    """The pairs of a pair mask, read from ``_pair_rows`` alone."""
+    pairs = []
+    while mask:
+        low = mask & -mask
+        b = low.bit_length() - 1
+        u = bisect_right(rows, b) - 1
+        pairs.append((u, b - rows[u] + u + 1))
+        mask ^= low
+    return frozenset(pairs)
 
 
 def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optional[Solution]:
@@ -139,27 +182,27 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     if min(budgets) < 0:
         return None
 
-    # Every layer's part is kept, so the path's edit sets are read back from
-    # it; only the current frontier's pair masks live across the sweep.
+    # Every layer's part of pair masks is kept, so the path's edit sets are
+    # decoded from it at the end; no other node becomes a pair set.
     index = PairIndex(inst.n)
     cover_within, d = index.cover_within, inst.d
 
-    def enumerate_part(i: int) -> list[frozenset[Pair]]:
-        part = enumerate_cluster_editing_sets(inst.layers[i], budgets[i])
+    def enumerate_part(i: int) -> list[int]:
+        part = enumerate_edit_masks(inst.layers[i], budgets[i])
         if stats is not None:
             stats.nodes += len(part)
         return part
 
     parts = [enumerate_part(0)]
-    prev_masks = [index.pair_mask(m) for m in parts[0]]
     reachable = list(range(len(parts[0])))
     # predecessors[i][j]: index in part i-1 from which node j of part i was
     # first reached; ties go to the earliest reachable predecessor.
     predecessors: list[list[Optional[int]]] = [[None] * len(parts[0])]
 
     for i in range(1, inst.ell):
-        parts.append(enumerate_part(i))
-        masks = [index.pair_mask(m) for m in parts[i]]
+        prev_masks = parts[-1]
+        masks = enumerate_part(i)
+        parts.append(masks)
         delta = index.pair_mask(inst.layers[i - 1].edges ^ inst.layers[i].edges)
         if d == 0:
             # Without marks F must be empty: look each node up by its edits,
@@ -183,7 +226,6 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
                     preds.append(None)
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
-        prev_masks = masks
         if not reachable:
             return None
 
@@ -196,7 +238,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
         path.append(node)
     path.reverse()
 
-    edits = tuple(part[j] for part, j in zip(parts, path))
+    edits = tuple(index.pair_set(part[j]) for part, j in zip(parts, path))
     edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
     marks = []
     for ga, gb in zip(edited, edited[1:]):

@@ -4,14 +4,17 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layeredit.core import (Instance, InputError, PairIndex, SearchStats, Solution, apply_edits,
-                            is_cluster_graph, layer_from_edges, pair, replace, verify)
+from layeredit.core import (CapabilityError, Instance, InputError, PairIndex, SearchStats,
+                            Solution, apply_edits, is_cluster_graph, layer_from_edges, pair,
+                            replace, verify)
 from layeredit.fileio import PlantedParams, generate_planted, serialize_solution
 from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, oracle_tce
 from layeredit.oracle import _cover_within as brute_force_cover
 from layeredit import tcepath
-from layeredit.tcepath import enumerate_cluster_editing_sets, solve_tce_xp
+from layeredit.tcepath import enumerate_cluster_editing_sets, enumerate_edit_masks, solve_tce_xp
 from layeredit.twolayer import cluster_labels, solve_two_layer_zero_edit
 
 from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
@@ -133,6 +136,18 @@ class TestEnumeration:
         g = random_cluster_graph(rng, 2000)
         assert enumerate_cluster_editing_sets(g, 0) == [frozenset()]
 
+    def test_past_the_pair_table_limit(self):
+        # triangles on every vertex but a P3 1 - 300 - 600, whose pairs sit
+        # in the first, a middle and (with 600) the last row of pair bits
+        rest = [v for v in range(2, 600) if v != 300]
+        edges = [(1, 300), (300, 600)] + [p for i in range(0, len(rest), 3)
+                                          for p in combinations(rest[i:i + 3], 2)]
+        g = layer_from_edges(600, edges)
+        with pytest.raises(CapabilityError):
+            PairIndex(600)
+        assert enumerate_cluster_editing_sets(g, 1) == [
+            frozenset({(1, 300)}), frozenset({(1, 600)}), frozenset({(300, 600)})]
+
 
 def renamed_sets(sets, perm):
     """Edit sets with vertex v renamed perm[v], in the enumerator's order."""
@@ -186,6 +201,30 @@ class TestEnumerationPastDeskScale:
                 for part in parts] == digests
         for g, part in zip(inst.layers, parts):
             assert all(is_cluster_graph(apply_edits(g, m)) for m in part)
+
+
+@st.composite
+def noisy_cluster_graphs(draw):
+    """A cluster graph on 5..14 vertices with up to three pairs toggled,
+    the same graph with its vertices renamed, and a budget of 0..4."""
+    n = draw(st.integers(5, 14))
+    labels = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    noise = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda p: p[0] != p[1]), max_size=3))
+    perm = [0] + draw(st.permutations(range(1, n + 1)))
+    g = apply_edits(graph_of(labels), {pair(u, v) for u, v in noise})
+    renamed = layer_from_edges(n, [pair(perm[u], perm[v]) for u, v in g.edges])
+    return g, renamed, draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(noisy_cluster_graphs())
+def test_masks_are_the_pair_index_encoding_of_the_sets(case):
+    g, renamed, k = case
+    index = PairIndex(g.n)
+    for graph in (g, renamed):
+        masks = enumerate_edit_masks(graph, k)
+        assert masks == [index.pair_mask(m) for m in enumerate_cluster_editing_sets(graph, k)]
 
 
 def cover_decision(g1, g2, d):
@@ -248,6 +287,23 @@ class TestSweepCheck:
         assert index.cover_within(disjoint, 2) and index.cover_within(star, 4)
         assert not index.cover_within(disjoint, 1) and index.matching_exceeds(disjoint, 1)
         assert not index.matching_exceeds(star, 4)
+
+    def test_one_vertex_covers_match_the_oracle(self, rng):
+        index = PairIndex(8)
+        mask = index.pair_mask
+        shapes = {"star": [(3, 1), (3, 5), (3, 8)], "path": [(1, 2), (2, 3), (3, 4)],
+                  "short path": [(2, 6), (6, 7)], "triangle": [(1, 2), (1, 3), (2, 3)],
+                  "disjoint": [(1, 2), (3, 4)]}
+        cases = [[pair(u, v) for u, v in pairs] for pairs in shapes.values()]
+        pairs_of_8 = list(combinations(range(1, 9), 2))
+        for _ in range(400):
+            cases.append(rng.sample(pairs_of_8, rng.randint(0, 6)))
+        answers = Counter()
+        for pairs in cases:
+            got = index.cover_within(mask(pairs), 1)
+            assert got == (brute_force_cover(frozenset(pairs), 1) is not None), pairs
+            answers[got] += 1
+        assert answers[True] >= 50 and answers[False] >= 50
 
     def test_clusters_follow_the_edits(self):
         g = layer_from_edges(4, [(1, 2), (3, 4)])
