@@ -1,5 +1,11 @@
 """Search-tree solver for multi-layer cluster editing.
 
+An instance whose every edit budget k_i is 0 takes a route of its own: no
+edit is allowed, so it is a no if a layer is not a cluster graph, and
+otherwise a yes exactly when at most d vertices touch every pair on which
+the layers differ (``PairIndex.cover`` finds them; see
+``_solve_by_cover``).  Every other instance goes to the search below.
+
 The solver keeps a constraint (marked vertices, per-layer edit sets, and
 permanent pairs whose status is frozen) that always aligns all edited
 layers outside the marked set.  Starting from a greedy majority-vote
@@ -15,41 +21,39 @@ pair indices, a pair's index being its position in ``all_pairs(n)``, so
 ascending bits are lexicographic pair order.  Every constraint is clean: no
 edit touches a marked vertex, because a mark child drops the edits at its
 new mark when it is built.  A ``SearchContext`` is one search of one
-instance: a ``core.PairIndex`` (the pair list, each pair's bit, the pairs
-touching each vertex and the matching test of the marks bound, shared
-between solves of the same n) that also holds the instance's tables, built
-once per solve (every layer's edge set as a pair bitmask and edit budget
-k_i), the search's memos, each capped at ``FAILED_CAP`` entries (P3 rows,
-failed constraints, bound verdicts), and its trace and stats hooks; its
-``run`` is the search.  The search reads masks only: the greedy root takes
-the majority of the layers' pair masks with bit-sliced counters
-(``majority_mask``); rule 1 runs ``core.first_p3`` on layer 0's
-``LayerGraph.adj`` with its edits toggled in (``toggled_adj``), and is
-skipped on a mark child of a constraint it did not apply to; the
-frozen-edit bound and rule 3's per-layer kernel (``kernel_k``) read a
-layer's P3 rows (``toggled_p3s``, derived from the rows with one toggled
-pair fewer, down to the layer's ``core.adj_p3s``); rule 3 runs
-``min_marked_completion`` (``core.is_cluster_adj`` for its cluster tests,
-``core.first_p3`` for the P3 it branches on) on toggled adjacencies, once
-per layer, and an accepted constraint's solution is assembled from the
-completions rule 3 found for it.  Only the returned ``Solution`` decodes to
-frozensets, and ``core.verify`` checks it on masks of its own.
+instance: a ``core.PairIndex`` (the pair list, each pair's bit and the
+pairs touching each vertex, shared between solves of the same n) that also
+holds the instance's tables, built once per solve (every layer's edge set
+as a pair bitmask and edit budget k_i), the search's memos, each capped at
+``FAILED_CAP`` entries (P3 rows, failed constraints, bound verdicts), and
+its trace and stats hooks; its ``run`` is the search.  The search reads
+masks only: the greedy root takes the majority of the layers' pair masks
+with bit-sliced counters (``majority_mask``); rule 1 runs ``core.first_p3``
+on layer 0's ``LayerGraph.adj`` with its edits toggled in
+(``toggled_adj``), and is skipped on a mark child of a constraint it did
+not apply to; the frozen-edit bound and rule 3's per-layer kernel
+(``kernel_k``) read a layer's P3 rows (``toggled_p3s``, derived from the
+rows with one toggled pair fewer, down to the layer's ``core.adj_p3s``);
+rule 3 runs ``min_marked_completion`` (``core.is_cluster_adj`` for its
+cluster tests, ``core.first_p3`` for the P3 it branches on) on toggled
+adjacencies, once per layer, and an accepted constraint's solution is
+assembled from the completions rule 3 found for it.  Only the returned
+``Solution`` decodes to frozensets, and ``core.verify`` checks it on masks
+of its own.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
 toggle child that gives a layer more frozen edits than its budget k_i.  Of
 the other children, the search drops before entering them one whose
 permanent set grew (a toggle child, or rule 3's commit child) that the
 frozen-edit bound (``frozen_edit_bound``) rejects, first of all for a layer
-with more frozen edits than k_i, and one whose loose edits need more new
-marks than the marks and the budgets have left (``mark_bound_rejects``, a
-matching bound; a mark child's inputs to it come from its parent's).  The
-frozen-edit bound reads only the permanent pairs and the frozen edits,
-which mark children leave alone, so it is evaluated at the root and then
-once per (permanent, frozen edits) of a search, starting at the layer that
-rejected last (a verdict over all layers, so the order changes only the
-work); ``SearchStats`` counts the drops by cause.  Pruned subtrees hold no
-solution and the surviving children keep their order, so the first
-solution found is the one an unpruned search finds.
+with more frozen edits than k_i.  That bound reads only the permanent
+pairs and the frozen edits, which mark children leave alone, so it is
+evaluated at the root and then once per (permanent, frozen edits) of a
+search, starting at the layer that rejected last (a verdict over all
+layers, so the order changes only the work); ``SearchStats.pruned_bound``
+counts the drops.  Pruned subtrees hold no solution and the surviving
+children keep their order, so the first solution found is the one an
+unpruned search finds.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from .core import (
     bits,
     first_p3,
     is_cluster_adj,
+    is_cluster_graph,
     p3_through_pair,
     pair,
     verify,
@@ -211,27 +216,12 @@ class SearchContext(PairIndex):
         return None
 
     def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass the frozen-edit bound and the marks bound,
-        in order.  A child that kept the parent's permanent pairs is a mark
-        child within d marks, with the parent's frozen-edit verdict and its
-        marks-bound inputs less the pairs at its mark x."""
-        stats, touching = self.stats, self.touching
-        permanent = parent.permanent
-        parent_loose, parent_room = _loose_and_room(self, parent)
-        kept = []
-        for child in children:
-            if child.permanent == permanent:
-                x = (child.marked ^ parent.marked).bit_length() - 1
-                loose, room = parent_loose & ~touching[x], parent_room - 1
-            elif self.dead_by_bound(child):
-                stats.pruned_bound += 1
-                continue
-            else:
-                loose, room = _loose_and_room(self, child)
-            if self.matching_exceeds(loose, room):
-                stats.pruned_marks += 1
-                continue
-            kept.append(child)
+        """The children that pass the frozen-edit bound, in order.  A child
+        that kept the parent's permanent pairs is a mark child, with the
+        parent's frozen edits and so its verdict."""
+        kept = [child for child in children
+                if child.permanent == parent.permanent or not self.dead_by_bound(child)]
+        self.stats.pruned_bound += len(children) - len(kept)
         return kept
 
     def dead_by_bound(self, c: Constraint) -> bool:
@@ -355,50 +345,6 @@ def rejecting_layer(ctx: SearchContext, c: Constraint, start: int = 0) -> Option
         if frozen_edit_bound(ctx, i, edits[i] & permanent, permanent, budgets[i]) is None:
             return i
     return None
-
-
-def mark_bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
-    """No solution below ``c`` keeps to d marks: a matching of its loose
-    edits needs more new marks than the marks and the budgets have left.
-
-    Let L be the loose edits, the union over the layers of edits_i minus the
-    permanent pairs, and S = sum_i (k_i - |edits_i & permanent|) the slack
-    of the budgets beyond the frozen edits.  M is a greedy matching on L
-    (pairs taken in ascending bit order, each vertex in at most one pair),
-    and the test rejects when |marked| + |M| - S > d: the maximal-matching
-    lower bound for Vertex Cover (Niedermeier, "Invitation to
-    Fixed-Parameter Algorithms", 2006) with S pairs let off.
-
-    It is sound for a clean ``c`` (no edit touches a mark, which every child
-    is built to be).  Take any accepted leaf below ``c``; the completion
-    then only adds edits at marks.  Each pair of L ends in one of three
-    ways: it gets a newly marked endpoint; it stays an edit of some layer
-    where it is loose, which uses one unit of that layer's k_i; or it is
-    toggled and frozen, and then it is a frozen edit of a layer that lacked
-    it, which exists because a loose edit sits in at most half of the
-    layers (``_check_loose_edit_spread``).  Children never change a
-    permanent pair, so the frozen edits of ``c`` stay edits of the leaf, and
-    each pair of L left without a new mark takes a (layer, pair) budget unit
-    of its own beyond them: at most S pairs stay uncovered.  A new mark
-    covers at most one pair of the matching M, so the leaf has at least
-    |M| - S new marks, and at most d marks in all.  A pair edited in every
-    layer needs no term of its own: the spread invariant keeps such a pair
-    out of L, and as a frozen edit it is already counted in S.
-
-    Returns early, without building M, when |L| alone stays within
-    d - |marked| + S.
-    """
-    return ctx.matching_exceeds(*_loose_and_room(ctx, c))
-
-
-def _loose_and_room(ctx: SearchContext, c: Constraint) -> tuple[int, int]:
-    """L and d - |marked| + S of ``mark_bound_rejects``; M may have room pairs."""
-    permanent, edits = c.permanent, c.edits
-    room = ctx.inst.d - c.marked.bit_count() + sum(ctx.budgets)
-    if permanent:
-        for m in edits:
-            room -= (m & permanent).bit_count()
-    return reduce(or_, edits) & ~permanent, room
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:
@@ -618,16 +564,44 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
         raise InputError("solve_mlce expects an mlce instance")
     if min(inst.edit_budgets) < 0:
         return None
-    ctx = SearchContext(inst, trace, check_invariants, stats)
-    root = greedy_initial_constraint(ctx)
-    if check_invariants and not is_aligning(ctx, root):
-        raise InvariantViolation("greedy constraint is not aligning")
-    sol = ctx.run(root, 0)
+    if max(inst.edit_budgets) == 0:
+        sol = _solve_by_cover(inst, trace, stats)
+    else:
+        ctx = SearchContext(inst, trace, check_invariants, stats)
+        root = greedy_initial_constraint(ctx)
+        if check_invariants and not is_aligning(ctx, root):
+            raise InvariantViolation("greedy constraint is not aligning")
+        sol = ctx.run(root, 0)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
             raise RuntimeError(f"extracted solution failed verification: {report}")
     return sol
+
+
+def _solve_by_cover(inst: Instance, trace: Optional[TraceFn],
+                    stats: Optional[SearchStats]) -> Optional[Solution]:
+    """The solve when every budget k_i is 0: no edit is allowed, so a layer
+    that is not a cluster graph makes the answer no.  Otherwise every
+    layer stays a cluster graph on any vertex subset, so a mark set is a
+    solution exactly when the layers agree outside it, that is, when it
+    touches every pair of D, the OR over i of E_i xor E_0: the marks are a
+    ``PairIndex.cover`` of D within d, and the edits are empty.  The nodes
+    are the cover's calls, or the one root that a P3 rejects."""
+    if not all(map(is_cluster_graph, inst.layers)):
+        if stats is not None:
+            stats.nodes += 1
+        if trace:
+            trace("TRACE 0 rule0 reject p3")
+        return None
+    index = PairIndex(inst.n)
+    differ = index.pair_mask(reduce(or_, (g.edges ^ inst.layers[0].edges for g in inst.layers)))
+    marked = index.cover(differ, inst.d, stats)
+    if trace:
+        trace(f"TRACE 0 rule0 reject cover |pairs|={differ.bit_count()}" if marked is None else
+              f"TRACE 0 accept |D|={marked.bit_count()} |B|=0 |pairs|={differ.bit_count()}")
+    return None if marked is None else Solution((frozenset(),) * inst.ell,
+                                                marked=frozenset(bits(marked)))
 
 
 def _extract_solution(ctx: SearchContext, c: Constraint,
@@ -640,14 +614,11 @@ def _extract_solution(ctx: SearchContext, c: Constraint,
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:
-    """Each layer's extracted edits reach the accepted constraint's bound,
-    and the marks bound lets the accepted constraint through."""
+    """Each layer's extracted edits reach the accepted constraint's bound."""
     for i, m in enumerate(sol.edits):
         if frozen_edit_bound(ctx, i, c.edits[i] & c.permanent, c.permanent, len(m)) is None:
             raise InvariantViolation(f"layer {i + 1}'s {len(m)} extracted edits fall below "
                                      f"the accepted constraint's bound")
-    if mark_bound_rejects(ctx, c):
-        raise InvariantViolation("the marks bound rejects an accepted constraint")
 
 
 def _check_children(ctx: SearchContext, parent: Constraint,

@@ -22,8 +22,9 @@ the one check-and-toggle of an edit set into a copy of a layer's masks:
 ``LayerGraph``, frozenset or ``PairIndex`` but compares the toggled copies
 row by row.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
-the positions in ``all_pairs(n)``, with the vertex-cover tests on such
-masks that the branch search and the tce sweep share.  Its tables depend on
+the positions in ``all_pairs(n)``, with ``cover``, the one vertex-cover
+routine on such masks, which the tce sweep's checks and ``branching``'s
+route for all-zero budgets share.  Its tables depend on
 n alone, so they are built once per n and shared read-only (as tuples)
 between solves, for the ``PAIR_TABLE_SIZES`` sizes last used; one size
 retains about N^2/16 bytes for its N = n(n-1)/2 pairs, ~1.5 MB at n = 100
@@ -123,15 +124,15 @@ def replace(obj: Record, **changes):
 
 
 class SearchStats(Record, mutable=True):
-    """Counters of one search.  ``nodes`` counts the constraints it entered;
-    ``pruned_bound`` and ``pruned_marks`` count the children it dropped
-    before entering them, by the frozen-edit bound (which also rejects a
-    layer with more frozen edits than its budget) and by the marks bound."""
+    """Counters of one search.  ``nodes`` counts the constraints it entered,
+    or the calls of ``PairIndex.cover`` where that decides the instance;
+    ``pruned_bound`` counts the children it dropped before entering them,
+    by the frozen-edit bound (which also rejects a layer with more frozen
+    edits than its budget)."""
 
     nodes: int = 0
     max_depth: int = 0
     pruned_bound: int = 0
-    pruned_marks: int = 0
 
 
 def pair(u: int, v: int) -> Pair:
@@ -264,10 +265,7 @@ class PairIndex:
         """Whether a greedy matching of the pairs of ``mask`` (lowest pair
         first, each vertex in at most one pair) holds more than ``room``
         pairs; then no ``room`` vertices touch every pair, as each touches
-        at most one matched pair.  Returns early when ``mask`` has at most
-        ``room`` pairs."""
-        if mask.bit_count() <= room:
-            return False
+        at most one matched pair."""
         pairs, touching = self.pairs, self.touching
         matched = 0
         while mask:
@@ -278,26 +276,82 @@ class PairIndex:
             mask &= ~(touching[u] | touching[v])
         return False
 
-    def cover_within(self, mask: int, d: int) -> bool:
-        """Whether at most d vertices touch every pair of ``mask``.
+    def cover(self, mask: int, d: int, stats: Optional[SearchStats] = None) -> Optional[int]:
+        """A vertex mask of at most d vertices touching every pair of
+        ``mask`` (d >= 0), or None if there is none; ``stats.nodes`` counts
+        the calls.  The empty cover is the mask 0, so test ``is None``.
 
-        Exact: at most d pairs are covered by one end each.  Otherwise
-        every cover holds an end u or v of the lowest pair; at d = 1 that
-        end alone must touch every pair, so two masks settle it.  Above,
-        a matching of more than d pairs needs more than d vertices, and
-        else the cover is u plus a cover of the pairs u misses within
-        d - 1, or the same for v.  The branching has up to 2^d leaves, so
-        a large d is slow where the matching does not decide."""
-        if mask.bit_count() <= d:
-            return True
-        u, v = self.pairs[(mask & -mask).bit_length() - 1]
+        Exact.  The cheap settles come first: at most d pairs are covered
+        by their lower ends; every cover holds an end u or v of the lowest
+        pair, so at d = 1 two masks settle it; a greedy matching of more
+        than d pairs needs more than d vertices; and at d = 2 the cover is
+        u or v plus a d = 1 cover of the rest.  Past them, branch and
+        reduce (Akiba and Iwata, TCS 2016): the partner of a vertex with
+        one pair is in some minimum cover; components have independent
+        covers, so of the lowest pair's component and the rest, the side
+        with fewer pairs is solved to its minimum and the other within what
+        is left; and else a vertex x of maximum degree is in the cover, or
+        every partner of x is."""
+        if stats is not None:
+            stats.nodes += 1
+        if mask.bit_count() <= d:  # the lower end of each pair
+            found = 0
+            while mask:
+                found |= 1 << self.pairs[(mask & -mask).bit_length() - 1][0]
+                mask &= mask - 1
+            return found
         touching = self.touching
+        u, v = self.pairs[(mask & -mask).bit_length() - 1]
         if d == 1:
-            return not mask & ~touching[u] or not mask & ~touching[v]
+            if not mask & ~touching[u]:
+                return 1 << u
+            return None if mask & ~touching[v] else 1 << v
         if self.matching_exceeds(mask, d):
-            return False
-        return (self.cover_within(mask & ~touching[u], d - 1)
-                or self.cover_within(mask & ~touching[v], d - 1))
+            return None
+        if d == 2:  # u or v covers the lowest pair, and d = 1 settles the rest
+            for w in (u, v):
+                found = self.cover(mask & ~touching[w], 1, stats)
+                if found is not None:
+                    return found | 1 << w
+            return None
+        degree = [(mask & row).bit_count() for row in touching]
+        taken = 0  # the partner of each vertex with one pair not yet covered
+        for w, k in enumerate(degree):
+            if k == 1 and mask & touching[w]:
+                a, b = self.pairs[(mask & touching[w]).bit_length() - 1]
+                taken |= 1 << (a + b - w)
+                mask &= ~touching[a + b - w]
+        if taken:
+            return self._take(mask, taken, d, stats)
+        part = grown = mask & -mask  # the component of the lowest pair
+        while grown:
+            grown = mask & self.touching_mask(self._ends(grown)) & ~part
+            part |= grown
+        if part != mask:  # the side with fewer pairs to its least cover, then the other
+            small = min(part, mask ^ part, key=int.bit_count)
+            for size in range(1, d + 1):
+                least = self.cover(small, size, stats)
+                if least is not None:
+                    return self._take(mask ^ small, least, d, stats)
+            return None
+        x = degree.index(max(degree))
+        found = self._take(mask, 1 << x, d, stats)
+        if found is None:
+            found = self._take(mask, self._ends(mask & touching[x]) ^ 1 << x, d, stats)
+        return found
+
+    def _take(self, mask: int, taken: int, d: int, stats: Optional[SearchStats]) -> Optional[int]:
+        """The vertices of ``taken`` plus a ``cover`` of the pairs of
+        ``mask`` they miss, within d in all."""
+        size = taken.bit_count()
+        if size > d:
+            return None
+        found = self.cover(mask & ~self.touching_mask(taken), d - size, stats)
+        return None if found is None else found | taken
+
+    def _ends(self, mask: int) -> int:
+        """Vertex mask of the ends of the pairs of ``mask``."""
+        return vertex_mask(w for j in bits(mask) for w in self.pairs[j])
 
 
 def layer_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> LayerGraph:

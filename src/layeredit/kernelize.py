@@ -10,7 +10,9 @@ clique gadget of 2k+2 fresh vertices restores a uniform budget, yielding a
 plain decision-equivalent instance.  In temporal mode every occurrence of
 the mark budget inside the rules is d*ell instead of d.
 
-Rules, in application order (lower id first, restart after every change):
+Rules, in application order (lower id first; after every change restart
+at rule 1, or at rule 5 after rule 5 or 6, which leave rules 1-4
+inapplicable):
  1 reject on a negative budget
  2 delete an edge sitting in more P3s than the layer budget allows
  3 add a non-edge sitting in more P3s than the layer budget allows
@@ -207,8 +209,9 @@ def kernelize(inst: Instance) -> KernelResult:
     orig_ids = list(range(1, inst.n + 1))  # orig_ids[v - 1]: input id of vertex v
     id_map: dict[int, Optional[int]] = {v: None for v in orig_ids}
     log: list[str] = []
+    first = 1  # the rule to try first
     while True:
-        for rule_id in range(1, RULE_COUNT + 1):
+        for rule_id in range(first, RULE_COUNT + 1):
             status, nxt, note, dropped = apply_rule(inst, rule_id)
             if status == TRIVIAL_NO:
                 log.append(note)
@@ -217,6 +220,11 @@ def kernelize(inst: Instance) -> KernelResult:
                 log.append(note)
                 inst = nxt
                 orig_ids = [v for i, v in enumerate(orig_ids, start=1) if i not in dropped]
+                # Rules 5 and 6 remove vertices on no P3 of any layer, so the
+                # budgets, the P3s through every surviving pair and each
+                # layer's P3-touched set stay as they were: rules 1-4, which
+                # did not apply before, still do not.
+                first = 5 if rule_id in (5, 6) else 1
                 break
         else:
             break

@@ -28,14 +28,14 @@ is compatible with it.  With d = 0 F must be empty, E_c = E_p xor Delta_i,
 so the reachable nodes are indexed by E_p xor Delta_i and each node does
 one lookup.  With d > 0 every reachable node is tried in order: an F of
 at most d pairs is accepted on its size, and any other goes to
-``PairIndex.cover_within``.  At d = 1 that settles F by the two ends of its
+``PairIndex.cover``.  At d = 1 that settles F by the two ends of its
 lowest pair, one of which must touch every pair; above, a greedy matching
-of F settles most checks, and the rest branch on the ends of the lowest
-pair, 2^d leaves at worst.  Only the final path's gaps get a mark set, and
-only a gap whose edited layers differ gets a two-layer solve
-(``solve_two_layer_zero_edit``, a matching over the vertices those layers
-disagree on); one whose layers are equal gets the empty set, which is what
-that solve returns there.  ``verify`` still checks every layer and gap of
+of F settles most checks, and the rest branch on those two ends at d = 2,
+or go to its branch-and-reduce search at a larger d.  Only the final
+path's gaps get a mark set, and only a gap whose edited layers differ gets
+a two-layer solve (``solve_two_layer_zero_edit``, a matching over the
+vertices those layers disagree on); one whose layers are equal gets the
+empty set, which is what that solve returns there.  ``verify`` still checks every layer and gap of
 the result.
 """
 
@@ -185,7 +185,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     # Every layer's part of pair masks is kept, so the path's edit sets are
     # decoded from it at the end; no other node becomes a pair set.
     index = PairIndex(inst.n)
-    cover_within, d = index.cover_within, inst.d
+    cover, d = index.cover, inst.d
 
     def enumerate_part(i: int) -> list[int]:
         part = enumerate_edit_masks(inst.layers[i], budgets[i])
@@ -219,7 +219,7 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
             for m in masks:
                 for j, f in frontier:
                     f ^= m
-                    if f.bit_count() <= d or cover_within(f, d):
+                    if f.bit_count() <= d or cover(f, d) is not None:
                         preds.append(j)
                         break
                 else:

@@ -62,6 +62,25 @@ def with_random_budgets(rng: random.Random, inst: Instance, low: int = 0) -> Ins
     return replace(inst, budgets=tuple(rng.randint(low, inst.k) for _ in inst.layers))
 
 
+def drifted_cluster_layers(rng: random.Random, n: int, ell: int, moves: int = 2,
+                           noise: float = 0.3) -> tuple[LayerGraph, ...]:
+    """ell cluster graphs that each move up to ``moves`` vertices of one
+    random clustering, then, with probability ``noise``, toggle one random
+    pair (which may make an induced P3)."""
+    groups = rng.randint(1, n)
+    base = [rng.randrange(groups) for _ in range(n + 1)]
+    layers = []
+    for _ in range(ell):
+        label = list(base)
+        for v in rng.sample(range(1, n + 1), min(n, rng.randint(0, moves))):
+            label[v] = rng.randrange(groups + 1)
+        edges = {(u, v) for u, v in combinations(range(1, n + 1), 2) if label[u] == label[v]}
+        if rng.random() < noise:
+            edges ^= {tuple(sorted(rng.sample(range(1, n + 1), 2)))}
+        layers.append(layer_from_edges(n, edges))
+    return tuple(layers)
+
+
 def random_cluster_graph(rng: random.Random, n: int) -> LayerGraph:
     """Random cluster graph: random assignment of vertices to groups."""
     groups = rng.randint(1, n)

@@ -20,7 +20,6 @@ from layeredit.branching import (
     is_aligning,
     kernel_k,
     majority_mask,
-    mark_bound_rejects,
     min_marked_completion,
     rejecting_layer,
     solve_mlce,
@@ -36,12 +35,13 @@ from layeredit.core import (
     layer_from_edges,
     pair,
     pairs_of,
+    replace,
     verify,
     vertex_mask,
 )
 from layeredit.oracle import oracle_mlce, set_partitions
 
-from conftest import ref_instance, random_instance, random_layers
+from conftest import drifted_cluster_layers, ref_instance, random_instance, random_layers
 
 
 def empty_constraint(ell):
@@ -345,59 +345,80 @@ class TestCleanChildren:
         assert seen["mark"] > 100 and seen["other"] > 100
 
 
-def bound_context(n, budgets, d):
-    """Search tables for n vertices, edgeless layers with these budgets, and d."""
-    g = layer_from_edges(n, [])
-    return SearchContext(Instance("mlce", n, (g,) * len(budgets), max(budgets), d,
-                                  budgets=tuple(budgets)))
+def layers_of(n, *edge_lists):
+    return tuple(layer_from_edges(n, edges) for edges in edge_lists)
 
 
 class TestMarkBound:
+    """The mark budget d when every edit budget is 0: ``solve_mlce`` then
+    asks ``PairIndex.cover`` for at most d vertices touching every pair on
+    which the layers differ, and edits nothing."""
+
     def test_matching_of_the_marks_left_passes_and_one_more_rejects(self):
-        # d = 3 with vertex 8 marked leaves two marks for the loose edits
-        ctx = bound_context(8, (0, 0), 3)
-        two = encode(ctx, {8}, ({(1, 2), (3, 4)}, ()))
-        assert not mark_bound_rejects(ctx, two)
-        three = encode(ctx, {8}, ({(1, 2), (3, 4)}, {(5, 6)}))
-        assert mark_bound_rejects(ctx, three)
+        # the layers differ on two disjoint pairs, which two marks cover
+        inst = Instance("mlce", 8, layers_of(8, [(1, 2), (3, 4)], []), 0, 2)
+        sol = solve_mlce(inst)
+        assert sol.marked == {1, 3} and sol.edits == (frozenset(), frozenset())
+        # a third disjoint pair needs a third mark
+        inst = Instance("mlce", 8, layers_of(8, [(1, 2), (3, 4)], [(5, 6)]), 0, 2)
+        assert solve_mlce(inst) is None
+        assert solve_mlce(replace(inst, d=3)).marked == {1, 3, 5}
 
     def test_a_star_needs_one_mark(self):
-        # more loose edits than marks left, but one mark at the centre covers them
-        ctx = bound_context(5, (0, 0), 1)
-        star = encode(ctx, (), ({(1, 2), (1, 3), (1, 4), (1, 5)}, ()))
-        assert not mark_bound_rejects(ctx, star)
+        # a 5-clique against a 4-clique differ on the star at vertex 1
+        inst = Instance("mlce", 5, layers_of(5, pairs_of(range(1, 6)), pairs_of(range(2, 6))),
+                        0, 1)
+        stats = SearchStats()
+        assert solve_mlce(inst, stats=stats).marked == {1}
+        assert stats.nodes == 1 and stats.max_depth == 0
+        assert solve_mlce(replace(inst, d=0)) is None
 
     def test_a_layer_budget_of_one_adds_one_unit_of_slack(self):
-        edits = ({(1, 2), (3, 4)}, {(5, 6)})
-        ctx = bound_context(8, (0, 0), 2)
-        assert mark_bound_rejects(ctx, encode(ctx, (), edits))
-        ctx = bound_context(8, (0, 1), 2)
-        assert not mark_bound_rejects(ctx, encode(ctx, (), edits))
-        # a frozen edit in that layer uses the unit up again
-        frozen = encode(ctx, (), ({(1, 2), (3, 4)}, {(5, 6), (7, 8)}), {(7, 8)})
-        assert mark_bound_rejects(ctx, frozen)
+        # three disjoint difference pairs and d = 2: no without edits, yes
+        # once layer 2 may delete 5-6, where the constraint search decides
+        layers = layers_of(8, [(1, 2), (3, 4)], [(5, 6)])
+        assert solve_mlce(Instance("mlce", 8, layers, 0, 2)) is None
+        inst = Instance("mlce", 8, layers, 1, 2, budgets=(0, 1))
+        sol = solve_mlce(inst, check_invariants=True)
+        assert verify(inst, sol).ok and sol.edits[1] == {(5, 6)}
 
-    def test_permanent_pairs_are_not_counted(self):
-        # 5-6 is a frozen edit that fills layer 1's budget of 1; the two
-        # loose edits left need the two marks d allows
-        ctx = bound_context(8, (1, 0), 2)
-        c = encode(ctx, (), ({(1, 2), (3, 4), (5, 6)}, ()), {(5, 6)})
-        assert not mark_bound_rejects(ctx, c)
-        # with 7-8 frozen in its place, 5-6 is a third loose edit
-        c = encode(ctx, (), ({(1, 2), (3, 4), (5, 6), (7, 8)}, ()), {(7, 8)})
-        assert mark_bound_rejects(ctx, c)
+    def test_a_layer_with_a_p3_rejects_without_a_search(self):
+        lines = []
+        stats = SearchStats()
+        inst = Instance("mlce", 3, layers_of(3, [(1, 2), (2, 3)], [(1, 2), (2, 3)]), 0, 3)
+        assert solve_mlce(inst, trace=lines.append, stats=stats) is None
+        assert lines == ["TRACE 0 rule0 reject p3"] and stats.nodes == 1
+
+    def test_route_traces_its_verdict(self):
+        inst = Instance("mlce", 8, layers_of(8, [(1, 2), (3, 4)], [(5, 6)]), 0, 2)
+        lines = []
+        assert solve_mlce(inst, trace=lines.append) is None
+        assert lines == ["TRACE 0 rule0 reject cover |pairs|=3"]
+        lines.clear()
+        assert solve_mlce(replace(inst, d=3), trace=lines.append) is not None
+        assert lines == ["TRACE 0 accept |D|=3 |B|=0 |pairs|=3"]
+
+    def test_equal_cluster_layers_need_no_mark(self):
+        g = layer_from_edges(5, [(1, 2), (3, 4)])
+        sol = solve_mlce(Instance("mlce", 5, (g,) * 3, 0, 0))
+        assert sol.marked == frozenset() and sol.edits == (frozenset(),) * 3
 
     def test_invariant_check_sees_a_rejected_accept(self, monkeypatch):
-        inst = Instance("mlce", 3, (layer_from_edges(3, [(1, 2)]),), 0, 0)
+        # the accepted constraint of a k = 1 search whose bound rejects
+        # fewer than one edit per layer: its extraction (no edits) falls below
+        inst = Instance("mlce", 3, (layer_from_edges(3, [(1, 2)]),), 1, 0)
         assert solve_mlce(inst, check_invariants=True) is not None
-        monkeypatch.setattr(branching, "mark_bound_rejects", lambda ctx, c: True)
+        bound = branching.frozen_edit_bound
+        monkeypatch.setattr(branching, "frozen_edit_bound",
+                            lambda ctx, i, frozen, permanent, budget:
+                            None if budget < 1 else bound(ctx, i, frozen, permanent, budget))
         with pytest.raises(InvariantViolation):
             solve_mlce(inst, check_invariants=True)
 
     def test_marks_only_sweep_matches_the_oracle(self, rng):
-        # k = 0, or some per-layer budgets of zero: the edits of those layers
-        # must be covered by marks, which is where the bound prunes
-        pruned = 0
+        # k = 0, which the cover decides, or some per-layer budgets of zero,
+        # whose layers' edits the constraint search must cover with marks
+        routed = 0
         for trial in range(300):
             n, ell = rng.randint(2, 8), rng.randint(2, 4)
             layers = drifted_cluster_layers(rng, n, ell)
@@ -414,25 +435,35 @@ class TestMarkBound:
             assert (got is None) == (want is None)
             if got is not None:
                 assert verify(inst, got).ok
-            pruned += stats.pruned_marks > 0
-        assert pruned > 10
+            routed += not inst.k and stats.nodes > 0
+        assert routed > 50
 
+    def test_zero_budget_sweep_with_p3s_matches_the_oracle(self, rng):
+        """Every budget 0, n <= 8, layers with and without induced P3s.
 
-def drifted_cluster_layers(rng, n, ell):
-    """ell cluster graphs that each move up to two vertices of one random
-    clustering, then toggle up to one random pair."""
-    groups = rng.randint(1, n)
-    base = [rng.randrange(groups) for _ in range(n + 1)]
-    layers = []
-    for _ in range(ell):
-        label = list(base)
-        for v in rng.sample(range(1, n + 1), min(n, rng.randint(0, 2))):
-            label[v] = rng.randrange(groups + 1)
-        edges = {(u, v) for u, v in combinations(range(1, n + 1), 2) if label[u] == label[v]}
-        if rng.random() < 0.3:
-            edges ^= {tuple(sorted(rng.sample(range(1, n + 1), 2)))}
-        layers.append(layer_from_edges(n, edges))
-    return tuple(layers)
+        The route is sound because no edit is allowed: a layer with an
+        induced P3 keeps it, whatever the marks, so the answer is no; and
+        an induced subgraph of a cluster graph is one, so if every layer is
+        a cluster graph, a mark set M is a solution exactly when the
+        layers agree on every pair outside M, that is, when M touches
+        every pair on which some layer differs from the first.  The oracle
+        tries every mark set of at most d vertices against the definition,
+        sharing no code with the route."""
+        answers = Counter()
+        for trial in range(300):
+            n, ell = rng.randint(2, 8), rng.randint(1, 4)
+            layers = (drifted_cluster_layers(rng, n, ell) if trial % 3 else
+                      random_layers(rng, n, ell, density=rng.random()))
+            inst = Instance("mlce", n, layers, 0, rng.randint(0, 4))
+            got = solve_mlce(inst)
+            want = oracle_mlce(inst)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert verify(inst, got).ok and not any(got.edits)
+            p3 = any(find_p3(g) for g in layers)
+            answers[p3, got is not None] += 1
+        assert answers[True, False] > 50 and answers[False, True] > 50
+        assert answers[False, False] > 10
 
 
 class TestRule1:
@@ -836,9 +867,10 @@ class TestSolveMlce:
         complete = branching.min_marked_completion
         monkeypatch.setattr(branching, "min_marked_completion",
                             lambda *args: calls.append(args) or complete(*args))
-        # equal cluster layers: rule 3 completes each layer, and the root is accepted
+        # equal cluster layers: rule 3 completes each layer, and the root is
+        # accepted (k = 1, as the cover decides k = 0 without a search)
         g = layer_from_edges(5, [(1, 2), (3, 4)])
-        assert solve_mlce(Instance("mlce", 5, (g,) * 3, 0, 0)) is not None
+        assert solve_mlce(Instance("mlce", 5, (g,) * 3, 1, 0)) is not None
         assert len(calls) == 3
         # on deeper searches, extraction completes no layer again
         extract = branching._extract_solution

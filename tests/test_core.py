@@ -424,7 +424,7 @@ class TestInstanceValidation:
         stats.nodes += 2
         stats.max_depth = 1
         assert stats == SearchStats(2, 1) and stats != SearchStats()
-        assert repr(stats) == "SearchStats(nodes=2, max_depth=1, pruned_bound=0, pruned_marks=0)"
+        assert repr(stats) == "SearchStats(nodes=2, max_depth=1, pruned_bound=0)"
         with pytest.raises(TypeError):
             hash(stats)
 

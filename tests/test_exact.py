@@ -1,0 +1,120 @@
+"""Exact checks past the oracles' reach that need no oracle.
+
+Every edit budget 0 sends ``solve_mlce`` to ``PairIndex.cover`` on the
+pairs where the layers differ.  Its decisions are checked against the
+brute-force ``Formula223.satisfiable`` on SAT reductions of 3-12
+variables (n 24-96), and against the constraint search, run directly, on
+P3-free instances of n 12-24; the cover routine itself is checked against
+the oracle's separate cover branching on random masks with d up to 8.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+from layeredit.branching import SearchContext, greedy_initial_constraint, solve_mlce
+from layeredit.core import Instance, PairIndex, SearchStats, verify
+from layeredit.fileio import Formula223, generate_sat_reduction
+from layeredit.oracle import _cover_within as brute_force_cover
+
+from conftest import drifted_cluster_layers
+
+
+def random_formula(rng: random.Random, n_vars: int) -> Formula223:
+    """A (2,2)-3-SAT formula: each variable twice positive and twice
+    negative, in clauses of 2 or 3 literals over distinct variables."""
+    literals = [v for v in range(1, n_vars + 1) for _ in range(2)]
+    literals += [-lit for lit in literals]
+    while True:
+        rng.shuffle(literals)
+        clauses, pos = [], 0
+        while pos < len(literals):
+            left = len(literals) - pos
+            size = 2 if left in (2, 4) else 3 if left == 3 else rng.choice((2, 3))
+            clauses.append(tuple(literals[pos:pos + size]))
+            pos += size
+        if all(len({abs(lit) for lit in c}) == len(c) for c in clauses):
+            return Formula223(n_vars, tuple(clauses))
+
+
+# variable count -> (satisfiable, unsatisfiable) formulas to draw; fewer
+# large unsatisfiable ones, the costliest to solve and to brute-force
+SAT_QUOTAS = {**{n: (5, 5) for n in range(3, 9)}, 9: (5, 4), 10: (5, 4), 11: (4, 3), 12: (3, 2)}
+
+
+def test_sat_reductions_match_brute_force():
+    rng = random.Random(23)
+    solved = 0
+    for n_vars, (yes, no) in SAT_QUOTAS.items():
+        quota = {True: yes, False: no}
+        while any(quota.values()):
+            formula = random_formula(rng, n_vars)
+            satisfiable = formula.satisfiable()
+            if not quota[satisfiable]:
+                continue
+            quota[satisfiable] -= 1
+            inst = generate_sat_reduction(formula)
+            sol = solve_mlce(inst)
+            assert (sol is not None) == satisfiable, formula
+            if sol is not None:
+                assert not any(sol.edits) and len(sol.marked) <= inst.d
+                assert verify(inst, sol).ok
+            solved += 1
+    assert solved == 90
+
+
+def test_cover_route_matches_the_constraint_search():
+    rng = random.Random(24)
+    answers, branched = {True: 0, False: 0}, 0
+    for _ in range(80):
+        n, ell = rng.randint(12, 24), rng.randint(2, 4)
+        layers = drifted_cluster_layers(rng, n, ell, moves=rng.randint(2, 6), noise=0)
+        inst = Instance("mlce", n, layers, 0, rng.randint(0, 8))
+        stats = SearchStats()
+        routed = solve_mlce(inst, stats=stats)
+        ctx = SearchContext(inst)
+        searched = ctx.run(greedy_initial_constraint(ctx), 0)
+        assert (routed is None) == (searched is None)
+        if routed is not None:
+            assert verify(inst, routed).ok and not any(routed.edits)
+        answers[routed is not None] += 1
+        branched += stats.nodes > 1
+    assert min(answers.values()) >= 20 and branched >= 20
+
+
+def test_cover_matches_the_oracle_branching():
+    rng = random.Random(25)
+    answers, branched = {True: 0, False: 0}, 0
+    for _ in range(400):
+        n = rng.randint(2, 11)
+        index = PairIndex(n)
+        pairs = rng.sample(list(combinations(range(1, n + 1), 2)),
+                           rng.randint(0, min(18, n * (n - 1) // 2)))
+        d = rng.randint(0, 8)
+        stats = SearchStats()
+        mask = index.pair_mask(pairs)
+        cover = index.cover(mask, d, stats)
+        assert (cover is None) == (brute_force_cover(frozenset(pairs), d) is None), (pairs, d)
+        if cover is not None:
+            assert cover.bit_count() <= d and not mask & ~index.touching_mask(cover)
+        answers[cover is not None] += 1
+        branched += stats.nodes > 1
+    assert min(answers.values()) >= 100 and branched >= 100
+
+
+def test_joined_formula_is_solved_part_by_part():
+    # an unsatisfiable 3-variable formula beside a satisfiable 5-variable
+    # one: the constraint search took 105,741 nodes (2.5 s), re-proving the
+    # first part under every assignment of the second.  The cover solves
+    # the two components apart in 190 nodes, and without the split in 487
+    unsatisfiable = ((-3, 2), (-1, 2), (3, 1), (-2, 1), (-2, 3), (-3, -1))
+    satisfiable = ((-4, 8, 5), (7, -6, 4), (-4, 8, 7), (-5, -8, 6), (-7, 4, 5), (-7, -8, 6),
+                   (-6, -5))
+    assert not Formula223(3, unsatisfiable).satisfiable()
+    assert Formula223(5, tuple(tuple(lit - 3 if lit > 0 else lit + 3 for lit in c)
+                               for c in satisfiable)).satisfiable()
+    inst = generate_sat_reduction(Formula223(8, unsatisfiable + satisfiable))
+    stats = SearchStats()
+    assert solve_mlce(inst, stats=stats) is None
+    assert stats.nodes < 300

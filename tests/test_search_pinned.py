@@ -15,18 +15,20 @@ bound rejects is the only ``rule0`` line left, and the subtrees the bound
 cuts are gone.  The 20 planted pins fell from 5,654 to 133 nodes.  Every
 solution digest, yes flag and kernel pin stayed as it was.
 
-The two SAT-reduction pins were repinned again when the search began to
-drop children whose loose edits need more new marks than are left (the
-matching bound ``branching.mark_bound_rejects``): the satisfiable formula
-fell from 825 to 55 nodes and the unsatisfiable one from 511 to 7.  The
-planted pins, every solution digest, yes flag and kernel pin stayed as
-they were.
+The SAT reductions have every edit budget 0, so ``solve_mlce`` decides
+them by a vertex cover of the pairs on which the layers differ
+(``PairIndex.cover``), not by the constraint search: ``SAT`` pins that
+route, whose nodes are the cover's calls, and ``FORCED`` pins the
+constraint search run directly on the same instances.  When the route
+came in, the search lost its matching bound on marks, which only these
+instances had reached: it prunes none of their children, and takes the
+825 and 511 nodes it took before that bound, with the same solutions.
 
-``PRUNED`` pins the children each search drops before entering them, by
-cause (``SearchStats.pruned_bound``, ``pruned_marks``), for the same
-planted and SAT-reduction instances.  The frozen-edit bound tries the
-layers starting at the one that rejected last; its verdict is over all
-layers, so the order must move none of these counts.
+``PRUNED`` pins the children each search drops before entering them
+(``SearchStats.pruned_bound``), for the same planted and SAT-reduction
+instances.  The frozen-edit bound tries the layers starting at the one
+that rejected last; its verdict is over all layers, so the order must
+move none of these counts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ from collections import Counter
 
 import pytest
 
-from layeredit.branching import SearchContext, SearchStats, kernel_k, solve_mlce
+from layeredit.branching import (
+    SearchContext,
+    SearchStats,
+    greedy_initial_constraint,
+    kernel_k,
+    solve_mlce,
+)
 from layeredit.core import Instance, all_pairs, layer_from_edges, replace, vertex_mask
 from layeredit.fileio import (
     Formula223,
@@ -75,19 +83,25 @@ PLANTED = [
     (19, (29, 3, (0, 4, 17, 1, 0, 7), NO, False)),
 ]
 
-# clauses -> same fields; the first formula is satisfiable, the second is not
+SATISFIABLE = ((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3))
+UNSATISFIABLE = ((1, 2), (1, -2), (-1, 2), (-1, -2))
+
+# clauses -> same fields, for the solve that the cover decides
 SAT = [
-    (((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3)),
-     (55, 14, (0, 0, 46, 0, 1, 8), "f7742dcfdf3f43e1", True)),
-    (((1, 2), (1, -2), (-1, 2), (-1, -2)),
-     (7, 3, (0, 0, 7, 0, 0, 0), NO, False)),
+    (SATISFIABLE, (9, 0, (0, 0, 0, 0, 1, 0), "f7742dcfdf3f43e1", True)),
+    (UNSATISFIABLE, (10, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+]
+
+# clauses -> same fields, for the constraint search run directly
+FORCED = [
+    (SATISFIABLE, (825, 14, (0, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
+    (UNSATISFIABLE, (511, 8, (0, 0, 511, 0, 0, 0), NO, False)),
 ]
 
 
-# (pruned_bound, pruned_marks): the 20 planted seeds in order, then the two SAT formulas
-PRUNED = [(21, 0), (49, 0), (0, 0), (23, 0), (4, 0), (0, 0), (16, 0), (6, 0), (0, 0), (7, 0),
-          (8, 0), (0, 0), (10, 0), (6, 0), (0, 0), (10, 0), (2, 0), (0, 0), (6, 0), (59, 0),
-          (0, 30), (0, 8)]
+# pruned_bound: the 20 planted seeds in order, then the two SAT formulas,
+# solved by the cover, then searched directly
+PRUNED = [21, 49, 0, 23, 4, 0, 16, 6, 0, 7, 8, 0, 10, 6, 0, 10, 2, 0, 6, 59, 0, 0, 0, 0]
 
 
 def planted_instance(seed: int):
@@ -100,10 +114,16 @@ def planted_instance(seed: int):
     return replace(inst, k=inst.k + dk, d=inst.d + dd)
 
 
-def observe(inst):
+def search(inst, trace=None, stats=None):
+    """The constraint search alone, from the greedy root, whatever the budgets."""
+    ctx = SearchContext(inst, trace, False, stats)
+    return ctx.run(greedy_initial_constraint(ctx), 0)
+
+
+def observe(inst, solve=solve_mlce):
     lines: list[str] = []
     stats = SearchStats()
-    sol = solve_mlce(inst, trace=lines.append, stats=stats)
+    sol = solve(inst, trace=lines.append, stats=stats)
     kinds = Counter(line.split()[2] for line in lines)
     assert set(kinds) <= set(KINDS)
     digest = hashlib.sha256(serialize_solution(sol, inst).encode()).hexdigest()[:16]
@@ -126,14 +146,20 @@ def sat_instance(clauses):
     return generate_sat_reduction(Formula223(max(abs(lit) for c in clauses for lit in c), clauses))
 
 
+@pytest.mark.parametrize("clauses,expected", FORCED, ids=["satisfiable", "unsatisfiable"])
+def test_sat_reduction_constraint_search_is_pinned(clauses, expected):
+    assert observe(sat_instance(clauses), search) == expected
+
+
 def test_pruned_children_are_pinned():
-    insts = [planted_instance(seed) for seed, _ in PLANTED]
-    insts += [sat_instance(clauses) for clauses, _ in SAT]
+    solves = [(solve_mlce, planted_instance(seed)) for seed, _ in PLANTED]
+    solves += [(solve, sat_instance(clauses)) for solve in (solve_mlce, search)
+               for clauses, _ in SAT]
     pruned = []
-    for inst in insts:
+    for solve, inst in solves:
         stats = SearchStats()
-        solve_mlce(inst, stats=stats)
-        pruned.append((stats.pruned_bound, stats.pruned_marks))
+        solve(inst, stats=stats)
+        pruned.append(stats.pruned_bound)
     assert pruned == PRUNED
 
 
@@ -146,7 +172,7 @@ def test_no_instance_counts_pruned_children():
     assert rules and all(parts[3].startswith("children=") and parts[4].startswith("pruned=")
                          for parts in rules)
     pruned = sum(int(parts[4].removeprefix("pruned=")) for parts in rules)
-    assert pruned == stats.pruned_bound + stats.pruned_marks
+    assert pruned == stats.pruned_bound
 
 
 def test_pinned_set_has_both_answers():

@@ -233,7 +233,10 @@ def cover_decision(g1, g2, d):
     matching solver and, at n <= 8, the oracle's cover branching."""
     index = PairIndex(g1.n)
     differ = index.pair_mask(g1.edges ^ g2.edges)
-    got = index.cover_within(differ, d)
+    cover = index.cover(differ, d)
+    got = cover is not None
+    if got:
+        assert cover.bit_count() <= d and not differ & ~index.touching_mask(cover)
     assert got == (solve_two_layer_zero_edit(g1, g2, d) is not None)
     if g1.n <= 8:
         assert got == (brute_force_cover(g1.edges ^ g2.edges, d) is not None)
@@ -273,19 +276,19 @@ class TestSweepCheck:
         star = mask([(1, 2), (1, 3), (1, 4), (1, 5)])
         triangle = mask([(1, 2), (1, 3), (2, 3)])
         disjoint = mask([(1, 2), (3, 4)])
-        # nothing to cover: accepted at any budget, no matching
-        assert index.cover_within(0, 0) and not index.matching_exceeds(0, 0)
+        # nothing to cover: the empty cover, the mask 0, at any budget; no matching
+        assert index.cover(0, 0) == 0 and not index.matching_exceeds(0, 0)
         # d = 0 covers nothing
-        assert not index.cover_within(single, 0) and index.matching_exceeds(single, 0)
+        assert index.cover(single, 0) is None and index.matching_exceeds(single, 0)
         # a star: its centre covers it, a matching holds one pair
-        assert index.cover_within(star, 1) and not index.cover_within(star, 0)
+        assert index.cover(star, 1) == 1 << 1 and index.cover(star, 0) is None
         assert not index.matching_exceeds(star, 1) and index.matching_exceeds(star, 0)
-        # a triangle needs 2, yet a matching holds one pair: only the branching rejects d = 1
-        assert index.cover_within(triangle, 2) and not index.cover_within(triangle, 1)
+        # a triangle needs 2, yet a matching holds one pair: only the d = 1 ends reject d = 1
+        assert index.cover(triangle, 2).bit_count() == 2 and index.cover(triangle, 1) is None
         assert not index.matching_exceeds(triangle, 1)
-        # |F| <= d accepts without a matching; two disjoint pairs need 2
-        assert index.cover_within(disjoint, 2) and index.cover_within(star, 4)
-        assert not index.cover_within(disjoint, 1) and index.matching_exceeds(disjoint, 1)
+        # |F| <= d is covered by the lower ends; two disjoint pairs need 2
+        assert index.cover(disjoint, 2) == 1 << 1 | 1 << 3 and index.cover(star, 4) == 1 << 1
+        assert index.cover(disjoint, 1) is None and index.matching_exceeds(disjoint, 1)
         assert not index.matching_exceeds(star, 4)
 
     def test_one_vertex_covers_match_the_oracle(self, rng):
@@ -300,7 +303,7 @@ class TestSweepCheck:
             cases.append(rng.sample(pairs_of_8, rng.randint(0, 6)))
         answers = Counter()
         for pairs in cases:
-            got = index.cover_within(mask(pairs), 1)
+            got = index.cover(mask(pairs), 1) is not None
             assert got == (brute_force_cover(frozenset(pairs), 1) is not None), pairs
             answers[got] += 1
         assert answers[True] >= 50 and answers[False] >= 50
