@@ -49,11 +49,9 @@ frozen-edit bound (``frozen_edit_bound``) rejects, first of all for a layer
 with more frozen edits than k_i.  That bound reads only the permanent
 pairs and the frozen edits, which mark children leave alone, so it is
 evaluated at the root and then once per (permanent, frozen edits) of a
-search, starting at the layer that rejected last (a verdict over all
-layers, so the order changes only the work); ``SearchStats.pruned_bound``
-counts the drops.  Pruned subtrees hold no solution and the surviving
-children keep their order, so the first solution found is the one an
-unpruned search finds.
+search; ``SearchStats.pruned_bound`` counts the drops.  Pruned subtrees
+hold no solution and the surviving children keep their order, so the first
+solution found is the one an unpruned search finds.
 """
 
 from __future__ import annotations
@@ -105,8 +103,8 @@ FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 
 class SearchContext(PairIndex):
     """One depth-first search of one instance: the tables it reads, built
     once per solve, its reporting hooks, and its memos (the P3 rows, the
-    failed constraints, the bound verdicts by (permanent, frozen edits) and
-    the layer whose bound rejected last)."""
+    failed constraints and the bound verdicts by (permanent, frozen
+    edits))."""
 
     def __init__(self, inst: Instance, trace: Optional[TraceFn] = None, check: bool = False,
                  stats: Optional[SearchStats] = None):
@@ -116,8 +114,6 @@ class SearchContext(PairIndex):
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
-        ell = inst.ell
-        self.layer_orders = tuple(tuple(range(s, ell)) + tuple(range(s)) for s in range(ell))
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
                                   for a, b, c in adj_p3s(g.adj)]
                          for i, g in enumerate(inst.layers)}
@@ -126,7 +122,6 @@ class SearchContext(PairIndex):
         self.stats = SearchStats() if stats is None else stats
         self.failed: set[Constraint] = set()
         self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
-        self.last_reject = 0
 
     def toggled_adj(self, i: int, mask: int) -> list[int]:
         """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
@@ -225,16 +220,12 @@ class SearchContext(PairIndex):
         return kept
 
     def dead_by_bound(self, c: Constraint) -> bool:
-        """``bound_rejects``, remembered by (permanent, frozen edits),
-        starting at the layer that rejected last."""
+        """``bound_rejects``, remembered by (permanent, frozen edits)."""
         permanent = c.permanent
         key = (permanent, tuple([m & permanent for m in c.edits]))
         dead = self.dead.get(key)
         if dead is None:
-            layer = rejecting_layer(self, c, self.last_reject)
-            dead = layer is not None
-            if dead:
-                self.last_reject = layer
+            dead = bound_rejects(self, c)
             if len(self.dead) < FAILED_CAP:
                 self.dead[key] = dead
         return dead
@@ -333,18 +324,11 @@ def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
 
 def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
     """Some layer's ``frozen_edit_bound`` exceeds its budget k_i."""
-    return rejecting_layer(ctx, c) is not None
-
-
-def rejecting_layer(ctx: SearchContext, c: Constraint, start: int = 0) -> Optional[int]:
-    """The first layer, in cyclic order from layer ``start``, whose
-    ``frozen_edit_bound`` exceeds its budget k_i; None if none does, from
-    any ``start``."""
-    permanent, edits, budgets = c.permanent, c.edits, ctx.budgets
-    for i in ctx.layer_orders[start]:
-        if frozen_edit_bound(ctx, i, edits[i] & permanent, permanent, budgets[i]) is None:
-            return i
-    return None
+    permanent, budgets = c.permanent, ctx.budgets
+    for i, m in enumerate(c.edits):
+        if frozen_edit_bound(ctx, i, m & permanent, permanent, budgets[i]) is None:
+            return True
+    return False
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:

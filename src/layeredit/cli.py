@@ -72,6 +72,17 @@ AUTO = {MLCE: "branch", TCE: "xp"}
 ALGOS = ("auto", *dict.fromkeys(name for name, _ in SOLVERS))
 
 
+def _bounded(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then refuse a value not ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if ok(value):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {rule}: {text!r}")
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="layeredit",
                                      description="exact multi-layer / temporal cluster editing")
@@ -123,11 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ell", type=int, nargs="+", required=True)
     p_bench.add_argument("--k", type=int, nargs="+", required=True)
     p_bench.add_argument("--d", type=int, nargs="+", required=True)
-    p_bench.add_argument("--seeds", type=int, default=3)
+    p_bench.add_argument("--seeds", type=_bounded(int, lambda v: v >= 0, "nonnegative"), default=3)
     p_bench.add_argument("--drift", type=int, default=1)
     p_bench.add_argument("--noise", type=int, default=1)
-    p_bench.add_argument("--timeout", type=float, default=30.0,
-                         help="wall-clock seconds per instance")
+    p_bench.add_argument("--timeout", default=30.0, help="wall-clock seconds per instance",
+                         type=_bounded(float, lambda v: 0 < v < float("inf"),  # false for nan too
+                                       "finite and positive"))
     p_bench.add_argument("--out", help="CSV file (default: stdout)")
     p_bench.set_defaults(cmd=_cmd_bench)
     return parser

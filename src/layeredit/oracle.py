@@ -8,8 +8,10 @@ Two interchangeable enumeration routes decide an instance exactly:
   check that the pairs on which the edited layers still disagree can be
   covered by at most d marked vertices (complete two-way branching).
 
-Both are exhaustive; the cheaper one is chosen per instance, and a
-capability error is raised when neither fits the desk-scale work caps.
+Both are exhaustive.  Edits-first runs when its combinations number at most
+the mark sets and at most ``COMBINATIONS_CAP``; otherwise mark-first runs
+when the mark sets number at most ``MARK_SETS_CAP``; otherwise a capability
+error is raised.
 A structured enumeration over vertex partitions is provided as a second,
 fully independent oracle for the multi-layer mode.
 """
@@ -17,7 +19,7 @@ fully independent oracle for the multi-layer mode.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -51,12 +53,8 @@ def _guard_common(inst: Instance) -> None:
         raise CapabilityError(f"oracle guard: ell={inst.ell} > {MAX_ORACLE_ELL}")
 
 
-def _enum_work(n: int, k: int) -> int:
-    return sum(comb(comb(n, 2), j) for j in range(k + 1))
-
-
 def _guard_enummed(n: int, budgets: Sequence[int]) -> None:
-    work = max(_enum_work(n, b) for b in budgets)
+    work = max(sum(comb(comb(n, 2), j) for j in range(b + 1)) for b in budgets)
     if work > ENUM_WORK_CAP:
         raise CapabilityError(f"oracle guard: edit enumeration needs {work} subset checks")
 
@@ -82,7 +80,8 @@ def _cover_within(pairs: frozenset[Pair], budget: int) -> Optional[frozenset[int
     """Some vertex set of size <= budget touching every pair, or None.
 
     Complete branching: a max-degree vertex is either in the cover or all
-    its partners are.
+    its partners are; no branch is tried once the pairs outnumber what
+    ``budget`` vertices of that degree can touch.
     """
     if not pairs:
         return frozenset()
@@ -93,6 +92,8 @@ def _cover_within(pairs: frozenset[Pair], budget: int) -> Optional[frozenset[int
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
     x = min(degree, key=lambda v: (-degree[v], v))
+    if len(pairs) > budget * degree[x]:
+        return None
     rest = frozenset(p for p in pairs if x not in p)
     sub = _cover_within(rest, budget - 1)
     if sub is not None:
@@ -115,6 +116,17 @@ def _solve_mlce_exhaustive(inst: Instance) -> Optional[Solution]:
               for g, layer_cands in zip(layers, cands)]
 
     mark_sets = sum(comb(n, j) for j in range(min(d, n) + 1))
+    combos = prod(map(len, cands))
+    if combos <= min(mark_sets, COMBINATIONS_CAP):
+        for combo in product(*(range(len(c)) for c in cands)):
+            disagree: set[Pair] = set()
+            for i, j in combinations(range(len(layers)), 2):
+                disagree |= edited[i][combo[i]] ^ edited[j][combo[j]]
+            cover = _cover_within(frozenset(disagree), d)
+            if cover is not None:
+                return Solution(tuple(cands[i][j] for i, j in enumerate(combo)),
+                                marked=cover)
+        return None
     if mark_sets <= MARK_SETS_CAP:
         # Each edited graph once as a bitmask over pair indices; a mark set
         # hides the pairs at its vertices, so what it leaves of a graph is
@@ -126,8 +138,7 @@ def _solve_mlce_exhaustive(inst: Instance) -> Optional[Solution]:
             at[v] |= b
         everything = (1 << len(bits)) - 1
         masks = [[sum(bits[p] for p in es) for es in layer_edited] for layer_edited in edited]
-        vertices = list(range(1, n + 1))
-        for dset in _mark_candidates(vertices, d):
+        for dset in _mark_candidates(range(1, n + 1), d):
             hidden = 0
             for v in dset:
                 hidden |= at[v]
@@ -151,22 +162,8 @@ def _solve_mlce_exhaustive(inst: Instance) -> Optional[Solution]:
                         tuple(cands[i][j] for i, j in enumerate(picks)),
                         marked=dset)
         return None
-
-    total = 1
-    for layer_cands in cands:
-        total *= len(layer_cands)
-        if total > COMBINATIONS_CAP:
-            raise CapabilityError(
-                f"oracle guard: more than {COMBINATIONS_CAP} edit combinations")
-    for combo in product(*(range(len(c)) for c in cands)):
-        disagree: set[Pair] = set()
-        for i, j in combinations(range(len(layers)), 2):
-            disagree |= edited[i][combo[i]] ^ edited[j][combo[j]]
-        cover = _cover_within(frozenset(disagree), d)
-        if cover is not None:
-            return Solution(tuple(cands[i][j] for i, j in enumerate(combo)),
-                            marked=cover)
-    return None
+    raise CapabilityError(
+        f"oracle guard: more than {COMBINATIONS_CAP} edit combinations")
 
 
 def oracle_mlce(inst: Instance) -> Optional[Solution]:

@@ -21,7 +21,6 @@ from layeredit.branching import (
     kernel_k,
     majority_mask,
     min_marked_completion,
-    rejecting_layer,
     solve_mlce,
 )
 from layeredit.core import (
@@ -270,23 +269,17 @@ class TestFrozenEditBound:
         assert bound_rejects(ctx, frozen)
 
     def test_verdict_does_not_depend_on_the_first_layer(self, rng):
-        # along random descents, every child gets bound_rejects' verdict
-        # from every starting layer, and the layer named is the first
-        # rejecting one in cyclic order from the start
+        # along random descents, every child gets the verdict of some
+        # layer's own bound, whichever layers reject
         verdicts = Counter()
         for _ in range(120):
             ctx = SearchContext(random_instance(rng, "mlce", max_n=7, max_ell=4, max_k=2, max_d=2))
-            ell = ctx.inst.ell
             for _, children in descents(ctx, rng):
                 for child in children:
                     dead = [frozen_edit_bound(ctx, i, m & child.permanent, child.permanent,
                                               k_i) is None
                             for i, (m, k_i) in enumerate(zip(child.edits, ctx.budgets))]
                     assert bound_rejects(ctx, child) == any(dead)
-                    for start in range(ell):
-                        order = [(start + j) % ell for j in range(ell)]
-                        assert rejecting_layer(ctx, child, start) == next(
-                            (i for i in order if dead[i]), None)
                     verdicts[any(dead), sum(dead) > 1] += 1
         assert min(verdicts.values()) > 20 and len(verdicts) == 3
 

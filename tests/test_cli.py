@@ -260,5 +260,16 @@ def test_bench_counts_xp_part_nodes(files):
     assert rows[1][8] == str(sum(map(len, parts)))
 
 
+@pytest.mark.parametrize("flag, value", [("--timeout", "nan"), ("--timeout", "inf"),
+                                         ("--timeout", "-1"), ("--timeout", "0"),
+                                         ("--seeds", "-1")])
+def test_bench_refuses_out_of_range_numbers(flag, value, capsys):
+    # caught by the parser before any instance is built or process started
+    code = run(["bench", "--n", "4", "--ell", "2", "--k", "1", "--d", "1", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 2

@@ -6,6 +6,8 @@ brute-force ``Formula223.satisfiable`` on SAT reductions of 3-12
 variables (n 24-96), and against the constraint search, run directly, on
 P3-free instances of n 12-24; the cover routine itself is checked against
 the oracle's separate cover branching on random masks with d up to 8.
+Planted instances of n 40-100 are solved at the budgets their generator
+stores, which it promises always suffice.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from itertools import combinations
 
 from layeredit.branching import SearchContext, greedy_initial_constraint, solve_mlce
 from layeredit.core import Instance, PairIndex, SearchStats, verify
-from layeredit.fileio import Formula223, generate_sat_reduction
+from layeredit.fileio import Formula223, PlantedParams, generate_planted, generate_sat_reduction
 from layeredit.oracle import _cover_within as brute_force_cover
+from layeredit.tcepath import solve_tce_xp
 
 from conftest import drifted_cluster_layers
 
@@ -118,3 +121,16 @@ def test_joined_formula_is_solved_part_by_part():
     stats = SearchStats()
     assert solve_mlce(inst, stats=stats) is None
     assert stats.nodes < 300
+
+
+def test_planted_instances_are_yes_at_their_stored_budgets():
+    # k is the noise edits per layer and d the moved vertices (all of them in
+    # mlce, the most at one gap in tce); every (mode, drift, noise) is drawn
+    rng = random.Random(26)
+    for i in range(24):
+        mode, drift, noise = ("mlce", "tce")[i % 2], i // 2 % 3, i // 6 % 3
+        n, ell = rng.randint(40, 100), rng.randint(2, 5)
+        params = PlantedParams(n, ell, rng.randint(2, n // 2 + 1), drift, noise, i)
+        inst = generate_planted(params, mode)
+        sol = (solve_mlce if mode == "mlce" else solve_tce_xp)(inst)
+        assert sol is not None and verify(inst, sol).ok, params

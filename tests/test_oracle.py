@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from layeredit import oracle
 from layeredit.branching import solve_mlce
 from layeredit.core import Instance, InputError, layer_from_edges, replace, verify
+from layeredit.fileio import Formula223, generate_sat_reduction
 from layeredit.oracle import (
     CapabilityError,
     oracle_mlce,
@@ -57,6 +59,83 @@ class TestGuards:
             oracle_mlce(ref_instance("tce", 1, 1))
         with pytest.raises(InputError):
             oracle_tce(ref_instance("mlce", 1, 1))
+
+
+class TestRoutes:
+    """The mlce oracle runs edits-first when its edit combinations number at
+    most the mark sets and at most ``COMBINATIONS_CAP``, else mark-first
+    within ``MARK_SETS_CAP``, else refuses."""
+
+    def test_each_route_decides_as_the_structured_oracle(self, rng, monkeypatch):
+        cases = []
+        for i in range(120):
+            inst = random_instance(rng, "mlce", max_n=8 if i % 6 == 0 else 7)
+            if i % 3 == 1:
+                inst = replace(inst, k=0)
+            elif i % 3 == 2:
+                inst = with_random_budgets(rng, inst)
+            cases.append((inst, structured_mlce(inst)))
+        for route in ("edits-first", "mark-first"):
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                for name in ("_mark_candidates", "_cover_within"):
+                    def counted(*args, name=name, real=getattr(oracle, name)):
+                        calls[name] += 1
+                        return real(*args)
+                    patch.setattr(oracle, name, counted)
+                if route == "edits-first":
+                    # every count read through comb is huge, so mark-first
+                    # never looks cheaper; the enumeration guard is lifted to match
+                    patch.setattr(oracle, "comb", lambda a, b: 10 ** 9)
+                    patch.setattr(oracle, "ENUM_WORK_CAP", 10 ** 12)
+                    used, unused = "_cover_within", "_mark_candidates"
+                else:
+                    patch.setattr(oracle, "COMBINATIONS_CAP", -1)
+                    used, unused = "_mark_candidates", "_cover_within"
+                answers = Counter()
+                for inst, want in cases:
+                    got = oracle_mlce(inst)
+                    assert (got is None) == (want is None), (route, inst)
+                    if got is not None:
+                        assert verify(inst, got).ok
+                    answers[got is not None, not any(inst.edit_budgets)] += 1
+            assert calls[used] and not calls[unused], route
+            assert min(answers.values()) >= 10 and len(answers) == 4, answers
+
+    @pytest.mark.parametrize("formula, satisfiable", [
+        (Formula223(2, ((1, 2), (1, 2), (-1, -2), (-1, -2))), True),
+        (Formula223(2, ((1, 2), (-1, -2), (1, -2), (-1, 2))), False),
+    ])
+    def test_two_variable_reductions_skip_mark_first(self, monkeypatch, formula, satisfiable):
+        # every budget is 0, so there is at most one edit combination
+        def refuse(*args):
+            raise AssertionError("mark-first ran")
+        monkeypatch.setattr(oracle, "_mark_candidates", refuse)
+        inst = generate_sat_reduction(formula)
+        sol = oracle_mlce(inst)
+        assert (sol is not None) == satisfiable
+        if sol is not None:
+            assert verify(inst, sol).ok
+
+    def test_refuses_only_past_both_caps(self, monkeypatch):
+        # two edgeless layers at k=1: each may add any one edge, so there are
+        # 436**2 = 190,096 edit combinations; d=6 gives 768,212 mark sets
+        g = layer_from_edges(30, [])
+        with pytest.raises(CapabilityError):
+            oracle_mlce(Instance("mlce", 30, (g, g), 1, 6))
+        assert oracle_mlce(Instance("mlce", 30, (g, g), 1, 5)) is not None  # 174,437 mark sets
+        assert oracle_mlce(Instance("mlce", 30, (g,), 1, 6)) is not None  # 436 combinations
+        # one edgeless layer at n=4, k=1 and d=4: 7 edit combinations and 16
+        # mark sets; each cap is inclusive, and passing one alone is no refusal
+        inst = Instance("mlce", 4, (layer_from_edges(4, []),), 1, 4)
+        for mark_cap, combo_cap in [(15, 6), (16, 6), (15, 7)]:
+            monkeypatch.setattr(oracle, "MARK_SETS_CAP", mark_cap)
+            monkeypatch.setattr(oracle, "COMBINATIONS_CAP", combo_cap)
+            if (mark_cap, combo_cap) == (15, 6):
+                with pytest.raises(CapabilityError):
+                    oracle_mlce(inst)
+            else:
+                assert oracle_mlce(inst) is not None
 
 
 class TestFig1Decisions:
