@@ -278,7 +278,7 @@ def _cmd_bench(args) -> int:
                 for d in args.d:
                     for seed in range(args.seeds):
                         params = PlantedParams(
-                            n=n, ell=ell, cluster_count=max(2, min(n, n // 2 + 1)),
+                            n=n, ell=ell, cluster_count=min(n, n // 2 + 1),
                             drift_per_layer=args.drift, noise_edits=args.noise,
                             seed=seed)
                         inst, _ = generate_planted_logged(params, args.mode)

@@ -12,8 +12,11 @@ Both are exhaustive.  Edits-first runs when its combinations number at most
 the mark sets and at most ``COMBINATIONS_CAP``; otherwise mark-first runs
 when the mark sets number at most ``MARK_SETS_CAP``; otherwise a capability
 error is raised.
-A structured enumeration over vertex partitions is provided as a second,
-fully independent oracle for the multi-layer mode.
+
+A second, fully independent oracle for the multi-layer mode enumerates the
+definition itself: for each mark set and each partition of the unmarked
+vertices, every layer takes its cheapest extension of that partition by the
+marked vertices (each joins a block or opens one) within its own budget.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
     all_pairs,
     apply_edits,
     is_cluster_graph,
-    pair,
 )
 
 MAX_ORACLE_K = 4
@@ -182,7 +184,7 @@ def oracle_tce(inst: Instance) -> Optional[Solution]:
     Consecutive pairs of edited layers are connected when some mark set of
     size at most d hides their disagreements; that set is found by plain
     subset enumeration over the endpoints of disagreeing pairs, keeping this
-    oracle independent of the matching-based solver.
+    oracle independent of the fast solver's cover and matching.
     """
     if inst.mode != TCE:
         raise InputError("oracle_tce expects a tce instance")
@@ -243,33 +245,48 @@ def oracle_tce(inst: Instance) -> Optional[Solution]:
                     marked_per_gap=tuple(marks))
 
 
+def _partitions(blocks: list[list[int]], items: Sequence[int],
+                i: int = 0) -> Iterator[list[list[int]]]:
+    """Every way to place ``items[i:]`` in order beside ``blocks``: each item
+    joins a block, one it opened included, or opens one.  The given blocks
+    never merge.  Yields ``blocks`` itself, grown in place and restored once
+    the generator is exhausted."""
+    if i == len(items):
+        yield blocks
+        return
+    x = items[i]
+    for block in blocks:
+        block.append(x)
+        yield from _partitions(blocks, items, i + 1)
+        block.pop()
+    blocks.append([x])
+    yield from _partitions(blocks, items, i + 1)
+    blocks.pop()
+
+
 def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
     """Every partition of ``items`` exactly once (first-occurrence order)."""
-    items = list(items)
+    for blocks in _partitions([], list(items)):
+        yield [list(block) for block in blocks]
 
-    def rec(i: int, parts: list[list[int]]) -> Iterator[list[list[int]]]:
-        if i == len(items):
-            yield [list(p) for p in parts]
-            return
-        x = items[i]
-        for p in parts:
-            p.append(x)
-            yield from rec(i + 1, parts)
-            p.pop()
-        parts.append([x])
-        yield from rec(i + 1, parts)
-        parts.pop()
 
-    yield from rec(0, [])
+def _edits_to(g: LayerGraph, blocks: list[list[int]],
+              pairs: Sequence[Pair]) -> frozenset[Pair]:
+    """The pairs among ``pairs`` that g must toggle to become the cluster
+    graph whose clusters are ``blocks``."""
+    block_of = {v: idx for idx, block in enumerate(blocks) for v in block}
+    return frozenset((u, v) for u, v in pairs
+                     if (block_of[u] == block_of[v]) != (g.adj[u] >> v & 1))
 
 
 def structured_mlce(inst: Instance) -> Optional[Solution]:
-    """Partition-based exhaustive multi-layer solver.
+    """Partition-based exhaustive multi-layer solver: the definition itself.
 
-    Guesses the marked vertices, then a common clustering of the rest, then
-    per layer (independently) an assignment of the marked vertices to
-    existing or fresh clusters; a layer's edit cost is read off the
-    partition directly and held to the layer's own budget.
+    For each mark set D of size at most d and each partition of the other
+    vertices, every layer takes its cheapest partition of all vertices that
+    extends it (each marked vertex joins a block or opens one), held to the
+    layer's own budget.  The pairs outside D are priced once per partition
+    and layer, and a layer already over budget there tries no extension.
     """
     if inst.mode != MLCE:
         raise InputError("structured_mlce expects an mlce instance")
@@ -277,113 +294,22 @@ def structured_mlce(inst: Instance) -> Optional[Solution]:
         raise CapabilityError(f"structured oracle guard: n={inst.n} > 8")
 
     vertices = list(range(1, inst.n + 1))
-    budgets = inst.edit_budgets
     for dset in _mark_candidates(vertices, inst.d):
+        marked = sorted(dset)
         common = [v for v in vertices if v not in dset]
-        for partition in set_partitions(common):
-            cluster_of = {v: idx for idx, block in enumerate(partition) for v in block}
-            base = [_base_cost(inst, i, cluster_of) for i in range(inst.ell)]
-            picks = []
-            for i in range(inst.ell):
-                best = _best_marked_assignment(
-                    inst, i, sorted(dset), partition, cluster_of,
-                    budgets[i] - base[i])
-                if best is None:
+        outside = list(combinations(common, 2))
+        touching = [p for p in all_pairs(inst.n) if p[0] in dset or p[1] in dset]
+        for partition in _partitions([], common):
+            edits = []
+            for g, budget in zip(inst.layers, inst.edit_budgets):
+                base = _edits_to(g, partition, outside)
+                if len(base) > budget:
                     break
-                picks.append(best)
+                rest = min((_edits_to(g, blocks, touching) for blocks in
+                            _partitions([list(b) for b in partition], marked)), key=len)
+                if len(base) + len(rest) > budget:
+                    break
+                edits.append(base | rest)
             else:
-                edits = tuple(
-                    _edits_for_assignment(inst, i, cluster_of, picks[i])
-                    for i in range(inst.ell))
-                return Solution(edits, marked=frozenset(dset))
+                return Solution(tuple(edits), marked=dset)
     return None
-
-
-def _base_cost(inst: Instance, i: int, cluster_of: dict[int, int]) -> int:
-    g = inst.layers[i]
-    cost = 0
-    items = sorted(cluster_of)
-    for a, b in combinations(items, 2):
-        together = cluster_of[a] == cluster_of[b]
-        if together != (g.adj[a] >> b & 1):
-            cost += 1
-    return cost
-
-
-def _best_marked_assignment(inst: Instance, i: int, marked: list[int],
-                            partition: list[list[int]], cluster_of: dict[int, int],
-                            budget: int):
-    """Cheapest way to place the marked vertices into existing or new
-    clusters for layer i, or None if every way exceeds the budget."""
-    if budget < 0:
-        return None
-    if not marked:
-        return {}
-    g = inst.layers[i]
-    best_cost: Optional[int] = None
-    best = None
-    existing = len(partition)
-    for q in set_partitions(marked):
-        for targets in _attachments(len(q), existing):
-            placement: dict[int, int] = {}
-            fresh = existing
-            for block, tgt in zip(q, targets):
-                label = tgt
-                if label is None:
-                    label = fresh
-                    fresh += 1
-                for v in block:
-                    placement[v] = label
-            cost = _marked_cost(g, marked, placement, cluster_of)
-            if cost <= budget and (best_cost is None or cost < best_cost):
-                best_cost, best = cost, placement
-    return best
-
-
-def _attachments(blocks: int, clusters: int) -> Iterator[tuple[Optional[int], ...]]:
-    """Assign each block to a distinct existing cluster or to None (fresh)."""
-    def rec(i: int, used: set[int], acc: list[Optional[int]]) -> Iterator[tuple[Optional[int], ...]]:
-        if i == blocks:
-            yield tuple(acc)
-            return
-        acc.append(None)
-        yield from rec(i + 1, used, acc)
-        acc.pop()
-        for c in range(clusters):
-            if c not in used:
-                used.add(c)
-                acc.append(c)
-                yield from rec(i + 1, used, acc)
-                acc.pop()
-                used.discard(c)
-
-    yield from rec(0, set(), [])
-
-
-def _marked_cost(g, marked: list[int], placement: dict[int, int],
-                 cluster_of: dict[int, int]) -> int:
-    cost = 0
-    for a, b in combinations(marked, 2):
-        together = placement[a] == placement[b]
-        if together != (g.adj[a] >> b & 1):
-            cost += 1
-    for a in marked:
-        for b in cluster_of:
-            together = placement[a] == cluster_of[b]
-            if together != (pair(a, b) in g.edges):
-                cost += 1
-    return cost
-
-
-def _edits_for_assignment(inst: Instance, i: int, cluster_of: dict[int, int],
-                          placement: dict[int, int]) -> frozenset[Pair]:
-    final = dict(cluster_of)
-    final.update(placement)
-    g = inst.layers[i]
-    edits = set()
-    items = sorted(final)
-    for a, b in combinations(items, 2):
-        together = final[a] == final[b]
-        if together != (pair(a, b) in g.edges):
-            edits.add(pair(a, b))
-    return frozenset(edits)

@@ -248,6 +248,16 @@ def test_bench_csv_schema(files, capsys):
     assert all(row[6] in ("yes", "no") for row in rows[1:])
 
 
+def test_bench_single_vertex(files):
+    # bench picks the cluster count itself, so n = 1 needs one cluster
+    write, tmp = files
+    out = str(tmp / "bench.csv")
+    assert run(["bench", "--n", "1", "--ell", "2", "--k", "1", "--d", "1",
+                "--seeds", "1", "--timeout", "20", "--out", out]) == 0
+    rows = list(csv.reader(io.StringIO((tmp / "bench.csv").read_text())))
+    assert len(rows) == 2 and rows[1][:4] == ["1", "2", "1", "1"] and rows[1][6] == "yes"
+
+
 def test_bench_counts_xp_part_nodes(files):
     write, tmp = files
     out = str(tmp / "bench.csv")

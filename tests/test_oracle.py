@@ -20,8 +20,8 @@ from layeredit.oracle import (
 
 from layeredit.tcepath import solve_tce_xp
 
-from conftest import (check_solution_independently, ref_instance, random_instance,
-                      with_random_budgets)
+from conftest import (check_solution_independently, drifted_cluster_layers, ref_instance,
+                      random_instance, with_random_budgets)
 
 from math import comb
 
@@ -189,8 +189,16 @@ class TestSetPartitions:
 
 class TestOracleAgreement:
     def test_dual_oracle_agreement(self, rng):
-        for _ in range(300):
-            inst = random_instance(rng, "mlce")
+        insts = [random_instance(rng, "mlce") for _ in range(300)]
+        # past the defaults (n <= 5, d <= 2): drifted cluster layers at n 6-8
+        # with up to three marks, which may join a block or open their own,
+        # and a budget per layer
+        for _ in range(16):
+            n = rng.randint(6, 8)
+            layers = drifted_cluster_layers(rng, n, rng.randint(1, 4))
+            insts.append(with_random_budgets(
+                rng, Instance("mlce", n, layers, rng.randint(0, 2), rng.randint(0, 3))))
+        for inst in insts:
             a = oracle_mlce(inst)
             b = structured_mlce(inst)
             assert (a is None) == (b is None)

@@ -26,16 +26,16 @@ from layeredit.tcepath import solve_tce_xp
 
 
 @st.composite
-def planted_two_layers(draw):
-    """Two layers of a planted instance, n <= 12, with budgets drawn around
-    the planted ones so that both answers occur."""
-    n = draw(st.integers(5, 12))
+def planted_two_layers(draw, min_n=5, max_n=12, max_k=2, max_noise=2):
+    """Two layers of a planted instance, n <= 12 by default, with budgets
+    drawn around the planted ones so that both answers occur."""
+    n = draw(st.integers(min_n, max_n))
     params = PlantedParams(n=n, ell=2, cluster_count=draw(st.integers(1, n)),
                            drift_per_layer=draw(st.integers(0, 2)),
-                           noise_edits=draw(st.integers(0, 2)),
+                           noise_edits=draw(st.integers(0, max_noise)),
                            seed=draw(st.integers(0, 2**16)))
     layers = generate_planted(params, "mlce").layers
-    return n, layers, draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return n, layers, draw(st.integers(0, max_k)), draw(st.integers(0, 2))
 
 
 def decisions(n, layers, k, d):
@@ -47,6 +47,13 @@ def decisions(n, layers, k, d):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(planted_two_layers())
 def test_mlce_and_tce_agree_at_two_layers(case):
+    mlce, tce = decisions(*case)
+    assert mlce == tce
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(planted_two_layers(min_n=15, max_n=30, max_k=3, max_noise=3))
+def test_mlce_and_tce_agree_at_two_layers_past_the_oracles(case):
     mlce, tce = decisions(*case)
     assert mlce == tce
 
