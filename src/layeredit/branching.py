@@ -24,8 +24,10 @@ new mark when it is built.  A ``SearchContext`` is one search of one
 instance: a ``core.PairIndex`` (the pair list, each pair's bit and the
 pairs touching each vertex, shared between solves of the same n) that also
 holds the instance's tables, built once per solve (every layer's edge set
-as a pair bitmask and edit budget k_i), the search's memos, each capped at
-``FAILED_CAP`` entries (P3 rows, failed constraints, bound verdicts), and
+as a pair bitmask and edit budget k_i, and one pair mask per disagreement
+weight, ``weight_masks``), the search's memos, each capped at
+``FAILED_CAP`` entries (P3 rows, failed constraints, the verdicts of each
+bound), and
 its trace and stats hooks; its ``run`` is the search.  The search reads
 masks only: the greedy root takes the majority of the layers' pair masks
 with bit-sliced counters (``majority_mask``); rule 1 runs ``core.first_p3``
@@ -43,14 +45,19 @@ of its own.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
 toggle child that gives a layer more frozen edits than its budget k_i.  Of
-the other children, the search drops before entering them one whose
-permanent set grew (a toggle child, or rule 3's commit child) that the
-frozen-edit bound (``frozen_edit_bound``) rejects, first of all for a layer
-with more frozen edits than k_i.  That bound reads only the permanent
-pairs and the frozen edits, which mark children leave alone, so it is
-evaluated at the root and then once per (permanent, frozen edits) of a
-search; ``SearchStats.pruned_bound`` counts the drops.  Pruned subtrees
-hold no solution and the surviving children keep their order, so the first
+the other children, the search drops before entering them one that either
+of two lower bounds rejects.  The frozen-edit bound (``frozen_edit_bound``)
+counts the P3s within each layer, first of all rejecting a layer with more
+frozen edits than k_i.  It reads only the permanent pairs and the frozen
+edits, which mark children leave alone, so it is tested on a child whose
+permanent set grew (a toggle child, or rule 3's commit child), once per
+(permanent, frozen edits) of a search.  The disagreement bound
+(``disagreement_rejects``) counts what the layers must pay to agree
+outside the marks, against the summed budget; it reads the marks too, so
+it is tested on every child, after the frozen-edit bound, once per (marks,
+permanent, frozen edit count).  Both are tested at the root.
+``SearchStats.pruned_bound`` counts the drops.  Pruned subtrees hold no
+solution and the surviving children keep their order, so the first
 solution found is the one an unpruned search finds.
 """
 
@@ -103,8 +110,9 @@ FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 
 class SearchContext(PairIndex):
     """One depth-first search of one instance: the tables it reads, built
     once per solve, its reporting hooks, and its memos (the P3 rows, the
-    failed constraints and the bound verdicts by (permanent, frozen
-    edits))."""
+    failed constraints, the frozen-edit verdicts by (permanent, frozen
+    edits) and the disagreement verdicts by (marks, permanent, frozen edit
+    count))."""
 
     def __init__(self, inst: Instance, trace: Optional[TraceFn] = None, check: bool = False,
                  stats: Optional[SearchStats] = None):
@@ -114,6 +122,8 @@ class SearchContext(PairIndex):
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
+        self.weights = weight_masks(self.layer_masks)
+        self.total_budget = sum(self.budgets)
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
                                   for a, b, c in adj_p3s(g.adj)]
                          for i, g in enumerate(inst.layers)}
@@ -122,6 +132,7 @@ class SearchContext(PairIndex):
         self.stats = SearchStats() if stats is None else stats
         self.failed: set[Constraint] = set()
         self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.disagreeing: dict[tuple[int, int, int], bool] = {}
 
     def toggled_adj(self, i: int, mask: int) -> list[int]:
         """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
@@ -169,7 +180,7 @@ class SearchContext(PairIndex):
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        if not depth and self.dead_by_bound(c):
+        if not depth and (self.dead_by_bound(c) or self.dead_by_disagreement(c)):
             if trace:
                 trace("TRACE 0 rule0 reject bound")
             return None
@@ -211,11 +222,13 @@ class SearchContext(PairIndex):
         return None
 
     def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass the frozen-edit bound, in order.  A child
-        that kept the parent's permanent pairs is a mark child, with the
-        parent's frozen edits and so its verdict."""
+        """The children that pass the frozen-edit bound and then the
+        disagreement bound, in order.  A child that kept the parent's
+        permanent pairs is a mark child, with the parent's frozen edits and
+        so its frozen-edit verdict; its marks can change the other."""
         kept = [child for child in children
-                if child.permanent == parent.permanent or not self.dead_by_bound(child)]
+                if (child.permanent == parent.permanent or not self.dead_by_bound(child))
+                and not self.dead_by_disagreement(child)]
         self.stats.pruned_bound += len(children) - len(kept)
         return kept
 
@@ -228,6 +241,18 @@ class SearchContext(PairIndex):
             dead = bound_rejects(self, c)
             if len(self.dead) < FAILED_CAP:
                 self.dead[key] = dead
+        return dead
+
+    def dead_by_disagreement(self, c: Constraint) -> bool:
+        """``disagreement_rejects``, remembered by (marks, permanent pairs,
+        frozen edit count)."""
+        permanent = c.permanent
+        key = (c.marked, permanent, sum([(m & permanent).bit_count() for m in c.edits]))
+        dead = self.disagreeing.get(key)
+        if dead is None:
+            dead = disagreement_rejects(self, *key)
+            if len(self.disagreeing) < FAILED_CAP:
+                self.disagreeing[key] = dead
         return dead
 
 
@@ -258,23 +283,25 @@ def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
 
 
-def majority_mask(masks: Sequence[int]) -> int:
-    """The bits set in at least half of the (at least one) ``masks``.
-
-    Counted bit-sliced: bit j of ``count[t]`` is bit t of the number of
-    masks holding bit j, so adding a mask is a ripple carry over the slices,
-    and the count is compared with the threshold slice by slice, highest
-    first."""
-    count: list[int] = []
+def bit_counts(masks: Sequence[int]) -> list[int]:
+    """The number of ``masks`` holding each bit, bit-sliced: bit j of
+    ``count[t]`` is bit t of the count of bit j, with len(masks).bit_length()
+    slices.  Adding a mask is a ripple carry over the slices."""
+    count = [0] * len(masks).bit_length()
     for carry in masks:
         for t, slice_ in enumerate(count):
             count[t], carry = slice_ ^ carry, slice_ & carry
             if not carry:
                 break
-        else:
-            count.append(carry)
+    return count
+
+
+def majority_mask(masks: Sequence[int]) -> int:
+    """The bits set in at least half of the (at least one) ``masks``: their
+    ``bit_counts`` compared with the threshold slice by slice, highest
+    first."""
+    count = bit_counts(masks)
     need = (len(masks) + 1) // 2
-    count += [0] * (need.bit_length() - len(count))
     above, equal = 0, -1  # bits whose higher count slices exceed / match need's
     for t in reversed(range(len(count))):
         if need >> t & 1:
@@ -283,6 +310,17 @@ def majority_mask(masks: Sequence[int]) -> int:
             above |= equal & count[t]
             equal &= ~count[t]
     return above | equal
+
+
+def weight_masks(masks: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(w, the bits set in c of the ``masks`` with min(c, len(masks) - c)
+    = w) for each weight w > 0 that some bit has, lowest first."""
+    ell, count = len(masks), bit_counts(masks)
+    by_weight = [0] * (ell // 2 + 1)
+    for c in range(1, ell):  # c > 0 sets some slice's bit, so each AND is nonnegative
+        by_weight[min(c, ell - c)] |= reduce(and_, [slice_ if c >> t & 1 else ~slice_
+                                                    for t, slice_ in enumerate(count)])
+    return tuple((w, mask) for w, mask in enumerate(by_weight) if w and mask)
 
 
 def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
@@ -329,6 +367,42 @@ def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
         if frozen_edit_bound(ctx, i, m & permanent, permanent, budgets[i]) is None:
             return True
     return False
+
+
+def disagreement_rejects(ctx: SearchContext, marked: int, permanent: int, frozen: int) -> bool:
+    """Whether every solution below a constraint with marks ``marked``,
+    permanent pairs ``permanent`` and ``frozen`` frozen edits (summed over
+    the layers) edits more than the summed budget K = sum of k_i.
+
+    A pair in c of the ell input layers weighs w = min(c, ell - c)
+    (``SearchContext.weights``).  A solution with marks D agrees with the
+    constraint on the permanent pairs, for the reasons
+    ``frozen_edit_bound`` gives, so it pays the frozen edits.  Outside D
+    all its edited layers are equal, so a non-permanent pair that touches
+    no vertex of D costs at least its weight in edits, none of them on a
+    permanent pair.  Let W be the weight of the non-permanent pairs that
+    touch no vertex of ``marked``, and deg(v) the weight of those at v.
+    D holds ``marked`` and at most d - |marked| more vertices, each
+    unmarked and, as no permanent pair touches a mark, with no permanent
+    pair; together they touch at most the sum S of the d - |marked|
+    largest such deg(v).  So every solution below edits at least
+    frozen + W - S, and the bound rejects when that exceeds K.  S is only
+    computed when frozen + W does.  Loose edits are not counted, as
+    ``frozen_edit_bound`` explains."""
+    free = ~permanent & ~ctx.touching_mask(marked)
+    excess = frozen - ctx.total_budget
+    for w, mask in ctx.weights:
+        excess += w * (mask & free).bit_count()
+    spare = ctx.inst.d - marked.bit_count()
+    if excess <= 0 or not spare:
+        return excess > 0
+    at = [pairs for pairs in ctx.touching if not pairs & permanent]  # a mark's deg is 0
+    degrees = [0] * len(at)
+    for w, mask in ctx.weights:
+        mask &= free
+        degrees = [deg + w * (mask & pairs).bit_count() for deg, pairs in zip(degrees, at)]
+    degrees.sort(reverse=True)
+    return sum(degrees[:spare]) < excess
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:
@@ -598,11 +672,20 @@ def _extract_solution(ctx: SearchContext, c: Constraint,
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:
-    """Each layer's extracted edits reach the accepted constraint's bound."""
+    """Each layer's extracted edits reach the accepted constraint's bound,
+    and all of them reach its frozen edits plus the weight W of the
+    non-permanent pairs that touch no mark (``disagreement_rejects`` with
+    S = 0, as no mark is left to place)."""
     for i, m in enumerate(sol.edits):
         if frozen_edit_bound(ctx, i, c.edits[i] & c.permanent, c.permanent, len(m)) is None:
             raise InvariantViolation(f"layer {i + 1}'s {len(m)} extracted edits fall below "
                                      f"the accepted constraint's bound")
+    free = ~c.permanent & ~ctx.touching_mask(c.marked)
+    least = sum([(m & c.permanent).bit_count() for m in c.edits])
+    least += sum([w * (mask & free).bit_count() for w, mask in ctx.weights])
+    if sum(map(len, sol.edits)) < least:
+        raise InvariantViolation(f"the extracted edits fall below the accepted "
+                                 f"constraint's disagreement bound {least}")
 
 
 def _check_children(ctx: SearchContext, parent: Constraint,

@@ -127,8 +127,9 @@ class SearchStats(Record, mutable=True):
     """Counters of one search.  ``nodes`` counts the constraints it entered,
     or the calls of ``PairIndex.cover`` where that decides the instance;
     ``pruned_bound`` counts the children it dropped before entering them,
-    by the frozen-edit bound (which also rejects a layer with more frozen
-    edits than its budget)."""
+    by either of its bounds: the frozen-edit bound (which also rejects a
+    layer with more frozen edits than its budget) and the disagreement
+    bound."""
 
     nodes: int = 0
     max_depth: int = 0

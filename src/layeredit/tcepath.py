@@ -31,7 +31,8 @@ at most d pairs is accepted on its size, and any other goes to
 ``PairIndex.cover``.  At d = 1 that settles F by the two ends of its
 lowest pair, one of which must touch every pair; above, a greedy matching
 of F settles most checks, and the rest branch on those two ends at d = 2,
-or go to its branch-and-reduce search at a larger d.  Only the final
+or go to its branch-and-reduce search at a larger d.  The path ends at the
+first reachable node of the last part, so that part's scan stops there.  Only the final
 path's gaps get a mark set, and only a gap whose edited layers differ gets
 a two-layer solve (``solve_two_layer_zero_edit``, a matching over the
 vertices those layers disagree on); one whose layers are equal gets the
@@ -224,6 +225,8 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
                         break
                 else:
                     preds.append(None)
+                if i == inst.ell - 1 and preds[-1] is not None:
+                    break  # the path ends at the last part's first reachable node
         predecessors.append(preds)
         reachable = [idx for idx, p in enumerate(preds) if p is not None]
         if not reachable:

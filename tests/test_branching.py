@@ -14,6 +14,7 @@ from layeredit.branching import (
     branching_rule_2,
     branching_rule_3,
     constraint_quality,
+    disagreement_rejects,
     extends,
     frozen_edit_bound,
     greedy_initial_constraint,
@@ -22,6 +23,7 @@ from layeredit.branching import (
     majority_mask,
     min_marked_completion,
     solve_mlce,
+    weight_masks,
 )
 from layeredit.core import (
     Instance,
@@ -293,6 +295,58 @@ class TestFrozenEditBound:
                             lambda ctx, c, completions: Solution(
                                 (frozenset(),), marked=extract(ctx, c, completions).marked))
         with pytest.raises(InvariantViolation):
+            solve_mlce(inst, check_invariants=True)
+
+
+class TestDisagreementBound:
+    def test_weights_are_the_counter_rule(self, rng):
+        for ell in range(1, 8):
+            for _ in range(20):
+                n = rng.randint(2, 7)
+                layers = random_layers(rng, n, ell, density=rng.random())
+                counts = Counter(p for g in layers for p in g.edges)
+                ctx = SearchContext(Instance("mlce", n, layers, 0, 0))
+                want = Counter()
+                for p, cnt in counts.items():
+                    want[min(cnt, ell - cnt)] |= ctx.pair_mask([p])
+                del want[0]
+                assert weight_masks(ctx.layer_masks) == tuple(sorted(want.items()))
+
+    def test_rejects_only_when_no_mark_set_fits(self, rng):
+        # brute force over the mark sets D the bound allows: each pays the
+        # frozen edits plus the weight of the non-permanent pairs touching
+        # no vertex of D, and the bound may reject only if all overrun K
+        verdicts = Counter()
+        for _ in range(150):
+            ctx = SearchContext(random_instance(rng, "mlce", max_n=7, max_ell=5, max_k=2,
+                                                max_d=3))
+            for _, children in descents(ctx, rng):
+                for c in children:
+                    frozen = sum((m & c.permanent).bit_count() for m in c.edits)
+                    open_ = [v for v in range(1, ctx.inst.n + 1)
+                             if not c.marked >> v & 1 and not c.permanent & ctx.touching[v]]
+                    least = min(
+                        frozen + sum(w * (mask & ~c.permanent & ~ctx.touching_mask(
+                            c.marked | vertex_mask(more))).bit_count()
+                            for w, mask in ctx.weights)
+                        for size in range(ctx.inst.d - c.marked.bit_count() + 1)
+                        for more in combinations(open_, size))
+                    rejects = disagreement_rejects(ctx, c.marked, c.permanent, frozen)
+                    if rejects:
+                        assert least > ctx.total_budget
+                    verdicts[rejects, least > ctx.total_budget] += 1
+        assert verdicts[True, True] > 50 and verdicts[False, False] > 50
+
+    def test_invariant_check_catches_an_extraction_below_the_bound(self, monkeypatch):
+        # layers 1-2 and edgeless, k = 1: the majority adds 1-2 to layer 2,
+        # one edit of weight 1 that no layer's own bound counts
+        inst = Instance("mlce", 2, (layer_from_edges(2, [(1, 2)]), layer_from_edges(2, [])),
+                        1, 0)
+        assert solve_mlce(inst, check_invariants=True) is not None
+        monkeypatch.setattr(branching, "_extract_solution",
+                            lambda ctx, c, completions: Solution((frozenset(),) * 2,
+                                                                 marked=frozenset()))
+        with pytest.raises(InvariantViolation, match="disagreement bound 1"):
             solve_mlce(inst, check_invariants=True)
 
 

@@ -7,7 +7,10 @@ variables (n 24-96), and against the constraint search, run directly, on
 P3-free instances of n 12-24; the cover routine itself is checked against
 the oracle's separate cover branching on random masks with d up to 8.
 Planted instances of n 40-100 are solved at the budgets their generator
-stores, which it promises always suffice.
+stores, which it promises always suffice, and so are drift-2 instances of
+n 40 whose noise the disagreement bound made affordable.  That bound is
+checked against the search with it forced off: the decisions and solution
+files must be the same.
 """
 
 from __future__ import annotations
@@ -15,9 +18,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from layeredit import branching
 from layeredit.branching import SearchContext, greedy_initial_constraint, solve_mlce
-from layeredit.core import Instance, PairIndex, SearchStats, verify
-from layeredit.fileio import Formula223, PlantedParams, generate_planted, generate_sat_reduction
+from layeredit.core import Instance, PairIndex, SearchStats, replace, verify
+from layeredit.fileio import (
+    Formula223,
+    PlantedParams,
+    generate_planted,
+    generate_sat_reduction,
+    serialize_solution,
+)
 from layeredit.oracle import _cover_within as brute_force_cover
 from layeredit.tcepath import solve_tce_xp
 
@@ -134,3 +144,40 @@ def test_planted_instances_are_yes_at_their_stored_budgets():
         inst = generate_planted(params, mode)
         sol = (solve_mlce if mode == "mlce" else solve_tce_xp)(inst)
         assert sol is not None and verify(inst, sol).ok, params
+
+
+def drifted_planted(n: int, ell: int, noise: int, seed: int) -> Instance:
+    """A planted mlce instance with 2 vertices moved per layer into n//3+1
+    clusters, at its stored budgets."""
+    return generate_planted(PlantedParams(n, ell, n // 3 + 1, 2, noise, seed), "mlce")
+
+
+def test_disagreement_bound_changes_no_solution(monkeypatch):
+    # at the stored budgets and with one mark fewer; both answers occur.
+    # The bound only cuts subtrees, so the search with it enters no node
+    # that the search without it does not
+    instances = [replace(inst, d=inst.d - fewer)
+                 for inst in (drifted_planted(30, 4, 4, seed) for seed in range(8))
+                 for fewer in (0, 1)]
+
+    def solve_all():
+        runs = []
+        for inst in instances:
+            stats = SearchStats()
+            runs.append((serialize_solution(solve_mlce(inst, stats=stats), inst), stats.nodes))
+        return runs
+
+    bounded = solve_all()
+    monkeypatch.setattr(branching, "disagreement_rejects", lambda *args: False)
+    unbounded = solve_all()
+    assert [text for text, _ in bounded] == [text for text, _ in unbounded]
+    assert all(on <= off for (_, on), (_, off) in zip(bounded, unbounded))
+    assert sum(on for _, on in bounded) < sum(off for _, off in unbounded)
+    assert {text.split()[3] for text, _ in bounded} == {"yes", "no"}
+
+
+def test_drifted_planted_instances_are_yes_at_their_stored_budgets():
+    for seed in range(8):
+        inst = drifted_planted(40, 5, 6, seed)
+        sol = solve_mlce(inst)
+        assert sol is not None and verify(inst, sol).ok, seed

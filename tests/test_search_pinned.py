@@ -7,28 +7,26 @@ SAT-reduction instances, and so are the outputs of the per-layer kernel
 tests its constraints must leave every value here as it is; a change that
 means to alter the search updates the table and says why.
 
-The node, depth and trace-kind counts were last repinned when the search
-began to drop dead children before entering them (rule 0 and the
-frozen-edit bound, see ``branching.frozen_edit_bound``): the rejected
-children no longer count as nodes or trace ``rule0`` lines, a root that the
-bound rejects is the only ``rule0`` line left, and the subtrees the bound
-cuts are gone.  The 20 planted pins fell from 5,654 to 133 nodes.  Every
-solution digest, yes flag and kernel pin stayed as it was.
+The node, depth, trace-kind and prune counts were last repinned when the
+search began to check a second bound before entering each child, the
+disagreement between layers (``branching.disagreement_rejects``), beside
+the frozen-edit bound (``branching.frozen_edit_bound``).  Nine planted rows
+moved, and the 20 planted pins fell from 133 to 98 nodes; seed 10's root
+is now rejected, its one ``rule0`` line.  The search run directly on the
+SAT reductions fell from 825 to 133 nodes (satisfiable) and from 511 to
+17 (unsatisfiable).  Pruned subtrees hold no solution and the surviving
+children keep their order, so every solution digest, yes flag and kernel
+pin stayed as it was.
 
 The SAT reductions have every edit budget 0, so ``solve_mlce`` decides
 them by a vertex cover of the pairs on which the layers differ
 (``PairIndex.cover``), not by the constraint search: ``SAT`` pins that
 route, whose nodes are the cover's calls, and ``FORCED`` pins the
-constraint search run directly on the same instances.  When the route
-came in, the search lost its matching bound on marks, which only these
-instances had reached: it prunes none of their children, and takes the
-825 and 511 nodes it took before that bound, with the same solutions.
+constraint search run directly on the same instances.
 
 ``PRUNED`` pins the children each search drops before entering them
-(``SearchStats.pruned_bound``), for the same planted and SAT-reduction
-instances.  The frozen-edit bound tries the layers starting at the one
-that rejected last; its verdict is over all layers, so the order must
-move none of these counts.
+(``SearchStats.pruned_bound``, both bounds), for the same planted and
+SAT-reduction instances.
 """
 
 from __future__ import annotations
@@ -61,26 +59,26 @@ NO = "33d1589fe9b3e131"  # digest of the "answer no" solution file
 
 # seed -> (nodes, max_depth, trace lines per kind in KINDS order, solution digest, yes)
 PLANTED = [
-    (0, (12, 2, (0, 3, 6, 0, 1, 2), "91689b6135131f2f", True)),
-    (1, (31, 2, (0, 0, 15, 2, 0, 14), NO, False)),
+    (0, (9, 2, (0, 2, 5, 0, 1, 1), "91689b6135131f2f", True)),
+    (1, (15, 2, (0, 0, 5, 2, 0, 8), NO, False)),
     (2, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (3, (11, 3, (0, 0, 7, 2, 1, 1), "8b0e030c90ef8657", True)),
-    (4, (3, 1, (0, 0, 2, 0, 1, 0), "b8b6c4cfe8548a80", True)),
+    (3, (8, 3, (0, 0, 5, 2, 1, 0), "8b0e030c90ef8657", True)),
+    (4, (2, 1, (0, 0, 1, 0, 1, 0), "b8b6c4cfe8548a80", True)),
     (5, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (6, (9, 2, (0, 0, 8, 0, 1, 0), "ee03f98a856990f5", True)),
-    (7, (3, 1, (0, 1, 1, 0, 1, 0), "91d0e5e3c1f17cad", True)),
+    (6, (4, 2, (0, 0, 3, 0, 1, 0), "ee03f98a856990f5", True)),
+    (7, (2, 1, (0, 1, 0, 0, 1, 0), "91d0e5e3c1f17cad", True)),
     (8, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
     (9, (4, 3, (0, 0, 3, 0, 1, 0), "d56a7f51cd196a9e", True)),
-    (10, (5, 1, (0, 0, 4, 0, 0, 1), NO, False)),
+    (10, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
     (11, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
     (12, (6, 2, (0, 1, 3, 1, 1, 0), "694d3ab0ace1c93d", True)),
     (13, (3, 2, (0, 1, 1, 0, 1, 0), "3413a013295edc26", True)),
     (14, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (15, (5, 3, (0, 1, 3, 0, 1, 0), "f97bb6556e2ddb4a", True)),
+    (15, (4, 3, (0, 1, 2, 0, 1, 0), "f97bb6556e2ddb4a", True)),
     (16, (2, 1, (0, 0, 1, 0, 1, 0), "79b5ecb95fb88a2e", True)),
     (17, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
     (18, (4, 2, (0, 0, 3, 0, 1, 0), "2ca7f52056d8ecbe", True)),
-    (19, (29, 3, (0, 4, 17, 1, 0, 7), NO, False)),
+    (19, (28, 3, (0, 4, 16, 1, 0, 7), NO, False)),
 ]
 
 SATISFIABLE = ((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3))
@@ -94,14 +92,14 @@ SAT = [
 
 # clauses -> same fields, for the constraint search run directly
 FORCED = [
-    (SATISFIABLE, (825, 14, (0, 0, 690, 0, 1, 134), "f7742dcfdf3f43e1", True)),
-    (UNSATISFIABLE, (511, 8, (0, 0, 511, 0, 0, 0), NO, False)),
+    (SATISFIABLE, (133, 14, (0, 0, 119, 0, 1, 13), "f7742dcfdf3f43e1", True)),
+    (UNSATISFIABLE, (17, 5, (0, 0, 17, 0, 0, 0), NO, False)),
 ]
 
 
 # pruned_bound: the 20 planted seeds in order, then the two SAT formulas,
 # solved by the cover, then searched directly
-PRUNED = [21, 49, 0, 23, 4, 0, 16, 6, 0, 7, 8, 0, 10, 6, 0, 10, 2, 0, 6, 59, 0, 0, 0, 0]
+PRUNED = [19, 29, 0, 20, 3, 0, 12, 5, 0, 7, 0, 0, 10, 6, 0, 11, 2, 0, 6, 57, 0, 0, 97, 18]
 
 
 def planted_instance(seed: int):
