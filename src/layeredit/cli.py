@@ -11,6 +11,7 @@ import argparse
 import importlib
 import sys
 import time
+from itertools import product
 from typing import Optional, Sequence
 
 from .core import (
@@ -21,7 +22,6 @@ from .core import (
     InputError,
     Instance,
     SearchStats,
-    Solution,
     replace,
     verify,
 )
@@ -70,6 +70,9 @@ SOLVERS = {
 }
 AUTO = {MLCE: "branch", TCE: "xp"}
 ALGOS = ("auto", *dict.fromkeys(name for name, _ in SOLVERS))
+
+# The largest --timeout bench accepts; setitimer overflows from about 1e10 s.
+MAX_TIMEOUT_S = 10 ** 6
 
 
 def _bounded(convert, ok, rule: str):
@@ -127,19 +130,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sat.add_argument("--out", help="instance file (default: stdout)")
     p_sat.set_defaults(cmd=_cmd_sat)
 
+    positive = _bounded(int, lambda v: v >= 1, "at least 1")
+    nonnegative = _bounded(int, lambda v: v >= 0, "nonnegative")
     p_bench = sub.add_parser("bench", help="parameter sweep, CSV output")
     p_bench.add_argument("--mode", choices=MODES, default=MLCE)
     p_bench.add_argument("--algo", choices=ALGOS, default="auto")
-    p_bench.add_argument("--n", type=int, nargs="+", required=True)
-    p_bench.add_argument("--ell", type=int, nargs="+", required=True)
-    p_bench.add_argument("--k", type=int, nargs="+", required=True)
-    p_bench.add_argument("--d", type=int, nargs="+", required=True)
-    p_bench.add_argument("--seeds", type=_bounded(int, lambda v: v >= 0, "nonnegative"), default=3)
-    p_bench.add_argument("--drift", type=int, default=1)
-    p_bench.add_argument("--noise", type=int, default=1)
+    p_bench.add_argument("--n", type=positive, nargs="+", required=True)
+    p_bench.add_argument("--ell", type=positive, nargs="+", required=True)
+    p_bench.add_argument("--k", type=nonnegative, nargs="+", required=True)
+    p_bench.add_argument("--d", type=nonnegative, nargs="+", required=True)
+    p_bench.add_argument("--seeds", type=nonnegative, default=3)
+    p_bench.add_argument("--drift", type=nonnegative, default=1)
+    p_bench.add_argument("--noise", type=nonnegative, default=1)
     p_bench.add_argument("--timeout", default=30.0, help="wall-clock seconds per instance",
-                         type=_bounded(float, lambda v: 0 < v < float("inf"),  # false for nan too
-                                       "finite and positive"))
+                         type=_bounded(float, lambda v: 0 < v <= MAX_TIMEOUT_S,  # false for nan
+                                       f"positive and at most {MAX_TIMEOUT_S}"))
     p_bench.add_argument("--out", help="CSV file (default: stdout)")
     p_bench.set_defaults(cmd=_cmd_bench)
     return parser
@@ -185,30 +190,21 @@ def _internal_error(message: str) -> int:
     return EXIT_INTERNAL
 
 
-def _resolve(inst: Instance, algo: str) -> str:
-    """The algorithm that ``algo`` names for this instance."""
-    return AUTO[inst.mode] if algo == "auto" else algo
-
-
-def _dispatch(inst: Instance, algo: str, trace: bool = False,
-              stats: Optional[SearchStats] = None) -> Optional[Solution]:
-    """Run one algorithm; the branch search counts its nodes into ``stats``,
-    and the xp search its part nodes."""
-    algo = _resolve(inst, algo)
-    solver = SOLVERS.get((algo, inst.mode))
-    if solver is None:
-        modes = [mode for name, mode in SOLVERS if name == algo]
-        if not modes:
-            raise InputError(f"unknown algorithm {algo!r}")
-        article = "an" if modes[0] == MLCE else "a"
-        raise InputError(f"--algo {algo} requires {article} {modes[0]} instance")
-    trace_fn = (lambda line: print(line, file=sys.stderr)) if trace else None
-    return solver(inst, trace_fn, stats)
+def _solver(algo: str, mode: str):
+    """The algorithm that ``algo`` names for ``mode`` instances, and its solver."""
+    name = AUTO[mode] if algo == "auto" else algo
+    if (name, mode) not in SOLVERS:  # every name in ALGOS solves one mode at least
+        other = TCE if mode == MLCE else MLCE
+        article = "an" if other == MLCE else "a"
+        raise InputError(f"--algo {name} requires {article} {other} instance")
+    return name, SOLVERS[name, mode]
 
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
-    sol = _dispatch(inst, args.algo, args.trace)
+    _, solve = _solver(args.algo, inst.mode)
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
+    sol = solve(inst, trace, None)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -255,49 +251,54 @@ def _cmd_sat(args) -> int:
     return EXIT_YES
 
 
-def _bench_worker(inst: Instance, algo: str, queue) -> None:
+class _Timeout(BaseException):
+    """The bench timer's strike: no ``except Exception`` can take it."""
+
+
+def _timed(solve, inst: Instance, seconds: float) -> tuple[str, int]:
+    """Solve ``inst`` in process under a ``seconds`` interval timer; return the
+    answer ("yes", "no", "timeout" or "error:<exception>") and the nodes counted."""
+    import signal  # only bench needs it, and it slows every start-up
+
     stats = SearchStats()
+    solving = True
+
+    def strike(signum, frame):
+        if solving:  # a strike handled after the solve returned changes nothing
+            raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, strike)
     try:
-        sol = _dispatch(inst, algo, stats=stats)
-        queue.put(("yes" if sol is not None else "no", stats.nodes))
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            answer = "yes" if solve(inst, None, stats) is not None else "no"
+        finally:
+            solving = False  # a strike before this line is caught below
+    except _Timeout:
+        answer = "timeout"
     except Exception as exc:  # noqa: BLE001 - reported as a row, not a crash
-        queue.put((f"error:{type(exc).__name__}", stats.nodes))
+        answer = f"error:{type(exc).__name__}"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return answer, stats.nodes
 
 
 def _cmd_bench(args) -> int:
     # imported here: only bench needs them, and they slow every start-up
     import csv
     import io
-    import multiprocessing
 
+    algo, solve = _solver(args.algo, args.mode)
     rows = []
-    ctx = multiprocessing.get_context("fork")
-    for n in args.n:
-        for ell in args.ell:
-            for k in args.k:
-                for d in args.d:
-                    for seed in range(args.seeds):
-                        params = PlantedParams(
-                            n=n, ell=ell, cluster_count=min(n, n // 2 + 1),
-                            drift_per_layer=args.drift, noise_edits=args.noise,
-                            seed=seed)
-                        inst, _ = generate_planted_logged(params, args.mode)
-                        inst = replace(inst, k=k, d=d)
-                        resolved = _resolve(inst, args.algo)
-                        queue = ctx.Queue()
-                        proc = ctx.Process(target=_bench_worker,
-                                           args=(inst, resolved, queue))
-                        start = time.perf_counter()
-                        proc.start()
-                        proc.join(args.timeout)
-                        millis = int((time.perf_counter() - start) * 1000)
-                        if proc.is_alive():
-                            proc.terminate()
-                            proc.join()
-                            answer, nodes = "timeout", ""
-                        else:
-                            answer, nodes = queue.get() if not queue.empty() else ("error:lost", "")
-                        rows.append([n, ell, k, d, resolved, seed, answer, millis, nodes])
+    for n, ell, k, d, seed in product(args.n, args.ell, args.k, args.d, range(args.seeds)):
+        params = PlantedParams(n=n, ell=ell, cluster_count=min(n, n // 2 + 1),
+                               drift_per_layer=args.drift, noise_edits=args.noise, seed=seed)
+        inst, _ = generate_planted_logged(params, args.mode)
+        start = time.perf_counter()
+        answer, nodes = _timed(solve, replace(inst, k=k, d=d), args.timeout)
+        millis = int((time.perf_counter() - start) * 1000)
+        rows.append([n, ell, k, d, algo, seed, answer, millis, nodes])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "ell", "k", "d", "algo", "seed", "answer", "millis",

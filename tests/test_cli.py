@@ -1,5 +1,8 @@
 import csv
 import io
+import random
+import signal
+import time
 
 import pytest
 
@@ -57,7 +60,7 @@ def test_solve_every_algo_agrees(files, capsys):
 
 
 def test_solve_algo_mode_mismatch(files, capsys):
-    write, _ = files
+    write, tmp = files
     for algo, mode, message in [
             ("branch", "tce", "--algo branch requires an mlce instance"),
             ("structured", "tce", "--algo structured requires an mlce instance"),
@@ -65,6 +68,12 @@ def test_solve_algo_mode_mismatch(files, capsys):
         inst_file = write(f"{mode}.mlg", serialize_instance(ref_instance(mode, 1, 1)))
         assert run(["solve", "--algo", algo, inst_file]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        # bench refuses the same pair before it builds or solves any instance
+        out = tmp / "bench.csv"
+        assert run(["bench", "--mode", mode, "--algo", algo, "--n", "4", "--ell", "2",
+                    "--k", "1", "--d", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_solve_parse_error_names_line(files, capsys):
@@ -272,13 +281,65 @@ def test_bench_counts_xp_part_nodes(files):
 
 @pytest.mark.parametrize("flag, value", [("--timeout", "nan"), ("--timeout", "inf"),
                                          ("--timeout", "-1"), ("--timeout", "0"),
-                                         ("--seeds", "-1")])
+                                         ("--timeout", "3e6"), ("--timeout", "1e10"),
+                                         ("--seeds", "-1"), ("--n", "0"), ("--ell", "0"),
+                                         ("--k", "-1"), ("--d", "-1"), ("--drift", "-1"),
+                                         ("--noise", "-1")])
 def test_bench_refuses_out_of_range_numbers(flag, value, capsys):
-    # caught by the parser before any instance is built or process started
+    # caught by the parser before any instance is built
     code = run(["bench", "--n", "4", "--ell", "2", "--k", "1", "--d", "1", flag, value])
     assert code == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
+
+
+@pytest.fixture
+def caller_alarm():
+    """A SIGALRM handler of the caller's, which no bench strike may reach."""
+    def handler(signum, frame):
+        raise AssertionError("SIGALRM reached the caller's handler")
+    previous = signal.signal(signal.SIGALRM, handler)
+    yield handler
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_bench_timeout_row_counts_nodes_and_restores_the_timer(files, caller_alarm):
+    # the n=20 solve takes seconds; the timer stops it in process, and the
+    # n=6 row after it is solved as if nothing had struck
+    write, tmp = files
+    out = str(tmp / "bench.csv")
+    assert run(["bench", "--mode", "tce", "--n", "20", "6", "--ell", "4", "--k", "5",
+                "--d", "1", "--seeds", "1", "--timeout", "0.5", "--out", out]) == 0
+    assert signal.getsignal(signal.SIGALRM) is caller_alarm
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    rows = list(csv.reader(io.StringIO((tmp / "bench.csv").read_text())))
+    assert len(rows) == 3
+    assert rows[1][:7] == ["20", "4", "5", "1", "xp", "0", "timeout"]
+    assert int(rows[1][8]) > 0 and int(rows[1][7]) < 1500
+    assert rows[2][:7] + rows[2][8:] == ["6", "4", "5", "1", "xp", "0", "yes", "227"]
+
+
+def test_bench_timer_strike_never_escapes_a_solve_that_returns_at_the_cap(caller_alarm):
+    # solves that end within 5% of a 1 ms cap, so that strikes land on every
+    # side of their return; none may escape or reach the caller's handler
+    rng = random.Random(0)
+
+    def solver(seconds, fails):
+        def solve(inst, trace, stats):
+            end = time.perf_counter() + seconds
+            while time.perf_counter() < end:
+                stats.nodes += 1
+            if fails:
+                raise core.InputError("refused")
+        return solve
+
+    answers = set()
+    for _ in range(1000):
+        solve = solver(rng.uniform(0.00095, 0.00105), rng.random() < 0.25)
+        answers.add(cli._timed(solve, None, 0.001)[0])
+    assert signal.getsignal(signal.SIGALRM) is caller_alarm
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert answers <= {"no", "timeout", "error:InputError"} and "timeout" in answers
 
 
 def test_unknown_subcommand(capsys):
