@@ -161,6 +161,9 @@ def run(argv: Sequence[str]) -> int:
     except (InputError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # an instance too large to hold, such as n = 10^12
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:  # a solver rejected its own result
         return _internal_error(str(exc))
 

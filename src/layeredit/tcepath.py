@@ -23,21 +23,24 @@ check is whether F has a vertex cover of at most d vertices: the partition
 distance of the two clusterings (Gusfield, IPL 2002).  Every node is a
 pair mask, so F costs two int xors.
 
-A node's predecessor is the first reachable node of the previous part that
-is compatible with it.  With d = 0 F must be empty, E_c = E_p xor Delta_i,
-so the reachable nodes are indexed by E_p xor Delta_i and each node does
-one lookup.  With d > 0 every reachable node is tried in order: an F of
-at most d pairs is accepted on its size, and any other goes to
-``PairIndex.cover``.  At d = 1 that settles F by the two ends of its
-lowest pair, one of which must touch every pair; above, a greedy matching
-of F settles most checks, and the rest branch on those two ends at d = 2,
-or go to its branch-and-reduce search at a larger d.  The path ends at the
-first reachable node of the last part, so that part's scan stops there.  Only the final
-path's gaps get a mark set, and only a gap whose edited layers differ gets
-a two-layer solve (``solve_two_layer_zero_edit``, a matching over the
-vertices those layers disagree on); one whose layers are equal gets the
-empty set, which is what that solve returns there.  ``verify`` still checks every layer and gap of
-the result.
+Each part keeps only its frontier: its reachable nodes, in part order,
+each with the position of its predecessor in the previous frontier, so
+the path is read back from the frontiers alone.  A node's predecessor is
+the first of its candidates that passes one check, at every d: an F of at
+most d pairs is accepted on its size, and any other goes to
+``PairIndex.cover``.  With d > 0 the candidates are the whole previous
+frontier.  With d = 0 F must be empty, E_c = E_p xor Delta_i, so a dict
+keyed by E_p xor Delta_i narrows them to the first node under that key,
+if any.  At d = 1 ``cover`` settles F by the two ends of its lowest pair,
+one of which must touch every pair; above, a greedy matching of F settles
+most checks, and the rest branch on those two ends at d = 2, or go to its
+branch-and-reduce search at a larger d.  The path ends at the first
+reachable node of the last part, so that part's scan stops there at
+every d.  Only the final path's gaps get a mark set, and only a gap whose
+edited layers differ gets a two-layer solve (``solve_two_layer_zero_edit``,
+a matching over the vertices those layers disagree on); one whose layers
+are equal gets the empty set, which is what that solve returns there.
+``verify`` still checks every layer and gap of the result.
 """
 
 from __future__ import annotations
@@ -183,8 +186,6 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
     if min(budgets) < 0:
         return None
 
-    # Every layer's part of pair masks is kept, so the path's edit sets are
-    # decoded from it at the end; no other node becomes a pair set.
     index = PairIndex(inst.n)
     cover, d = index.cover, inst.d
 
@@ -194,54 +195,41 @@ def solve_tce_xp(inst: Instance, stats: Optional[SearchStats] = None) -> Optiona
             stats.nodes += len(part)
         return part
 
-    parts = [enumerate_part(0)]
-    reachable = list(range(len(parts[0])))
-    # predecessors[i][j]: index in part i-1 from which node j of part i was
-    # first reached; ties go to the earliest reachable predecessor.
-    predecessors: list[list[Optional[int]]] = [[None] * len(parts[0])]
-
+    # frontiers[i]: the reachable nodes of part i, in part order, each as
+    # (edit mask, position of its predecessor in frontiers[i-1]).
+    frontiers = [[(m, None) for m in enumerate_part(0)]]
     for i in range(1, inst.ell):
-        prev_masks = parts[-1]
         masks = enumerate_part(i)
-        parts.append(masks)
         delta = index.pair_mask(inst.layers[i - 1].edges ^ inst.layers[i].edges)
-        if d == 0:
-            # Without marks F must be empty: look each node up by its edits,
-            # keeping the first reachable node per E_p xor Delta_i.
-            first: dict[int, int] = {}
-            for j in reachable:
-                first.setdefault(prev_masks[j] ^ delta, j)
-            preds = [first.get(m) for m in masks]
-        else:
-            # First reachable node whose F has a cover of at most d vertices;
+        keyed = [(j, m ^ delta) for j, (m, _) in enumerate(frontiers[-1])]
+        # Without marks F must be empty, E_c = E_p xor Delta_i, so a node's
+        # one candidate is the first reachable node under that key (built
+        # in reverse, so the first one wins); with marks every reachable
+        # node is one.
+        first = {f: ((j, f),) for j, f in reversed(keyed)} if d == 0 else None
+        frontier = []
+        for m in masks:
+            # The first candidate whose F has a cover of at most d vertices;
             # an F of at most d pairs has one without the call.
-            frontier = [(j, prev_masks[j] ^ delta) for j in reachable]
-            preds = []
-            for m in masks:
-                for j, f in frontier:
-                    f ^= m
-                    if f.bit_count() <= d or cover(f, d) is not None:
-                        preds.append(j)
-                        break
-                else:
-                    preds.append(None)
-                if i == inst.ell - 1 and preds[-1] is not None:
-                    break  # the path ends at the last part's first reachable node
-        predecessors.append(preds)
-        reachable = [idx for idx, p in enumerate(preds) if p is not None]
-        if not reachable:
+            for j, f in keyed if first is None else first.get(m, ()):
+                f ^= m
+                if f.bit_count() <= d or cover(f, d) is not None:
+                    frontier.append((m, j))
+                    break
+            if frontier and i == inst.ell - 1:
+                break  # the path ends at the last part's first reachable node
+        if not frontier:
             return None
-
-    if not reachable:
+        frontiers.append(frontier)
+    if not frontiers[-1]:
         return None
-    node = reachable[0]
-    path = [node]
-    for i in range(inst.ell - 1, 0, -1):
-        node = predecessors[i][node]
-        path.append(node)
-    path.reverse()
 
-    edits = tuple(index.pair_set(part[j]) for part, j in zip(parts, path))
+    # Read the path back from the last part's first reachable node.
+    path, j = [], 0
+    for frontier in reversed(frontiers):
+        m, j = frontier[j]
+        path.append(m)
+    edits = tuple(index.pair_set(m) for m in reversed(path))
     edited = [apply_edits(g, m) for g, m in zip(inst.layers, edits)]
     marks = []
     for ga, gb in zip(edited, edited[1:]):

@@ -1,8 +1,12 @@
 import csv
 import io
+import os
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,29 @@ def test_pair_tables_past_their_limit_exit_2(files, capsys, monkeypatch):
         assert captured.err == "error: n=1000 needs pair tables of over 1 GiB; the limit is n=512\n"
         assert captured.out == ""
         assert not (tmp / "out.sol").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "kernelize"])
+def test_instance_too_large_for_memory_exits_2(files, command):
+    # n = 10^12: a list or mask over the vertices cannot be held, so the
+    # command fails on its first allocation; the child's address space is
+    # capped at 2 GiB, so the test allocates nothing large on any host
+    import resource
+
+    write, tmp = files
+    inst = write("huge.mlg", "mlg 1\nmode mlce\nn 1000000000000\nell 2\nk 0\nd 0\n"
+                             "layer 1\nlayer 2\nend\n")
+    argv = [sys.executable, "-m", "layeredit", command, inst]
+    if command == "verify":
+        argv.append(write("huge.sol", "sol 1\nanswer yes\nend\n"))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(argv, cwd=tmp, env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (2, "error: out of memory\n", "")
 
 
 @pytest.mark.parametrize("argv", [["solve", "{bad}"], ["oracle", "{bad}"], ["kernelize", "{bad}"],

@@ -6,7 +6,8 @@ mark set for the one pair of layers), so ``solve_mlce`` and
 whatever the mark budget; renaming the vertices changes neither decision;
 more budget in one layer, or more marks, never turns a yes into a no; a
 temporal instance read backwards has the same answer; and instance and
-solution files read back as what was written.
+solution files read back as what was written.  The last three are checked
+for ``solve_tce_xp`` at n 20-40 too.
 """
 
 from hypothesis import given, settings
@@ -58,13 +59,17 @@ def test_mlce_and_tce_agree_at_two_layers_past_the_oracles(case):
     assert mlce == tce
 
 
+def relabelled(n, layers, perm):
+    """The layers with vertex v renamed perm[v - 1]."""
+    return tuple(LayerGraph(n, frozenset(pair(perm[u - 1], perm[v - 1]) for u, v in g.edges))
+                 for g in layers)
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(planted_two_layers(), st.data())
 def test_decisions_survive_relabelling(case, data):
     n, layers, k, d = case
-    perm = data.draw(st.permutations(range(1, n + 1)))
-    renamed = tuple(LayerGraph(n, frozenset(pair(perm[u - 1], perm[v - 1]) for u, v in g.edges))
-                    for g in layers)
+    renamed = relabelled(n, layers, data.draw(st.permutations(range(1, n + 1))))
     assert decisions(n, renamed, k, d) == decisions(n, layers, k, d)
 
 
@@ -115,6 +120,53 @@ def test_tce_decision_survives_reversing_the_layers(case):
     forward = solve_tce_xp(budgeted("tce", n, layers, budgets, d)) is not None
     backward = solve_tce_xp(budgeted("tce", n, layers[::-1], budgets[::-1], d)) is not None
     assert forward == backward
+
+
+@st.composite
+def larger_planted_layers(draw, max_k=3, max_d=2):
+    """2..4 layers of a planted instance on 20..40 vertices, one edit budget
+    of 1..max_k per layer and a mark budget of 0..max_d.  The clusters hold
+    two to four vertices on average: a layer of mostly singletons has a part
+    of thousands of edit sets at k = 3, and a d > 0 sweep between two such
+    parts takes seconds."""
+    n = draw(st.integers(20, 40))
+    ell = draw(st.integers(2, 4))
+    params = PlantedParams(n=n, ell=ell, cluster_count=draw(st.integers(n // 4, n // 2)),
+                           drift_per_layer=draw(st.integers(0, 2)),
+                           noise_edits=draw(st.integers(0, 2)),
+                           seed=draw(st.integers(0, 2**16)))
+    budgets = tuple(draw(st.integers(1, max_k)) for _ in range(ell))
+    return n, generate_planted(params, "tce").layers, budgets, draw(st.integers(0, max_d))
+
+
+def tce_decision(n, layers, budgets, d):
+    return solve_tce_xp(budgeted("tce", n, layers, budgets, d)) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers(), st.data())
+def test_tce_decision_survives_relabelling_past_the_oracles(case, data):
+    n, layers, budgets, d = case
+    renamed = relabelled(n, layers, data.draw(st.permutations(range(1, n + 1))))
+    assert tce_decision(n, renamed, budgets, d) == tce_decision(n, layers, budgets, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers(max_k=2, max_d=1), st.data())
+def test_more_tce_budget_never_turns_yes_into_no_past_the_oracles(case, data):
+    n, layers, budgets, d = case
+    if tce_decision(n, layers, budgets, d):
+        i = data.draw(st.integers(0, len(layers) - 1))
+        raised = budgets[:i] + (budgets[i] + 1,) + budgets[i + 1:]
+        assert tce_decision(n, layers, raised, d)
+        assert tce_decision(n, layers, budgets, d + 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers())
+def test_tce_decision_survives_reversing_the_layers_past_the_oracles(case):
+    n, layers, budgets, d = case
+    assert tce_decision(n, layers, budgets, d) == tce_decision(n, layers[::-1], budgets[::-1], d)
 
 
 @st.composite

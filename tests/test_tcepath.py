@@ -176,6 +176,29 @@ PINNED_PARTS = {
 }
 
 
+# Answer, stats.nodes and the first 16 hex digits of the sha256 of the
+# solution file of solve_tce_xp on
+# replace(generate_planted(PlantedParams(n, ell, n // 2 + 1, drift, 1, seed),
+# "tce"), k=k, d=d), past the reference sweep's n <= 10.  Every no file is
+# the same "answer no" file.
+PINNED_SOLVES = {
+    (16, 3, 3, 0, 0, 0): ("yes", 265, "f10b0677df06b691"),
+    (16, 3, 3, 1, 1, 0): ("yes", 225, "8b3039fd05047712"),
+    (20, 4, 3, 3, 4, 0): ("yes", 1085, "c76670f45e198e9b"),
+    (20, 4, 4, 2, 2, 0): ("yes", 1876, "b937e101a799295e"),
+    (24, 4, 3, 2, 2, 1): ("yes", 175, "31013c537321bf83"),
+    (30, 3, 4, 0, 0, 1): ("yes", 1473, "06ce22e1b120bdfc"),
+    (40, 4, 3, 2, 3, 0): ("yes", 1038, "e0f40b70ca1aea77"),
+    (50, 3, 3, 0, 0, 2): ("yes", 13040, "ac0f7ce6d9f8cf9a"),
+    (60, 3, 3, 1, 1, 0): ("yes", 2790, "325d7de62243069e"),
+    (30, 3, 3, 0, 1, 2): ("no", 222, "33d1589fe9b3e131"),
+    (50, 4, 3, 0, 1, 0): ("no", 1373, "33d1589fe9b3e131"),
+    (20, 3, 4, 2, 4, 1): ("no", 764, "33d1589fe9b3e131"),
+    (36, 4, 3, 1, 2, 0): ("no", 1219, "33d1589fe9b3e131"),
+    (40, 3, 3, 2, 4, 2): ("no", 748, "33d1589fe9b3e131"),
+}
+
+
 class TestEnumerationPastDeskScale:
     def test_independent_of_vertex_names(self, rng):
         star = layer_from_edges(7, [(v, 7) for v in range(1, 7)])  # highest degree, highest id
@@ -399,6 +422,16 @@ class TestSolveTceXp:
                 assert marks == solve_two_layer_zero_edit(a, b, inst.d)
                 gaps[a.edges == b.edges] += 1
         assert gaps[True] >= 3 and gaps[False] >= 15
+
+    @pytest.mark.parametrize("n, ell, k, d, drift, seed", sorted(PINNED_SOLVES))
+    def test_planted_solution_files_are_pinned(self, n, ell, k, d, drift, seed):
+        params = PlantedParams(n, ell, n // 2 + 1, drift, 1, seed)
+        inst = replace(generate_planted(params, "tce"), k=k, d=d)
+        stats = SearchStats()
+        sol = solve_tce_xp(inst, stats=stats)
+        digest = sha256(serialize_solution(sol, inst).encode()).hexdigest()[:16]
+        assert ("yes" if sol is not None else "no", stats.nodes, digest) == \
+            PINNED_SOLVES[n, ell, k, d, drift, seed]
 
     def test_stats_count_the_part_nodes(self):
         inst = replace(generate_planted(PlantedParams(10, 3, 6, 1, 1, 0), "tce"), k=2, d=1)
