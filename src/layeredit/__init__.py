@@ -15,7 +15,7 @@ _EXPORTS = {name: module for module, names in {
              "consistent_after_removal", "count_p3_through_pair", "find_p3",
              "is_cluster_graph", "layer_from_edges", "pair", "replace", "verify"),
     "branching": ("Constraint", "solve_mlce"),
-    "kernelize": ("KernelResult", "back_transform", "kernelize"),
+    "kernelize": ("KernelResult", "kernelize"),
     "oracle": ("oracle_mlce", "oracle_tce", "structured_mlce"),
     "tcepath": ("enumerate_cluster_editing_sets", "solve_tce_xp"),
     "twolayer": ("max_weight_matching", "solve_two_layer_zero_edit"),

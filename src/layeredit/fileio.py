@@ -16,9 +16,14 @@ Instance format (UTF-8, '#' starts a comment, whitespace-separated):
     end
 
 Edges are one per line, 1-based, smaller endpoint first; layers appear in
-order 1..ell; the trailing ``end`` is mandatory.  The first line names the
-format version and must read exactly ``mlg 1`` (``sol 1`` for solutions);
-any other version is a ``ParseError``.  Solution format:
+order 1..ell; the trailing ``end`` is mandatory; n may be 0 (a kernel with
+no vertex left).  The first line names the format version, ``mlg 1`` or
+``mlg 2`` (``sol 1`` for solutions); any other version is a ``ParseError``.
+``mlg 1`` gives every layer the edit budget k; ``mlg 2`` needs one more
+header line after ``d``, ``budgets b_1 ... b_ell``, each layer's own budget
+(at most k; a negative one makes the instance a no).  ``serialize_instance``
+writes ``mlg 2`` only where the budgets differ, so a uniform instance is
+always ``mlg 1`` text.  Solution format:
 
     sol 1
     answer yes           # or: answer no (then nothing else)
@@ -77,23 +82,26 @@ def parse_instance(text: str) -> Instance:
         return line_no, toks
 
     line_no, toks = take("mlg header")
-    if toks != ["mlg", "1"]:
-        raise ParseError(line_no, f"expected 'mlg 1', found {' '.join(toks)!r}")
-    header: dict[str, str] = {}
-    for field in ("mode", "n", "ell", "k", "d"):
+    if toks not in (["mlg", "1"], ["mlg", "2"]):
+        raise ParseError(line_no, f"expected 'mlg 1' or 'mlg 2', found {' '.join(toks)!r}")
+    header: dict[str, list[str]] = {}
+    for field in ("mode", "n", "ell", "k", "d") + (("budgets",) if toks[1] == "2" else ()):
         line_no, toks = take(field)
-        if len(toks) != 2 or toks[0] != field:
+        if toks[0] != field or (len(toks) != 2 and field != "budgets"):
             raise ParseError(line_no, f"expected '{field} <value>', found {' '.join(toks)!r}")
-        header[field] = toks[1]
-    mode = header["mode"]
+        header[field] = toks[1:]
+    mode = header["mode"][0]
     if mode not in MODES:
         raise ParseError(line_no, f"unknown mode {mode!r}")
     try:
-        n, ell, k, d = (int(header[f]) for f in ("n", "ell", "k", "d"))
+        n, ell, k, d = (int(header[f][0]) for f in ("n", "ell", "k", "d"))
+        budgets = tuple(int(b) for b in header.get("budgets", ()))
     except ValueError as exc:
         raise ParseError(line_no, f"non-integer header field: {exc}") from None
-    if n < 1 or ell < 1 or k < 0 or d < 0:
+    if n < 0 or ell < 1 or k < 0 or d < 0:
         raise ParseError(line_no, "header values out of range")
+    if "budgets" in header and (len(budgets) != ell or max(budgets) > k):
+        raise ParseError(line_no, f"expected {ell} budgets of at most k={k}, found {budgets}")
 
     layers: list[frozenset[Pair]] = []
     current: Optional[set[Pair]] = None
@@ -141,23 +149,24 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(line_no, f"trailing content after 'end': {' '.join(toks)!r}")
     if len(layers) != ell:
         raise ParseError(line_no, f"found {len(layers)} layers, header says {ell}")
-    return Instance(mode, n, tuple(LayerGraph(n, es) for es in layers), k, d)
+    return Instance(mode, n, tuple(LayerGraph(n, es) for es in layers), k, d, budgets)
 
 
 def serialize_instance(inst: Instance, comments: tuple[str, ...] = ()) -> str:
     """The ``mlg 1`` text of an instance with one edit budget k in every
-    layer; the format has no per-layer budgets, so those are an InputError."""
-    if inst.budgets:
-        raise InputError(f"mlg 1 holds one edit budget k, not per-layer budgets {inst.budgets}")
+    layer, or the ``mlg 2`` text, with its ``budgets`` line, of one whose
+    layers' budgets differ."""
     out = [f"# {c}" for c in comments]
     out += [
-        "mlg 1",
+        f"mlg {2 if inst.budgets else 1}",
         f"mode {inst.mode}",
         f"n {inst.n}",
         f"ell {inst.ell}",
         f"k {inst.k}",
         f"d {inst.d}",
     ]
+    if inst.budgets:
+        out.append("budgets " + " ".join(map(str, inst.budgets)))
     for i, g in enumerate(inst.layers, start=1):
         out.append(f"layer {i}")
         out.extend(f"{u} {v}" for u, v in sorted(g.edges))

@@ -5,10 +5,10 @@ The rules work on ``Instance`` with one edit budget per layer
 layer alone, so only its P3s (``LayerGraph.p3s``, the layer's
 ``core.adj_p3s``) are scanned again.  Rules 5 and 6 read the union and the
 intersection of the layers, both built by ``_merged``.  Eight
-reduction rules shrink the instance (or reject it outright); afterwards a
-clique gadget of 2k+2 fresh vertices restores a uniform budget, yielding a
-plain decision-equivalent instance.  In temporal mode every occurrence of
-the mark budget inside the rules is d*ell instead of d.
+reduction rules shrink the instance (or reject it outright); what is left,
+with its per-layer budgets, is the decision-equivalent kernel.  In temporal
+mode every occurrence of the mark budget inside the rules is d*ell instead
+of d.
 
 Rules, in application order (lower id first; after every change restart
 at rule 1, or at rule 5 after rule 5 or 6, which leave rules 1-4
@@ -38,7 +38,6 @@ from .core import (
     apply_edits,
     count_p3_through_pair,
     pair,
-    pairs_of,
     replace,
 )
 
@@ -181,30 +180,13 @@ def apply_rule(inst: Instance,
     raise ValueError(f"unknown rule id {rule_id}")
 
 
-def back_transform(inst: Instance) -> Instance:
-    """Restore a uniform budget by attaching a clique on 2k+2 new vertices,
-    with k - k_i of its edges removed in layer i."""
-    k = max(inst.edit_budgets)
-    if k < 0:
-        raise ValueError("back transformation needs nonnegative budgets")
-    gadget = list(range(inst.n + 1, inst.n + 2 * k + 3))
-    gadget_pairs = pairs_of(gadget)
-    layers = []
-    for g, k_i in zip(inst.layers, inst.edit_budgets):
-        missing = set(gadget_pairs[:k - k_i])
-        layers.append(LayerGraph(inst.n + len(gadget),
-                                 g.edges | frozenset(p for p in gadget_pairs
-                                                     if p not in missing)))
-    return Instance(mode=inst.mode, n=inst.n + len(gadget), layers=tuple(layers),
-                    k=k, d=inst.d)
-
-
 def kernelize(inst: Instance) -> KernelResult:
-    """Exhaustively reduce, then back-transform.
+    """Exhaustively reduce.
 
-    The reduced instance is decision-equivalent to the input; solutions are
-    not lifted back.  ``id_map`` sends every original vertex to its id in
-    the output (or None if it was removed); gadget vertices are new.
+    The reduced instance, with one edit budget per layer, is
+    decision-equivalent to the input; it may have no vertex left.  Solutions
+    are not lifted back.  ``id_map`` sends every original vertex to its id
+    in the output (or None if it was removed).
     """
     orig_ids = list(range(1, inst.n + 1))  # orig_ids[v - 1]: input id of vertex v
     id_map: dict[int, Optional[int]] = {v: None for v in orig_ids}
@@ -230,4 +212,4 @@ def kernelize(inst: Instance) -> KernelResult:
             break
     for new_id, orig in enumerate(orig_ids, start=1):
         id_map[orig] = new_id
-    return KernelResult(back_transform(inst), None, id_map, tuple(log))
+    return KernelResult(inst, None, id_map, tuple(log))

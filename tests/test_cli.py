@@ -237,6 +237,19 @@ def test_kernelize_roundtrip(files, capsys):
     assert reduced.mode == "mlce"
 
 
+@pytest.mark.parametrize("k", [2000, 10**20])
+def test_kernelize_output_does_not_grow_with_k(files, capsys, k):
+    # the kernel keeps its layers' budgets, so a large k adds nothing to it
+    write, tmp = files
+    inst_file = write("f.mlg", f"mlg 1\nmode tce\nn 4\nell 2\nk {k}\nd 1\n"
+                               "layer 1\n1 2\nlayer 2\nend\n")
+    assert run(["kernelize", inst_file, "--out", str(tmp / "kernel.mlg")]) == 0
+    text = (tmp / "kernel.mlg").read_text()
+    assert len(text.encode()) < 1000
+    kernel = parse_instance(text)
+    assert (kernel.n, kernel.k, kernel.d) == (2, k, 1)
+
+
 def test_kernelize_trivial_no(files, capsys):
     write, _ = files
     inst_file = write("f.mlg", serialize_instance(ref_instance("mlce", 0, 0)))

@@ -10,7 +10,8 @@ Planted instances of n 40-100 are solved at the budgets their generator
 stores, which it promises always suffice, and so are drift-2 instances of
 n 40 whose noise the disagreement bound made affordable.  That bound is
 checked against the search with it forced off: the decisions and solution
-files must be the same.
+files must be the same.  A kernel, written to its file and read back with
+its per-layer budgets, must be decided as its input is, at n 40-80.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from layeredit.fileio import (
     PlantedParams,
     generate_planted,
     generate_sat_reduction,
+    parse_instance,
+    serialize_instance,
     serialize_solution,
 )
+from layeredit.kernelize import kernelize
 from layeredit.oracle import _cover_within as brute_force_cover
 from layeredit.tcepath import solve_tce_xp
 
@@ -181,3 +185,27 @@ def test_drifted_planted_instances_are_yes_at_their_stored_budgets():
         inst = drifted_planted(40, 5, 6, seed)
         sol = solve_mlce(inst)
         assert sol is not None and verify(inst, sol).ok, seed
+
+
+def test_written_kernels_decide_as_their_inputs():
+    # drift 1, k = noise, d at the stored value or one below; both modes
+    rng = random.Random(32)
+    answers, per_layer = set(), 0
+    for i in range(100):
+        mode, solve = (("mlce", solve_mlce), ("tce", solve_tce_xp))[i % 2]
+        n, noise = rng.randint(40, 80), rng.randint(1, 3)
+        params = PlantedParams(n, rng.randint(2, 4), rng.randint(n // 4, n // 2), 1, noise, i)
+        inst = generate_planted(params, mode)
+        inst = replace(inst, d=inst.d - i // 2 % 2)
+        result = kernelize(inst)
+        if result.is_no:
+            kernel_yes = False
+        else:
+            kernel = parse_instance(serialize_instance(result.reduced))
+            per_layer += bool(kernel.budgets)
+            sol = solve(kernel)
+            assert sol is None or verify(kernel, sol).ok
+            kernel_yes = sol is not None
+        assert (solve(inst) is not None) == kernel_yes, (mode, params, inst.d)
+        answers.add(kernel_yes)
+    assert answers == {True, False} and per_layer >= 50

@@ -2,7 +2,7 @@
 
 import pytest
 
-from layeredit.core import Instance, replace, verify
+from layeredit.core import Instance, layer_from_edges, replace, verify
 from layeredit.fileio import (
     Formula223,
     ParseError,
@@ -19,7 +19,7 @@ from layeredit.fileio import (
 from layeredit.core import InputError
 from layeredit.oracle import oracle_mlce, oracle_tce
 
-from conftest import ref_instance, ref_tce_solution, random_instance
+from conftest import ref_instance, ref_tce_solution, random_instance, with_random_budgets
 
 REF_TEXT = """\
 # the worked 5-vertex, 3-layer example
@@ -52,16 +52,27 @@ end
 """
 
 
+# the worked example with budgets 1, 0 and -1 in its layers
+REF_TEXT_2 = REF_TEXT.replace("mlg 1\n", "mlg 2\n").replace("d 2\n", "d 2\nbudgets 1 0 -1\n")
+
+
 class TestInstanceRoundTrip:
     def test_ref_fixture_parses(self):
         inst = parse_instance(REF_TEXT)
         assert inst == ref_instance("mlce", 1, 2)
 
     def test_round_trip_identity(self, rng):
+        cases = []
         for mode in ("mlce", "tce"):
             for _ in range(40):
                 inst = random_instance(rng, mode)
-                assert parse_instance(serialize_instance(inst)) == inst
+                cases += [inst, with_random_budgets(rng, inst, low=-1)]
+            cases.append(Instance(mode, 0, (layer_from_edges(0, ()),) * 2, 1, 0))
+        assert any(min(inst.edit_budgets) < 0 for inst in cases)
+        for inst in cases:
+            text = serialize_instance(inst)
+            assert text.startswith("mlg 2\n" if inst.budgets else "mlg 1\n")
+            assert parse_instance(text) == inst
 
     def test_serialize_is_canonical(self, rng):
         inst = random_instance(rng, "mlce")
@@ -69,10 +80,12 @@ class TestInstanceRoundTrip:
         assert serialize_instance(parse_instance(text)) == text
 
     def test_per_layer_budgets_are_not_written(self):
-        # mlg 1 has one k; budgets that differ by layer cannot be written
+        # mlg 1 has one k: budgets that differ by layer are written as mlg 2,
+        # with a budgets line after d, and budgets of k everywhere as mlg 1
         inst = ref_instance("mlce", 1, 2)
-        with pytest.raises(InputError):
-            serialize_instance(replace(inst, budgets=(1, 0, 1)))
+        text = serialize_instance(replace(inst, budgets=(1, 0, -1)))
+        assert text == REF_TEXT_2.split("\n", 1)[1]  # less its comment line
+        assert parse_instance(text) == replace(inst, budgets=(1, 0, -1))
         assert serialize_instance(replace(inst, budgets=(1, 1, 1))) == serialize_instance(inst)
 
     def test_comments_ignored(self):
@@ -124,10 +137,19 @@ class TestInstanceErrors:
 
     def test_unknown_version(self):
         assert REF_TEXT.count("mlg 1\n") == 1
-        for header in ("mlg 9 extra", "mlg 2", "mlg", "mlg 1 1"):
+        for header in ("mlg 9 extra", "mlg 3", "mlg", "mlg 1 1"):
             with pytest.raises(ParseError) as err:
                 parse_instance(REF_TEXT.replace("mlg 1\n", header + "\n", 1))
             assert "expected 'mlg 1'" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "", "budgets", "budgets 1 0", "budgets 1 0 1 1", "budgets 1 x 0", "budgets 1 2 0",
+    ], ids=["missing", "empty", "too short", "too long", "non-integer", "above k"])
+    def test_malformed_budgets_line(self, line):
+        assert REF_TEXT_2.count("budgets 1 0 -1\n") == 1
+        with pytest.raises(ParseError) as err:
+            parse_instance(REF_TEXT_2.replace("budgets 1 0 -1\n", line + "\n" if line else ""))
+        assert err.value.line_no == 8  # the budgets line, or the line in its place
 
 
 class TestSolutionRoundTrip:

@@ -5,14 +5,14 @@ from itertools import combinations
 import pytest
 
 from layeredit import core
-from layeredit.core import Instance, adj_p3s, layer_from_edges, replace
-from layeredit.fileio import PlantedParams, generate_planted, serialize_instance
+from layeredit.branching import solve_mlce
+from layeredit.core import Instance, adj_p3s, layer_from_edges, replace, verify
+from layeredit.fileio import PlantedParams, generate_planted, parse_instance, serialize_instance
 from layeredit.kernelize import (
     APPLIED,
     NOT_APPLICABLE,
     TRIVIAL_NO,
     apply_rule,
-    back_transform,
     kernelize,
 )
 from layeredit.oracle import oracle_mlce, oracle_tce
@@ -149,50 +149,6 @@ class TestIndividualRules:
         assert "exceed" in note
 
 
-class TestBackTransform:
-    def test_equal_budgets_keep_gadget_intact(self):
-        g = layer_from_edges(2, [(1, 2)])
-        sb = sb_from("mlce", [g, g], [2, 2], 1)
-        inst = back_transform(sb)
-        assert inst.n == 2 + 2 * 2 + 2
-        gadget_pairs = {p for p in combinations(range(3, 9), 2)}
-        for layer in inst.layers:
-            assert gadget_pairs <= set(layer.edges)
-
-    def test_lower_budget_removes_edges(self):
-        g = layer_from_edges(2, [])
-        sb = sb_from("mlce", [g, g], [1, 2], 0)
-        inst = back_transform(sb)
-        assert inst.k == 2
-        gadget_pairs = {p for p in combinations(range(3, 9), 2)}
-        missing_1 = gadget_pairs - set(inst.layers[0].edges)
-        missing_2 = gadget_pairs - set(inst.layers[1].edges)
-        assert len(missing_1) == 1 and len(missing_2) == 0
-
-    def test_gadget_reverts_under_rules(self, rng):
-        # re-adding the missing gadget edges (rule 3) and then removing the
-        # gadget component (rule 5) restores the pre-gadget instance
-        for _ in range(20):
-            inst = random_instance(rng, "mlce", max_n=4, max_k=2)
-            sb = reduce_up_to(inst, 9)
-            if sb is None:
-                continue
-            transformed = back_transform(sb)
-            while True:
-                status, nxt, _, _ = apply_rule(transformed, 3)
-                if status != APPLIED:
-                    break
-                transformed = nxt
-            assert transformed.edit_budgets == sb.edit_budgets
-            while True:
-                status, nxt, _, _ = apply_rule(transformed, 5)
-                if status != APPLIED:
-                    break
-                transformed = nxt
-            assert transformed.n == sb.n
-            assert [g.edges for g in transformed.layers] == [g.edges for g in sb.layers]
-
-
 # Kernel pins: (mode, n, ell, clusters (None: n//2+1), noise, seed, k, d,
 # per-layer budgets or None, sha256 of ``kernel_record``) for planted
 # instances with drift 1.  The comments name the rules applied and the
@@ -203,41 +159,41 @@ KERNEL_PINS = [
     ("mlce", 20, 3, 6, 3, 0, 3, 1, None,
      "169a65788db5a4265264b31d4164cc10d79e476fa2a2c34b0ea41fefbd15c73c"),  # rules [2, 3, 5, 6, 8], no=8
     ("mlce", 20, 3, 6, 3, 0, 3, 2, None,
-     "a9731d57c5c825572ee12ebcec6f5b22239b41bd281357c6b0eda0bf7516592c"),  # rules [2, 3, 5, 6], no=None
+     "2243e4f39520a6788d036b7f0e9c7003f409e2a2a1a6ab6b92ce7412a2528540"),  # rules [2, 3, 5, 6], no=None
     ("mlce", 20, 4, 3, 1, 0, 3, 0, None,
      "6fa815c903744f24c622a1f2c14e6a2561754ebf9a890c8f6c48b6e54a1ae998"),  # rules [2, 3, 6, 7], no=7
     ("mlce", 20, 4, 6, 3, 0, 3, 2, None,
-     "cf27703308824ce66155032c820568edfb9dc932bee7979b47b0439eeb8830d4"),  # rules [2, 3, 6], no=None
+     "ab8a3d5b57441a5e6ca9bea86e3ada5c4dd9d7f578a1969396a198cf9bc6f793"),  # rules [2, 3, 6], no=None
     ("mlce", 40, 3, 6, 1, 0, 1, 1, None,
      "80a99c74cfa69eb4624a711d2bd024c190e85f2ac67d5c69ba8f900ee5234beb"),  # rules [2, 5, 6, 8], no=8
     ("mlce", 48, 4, None, 1, 5, 3, 3, None,
-     "05637cda6a70cecd938b80ffb04458169b5045d7ba73d488d17c90b884aeec91"),  # rules [2, 5], no=None
+     "5b8f0f5e87769087da0f8c055a45770ec28b32f6aa1c633942841c1d9e4ff9ad"),  # rules [2, 5], no=None
     ("mlce", 60, 4, None, 1, 0, 3, 2, None,
-     "7d1b2ee9462a541a20dc7583effe61224d00c4d9435e287ef71774bb7d7a70d5"),  # rules [5], no=None
+     "cee385fc36c97d4da6b28cc295cf2ea4d7c5cda3f210ae9a25f680da78242869"),  # rules [5], no=None
     ("tce", 24, 3, None, 4, 2, 2, 1, None,
      "dc7ea8f53abaa12cd0db89961f0ea8cb9d8e3d8194a7d46b1c271c695486bda5"),  # rules [1, 2], no=1
     ("tce", 20, 3, 6, 3, 0, 3, 0, None,
      "c155730443b5b6247d1d128017d62fc5d1f38e2b561042816cb03694c8d109b3"),  # rules [2, 3, 5, 6, 7], no=7
     ("tce", 20, 4, 6, 1, 0, 1, 2, None,
-     "da40eadcafac8eeb0a6b408bcec2936d9e5bd4c77a8f3e26c6c7cab911ba7987"),  # rules [2, 3, 5], no=None
+     "42aee5ed78dfb426437c7a893d9c58775a40d14016d73e29acf2c6fef8cf438f"),  # rules [2, 3, 5], no=None
     ("tce", 20, 3, 3, 1, 1, 3, 1, None,
-     "7ff610f73b7a9ae1743cb4fc243490d773c90b914724d709715cc83994671c0c"),  # rules [2, 5, 6], no=None
+     "3e220f9e1583abf17cefeb906e27715eadb8de06c6efe325667c8a40bbb9bc0d"),  # rules [2, 5, 6], no=None
     ("tce", 30, 3, None, 1, 10, 3, 2, None,
-     "e0ac37d80bc33d419d2a9352bac451d22293e77729b2cfc1661b17dbfb7c4951"),  # rules [2, 5], no=None
+     "b325719a11a5a0726925c623ec0d3d22c0100816102f972be7a534628f2894b0"),  # rules [2, 5], no=None
     ("tce", 40, 4, 6, 1, 1, 3, 1, None,
-     "f7801d309911c19446802fa36640ee33bf9d85b1727965beb52982a943c85db9"),  # rules [2, 3, 5, 6], no=None
+     "5b94b4442e133b6cf1e654bd3f9d174641965147419e36816f188f6519286f38"),  # rules [2, 3, 5, 6], no=None
     ("tce", 54, 3, None, 1, 14, 3, 1, None,
-     "9134d12121f14f3917f78211e8560cc5bd63528b128573ab08de1f2e7777c56e"),  # rules [2, 5], no=None
+     "190fcfa1a81269709c547976b9413c98a3382a2e116e3b29de11c08182b7203e"),  # rules [2, 5], no=None
     ("tce", 60, 3, None, 1, 0, 3, 1, None,
-     "927c316ec2613ed24e32ffe19d8f559d76be6118aa0be851214e1ccf60475a35"),  # rules [5], no=None
+     "da241baeba30a7f191f68ec9e44053a4a38ded0f6b3ad13d49f319865f6db5c3"),  # rules [5], no=None
     ("mlce", 24, 3, None, 1, 20, 3, 1, (3, 1, 2),
-     "d9997d908f91c728d9070b35340e9c7fb90b2e1014b41fb5fa99a55d640691b7"),  # rules [2, 5], no=None
+     "18f47c60fccb26020785241f48bb4a7637d6e6c30b2c1c02a498c9f7ecc059e2"),  # rules [2, 5], no=None
     ("mlce", 30, 4, 6, 3, 22, 3, 2, (3, 2, 3, 1),
      "e62dc3987d08aa5a110da3dc2d5e030e816a0b7c443870e7b9b813434a773991"),  # rules [1, 2], no=1
     ("tce", 30, 3, None, 1, 21, 3, 1, (2, 3, 0),
      "9492aeeb20d70368c90b476503d7c54b1bd02a4aeb11140526baf7654fd9a1fa"),  # rules [1, 2], no=1
     ("tce", 20, 4, 6, 1, 23, 2, 1, (2, 2, 1, 2),
-     "cb4f7867a1bca431af5c0592cc397c7d4223c010592f49b219429ff991309dca"),  # rules [2, 5], no=None
+     "a6b5220f105c5202d761c0b25548666be06a3588a1b8d1fccbb941f4b9454da3"),  # rules [2, 5], no=None
 ]
 
 
@@ -262,12 +218,16 @@ def test_kernels_are_pinned():
 
 class TestKernelize:
     def test_clean_instance_reduces_to_gadget(self):
+        # rule 5 removes both shared components and no gadget is padded on:
+        # the kernel has no vertex left, reads back from its file and is a yes
         g = layer_from_edges(4, [(1, 2), (3, 4)])
         inst = Instance("mlce", 4, (g, g), 1, 0)
         result = kernelize(inst)
         assert not result.is_no
-        assert result.reduced.n == 2 * 1 + 2  # empty core + gadget
+        assert result.reduced.n == 0
         assert all(v is None for v in result.id_map.values())
+        assert parse_instance(serialize_instance(result.reduced)) == result.reduced
+        assert verify(result.reduced, solve_mlce(result.reduced)).ok
 
     def test_ref_yes_preserved(self):
         inst = ref_instance("mlce", 1, 2)
@@ -327,10 +287,10 @@ class TestKernelize:
                 if result.is_no:
                     continue
                 red = result.reduced
-                k = red.k
+                k = max(red.edit_budgets)
                 deff = red.d * (red.ell if mode == "tce" else 1)
                 bound = red.ell * (k * k + 2 * k + deff * (k + 2 * deff + 2) + 2 * k)
-                assert red.n <= bound + 2 * k + 2
+                assert red.n <= bound
 
     def test_budgets_never_increase(self, rng):
         for _ in range(40):

@@ -6,8 +6,10 @@ mark set for the one pair of layers), so ``solve_mlce`` and
 whatever the mark budget; renaming the vertices changes neither decision;
 more budget in one layer, or more marks, never turns a yes into a no; a
 temporal instance read backwards has the same answer; and instance and
-solution files read back as what was written.  The last three are checked
-for ``solve_tce_xp`` at n 20-40 too.
+solution files read back as what was written.  At n 20-40, relabelling and
+more budget are checked for both solvers, reversal for ``solve_tce_xp``,
+and any order of the layers for ``solve_mlce``, which treats them alike
+while its greedy root and its rules 1-3 read them in order.
 """
 
 from hypothesis import given, settings
@@ -167,6 +169,38 @@ def test_more_tce_budget_never_turns_yes_into_no_past_the_oracles(case, data):
 def test_tce_decision_survives_reversing_the_layers_past_the_oracles(case):
     n, layers, budgets, d = case
     assert tce_decision(n, layers, budgets, d) == tce_decision(n, layers[::-1], budgets[::-1], d)
+
+
+def mlce_decision(n, layers, budgets, d):
+    return solve_mlce(budgeted("mlce", n, layers, budgets, d)) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers(), st.data())
+def test_mlce_decision_survives_relabelling_past_the_oracles(case, data):
+    n, layers, budgets, d = case
+    renamed = relabelled(n, layers, data.draw(st.permutations(range(1, n + 1))))
+    assert mlce_decision(n, renamed, budgets, d) == mlce_decision(n, layers, budgets, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers(), st.data())
+def test_mlce_decision_survives_reordering_the_layers_past_the_oracles(case, data):
+    n, layers, budgets, d = case
+    order = data.draw(st.permutations(range(len(layers))))
+    reordered = tuple(layers[i] for i in order), tuple(budgets[i] for i in order)
+    assert mlce_decision(n, *reordered, d) == mlce_decision(n, layers, budgets, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(larger_planted_layers(max_k=2, max_d=1), st.data())
+def test_more_mlce_budget_never_turns_yes_into_no_past_the_oracles(case, data):
+    n, layers, budgets, d = case
+    if mlce_decision(n, layers, budgets, d):
+        i = data.draw(st.integers(0, len(layers) - 1))
+        raised = budgets[:i] + (budgets[i] + 1,) + budgets[i + 1:]
+        assert mlce_decision(n, layers, raised, d)
+        assert mlce_decision(n, layers, budgets, d + 1)
 
 
 @st.composite
