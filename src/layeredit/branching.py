@@ -11,8 +11,8 @@ permanent pairs whose status is frozen) that always aligns all edited
 layers outside the marked set.  Starting from a greedy majority-vote
 alignment, it applies, in order, three branching rules (destroy a P3,
 repair an edit-budget overflow, repair a layer that cannot be completed by
-marked-only edits), and drops the children that a lower bound declares
-dead before entering them.  When no rule applies, a full solution is
+marked-only edits), and drops each child that a lower bound declares dead
+when the search reaches it.  When no rule applies, a full solution is
 assembled from the constraint.
 
 Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
@@ -44,19 +44,22 @@ assembled from the completions rule 3 found for it.  Only the returned
 of its own.
 
 The rules build no mark child once d vertices are marked, and rule 2 no
-toggle child that gives a layer more frozen edits than its budget k_i.  Of
-the other children, the search drops before entering them one that either
-of two lower bounds rejects.  The frozen-edit bound (``frozen_edit_bound``)
-counts the P3s within each layer, first of all rejecting a layer with more
-frozen edits than k_i.  It reads only the permanent pairs and the frozen
-edits, which mark children leave alone, so it is tested on a child whose
-permanent set grew (a toggle child, or rule 3's commit child), once per
-(permanent, frozen edits) of a search.  The disagreement bound
-(``disagreement_rejects``) counts what the layers must pay to agree
-outside the marks, against the summed budget; it reads the marks too, so
-it is tested on every child, after the frozen-edit bound, once per (marks,
-permanent, frozen edit count).  Both are tested at the root.
-``SearchStats.pruned_bound`` counts the drops.  Pruned subtrees hold no
+toggle child that gives a layer more frozen edits than its budget k_i.  The
+other children are tested by two lower bounds only when the search reaches
+them, in ``run``, before they count as nodes: the siblings after a child
+that leads to a solution are never tested.  The frozen-edit bound
+(``frozen_edit_bound``) counts the P3s within each layer, first of all
+rejecting a layer with more frozen edits than k_i.  It reads only the
+permanent pairs and the frozen edits, which mark children leave alone, so
+it is tested on a child whose permanent set grew (a toggle child, or rule
+3's commit child), once per (permanent, frozen edits) of a search.  The
+disagreement bound (``disagreement_rejects``) counts what the layers must
+pay to agree outside the marks, against the summed budget; it reads the
+marks too, so it is tested on every child, after the frozen-edit bound,
+once per (marks, permanent, frozen edit count).  Both are tested at the
+root, which counts as a node when they reject it.
+``SearchStats.pruned_bound`` counts the children the search reached and
+dropped, and each logs a ``pruned`` trace line.  Pruned subtrees hold no
 solution and the surviving children keep their order, so the first
 solution found is the one an unpruned search finds.
 """
@@ -171,19 +174,27 @@ class SearchContext(PairIndex):
     def vertex_set(mask: int) -> frozenset[int]:
         return frozenset(bits(mask))
 
-    def run(self, c: Constraint, depth: int, p3_free: bool = False) -> Optional[Solution]:
-        """Depth-first search below ``c``.  A constraint's subtree depends
-        on it alone, so one in ``failed`` is not expanded again.  Rule 1 is
-        skipped when ``p3_free``: c marks one more vertex than a parent it
-        did not apply to, and an induced subgraph of a cluster graph is one."""
+    def run(self, c: Constraint, depth: int, p3_free: bool = False,
+            grew: bool = True) -> Optional[Solution]:
+        """Depth-first search below ``c``, which is dropped first if either
+        bound rejects it; the frozen-edit bound is tested only if ``grew``,
+        as a mark child keeps its parent's permanent pairs and frozen edits
+        and so its verdict.  A constraint's subtree depends on it alone, so
+        one in ``failed`` is not expanded again.  Rule 1 is skipped when
+        ``p3_free``: c marks one more vertex than a parent it did not apply
+        to, and an induced subgraph of a cluster graph is one."""
         trace, stats = self.trace, self.stats
+        if (grew and self.dead_by_bound(c)) or self.dead_by_disagreement(c):
+            if depth:
+                stats.pruned_bound += 1
+            else:
+                stats.nodes += 1
+            if trace:
+                trace(f"TRACE {depth} pruned" if depth else "TRACE 0 rule0 reject bound")
+            return None
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        if not depth and (self.dead_by_bound(c) or self.dead_by_disagreement(c)):
-            if trace:
-                trace("TRACE 0 rule0 reject bound")
-            return None
         if c in self.failed:
             if trace:
                 trace(f"TRACE {depth} seen")
@@ -209,28 +220,16 @@ class SearchContext(PairIndex):
 
         if self.check:
             _check_children(self, c, children, depth)
-        viable = self.viable(c, children)
         if trace:
-            trace(f"TRACE {depth} {rule} children={len(children)} "
-                  f"pruned={len(children) - len(viable)}")
-        for child in viable:
-            found = self.run(child, depth + 1, rule != "rule1" and child.permanent == c.permanent)
+            trace(f"TRACE {depth} {rule} children={len(children)}")
+        for child in children:
+            mark_child = child.permanent == c.permanent
+            found = self.run(child, depth + 1, rule != "rule1" and mark_child, not mark_child)
             if found is not None:
                 return found
         if len(self.failed) < FAILED_CAP:
             self.failed.add(c)
         return None
-
-    def viable(self, parent: Constraint, children: list[Constraint]) -> list[Constraint]:
-        """The children that pass the frozen-edit bound and then the
-        disagreement bound, in order.  A child that kept the parent's
-        permanent pairs is a mark child, with the parent's frozen edits and
-        so its frozen-edit verdict; its marks can change the other."""
-        kept = [child for child in children
-                if (child.permanent == parent.permanent or not self.dead_by_bound(child))
-                and not self.dead_by_disagreement(child)]
-        self.stats.pruned_bound += len(children) - len(kept)
-        return kept
 
     def dead_by_bound(self, c: Constraint) -> bool:
         """``bound_rejects``, remembered by (permanent, frozen edits)."""

@@ -126,10 +126,11 @@ def replace(obj: Record, **changes):
 class SearchStats(Record, mutable=True):
     """Counters of one search.  ``nodes`` counts the constraints it entered,
     or the calls of ``PairIndex.cover`` where that decides the instance;
-    ``pruned_bound`` counts the children it dropped before entering them,
-    by either of its bounds: the frozen-edit bound (which also rejects a
-    layer with more frozen edits than its budget) and the disagreement
-    bound."""
+    ``pruned_bound`` counts the children it reached and dropped, before
+    counting them as nodes, by either of its bounds: the frozen-edit bound
+    (which also rejects a layer with more frozen edits than its budget)
+    and the disagreement bound.  A child after the one that led to a
+    solution is never reached, so it is neither tested nor counted."""
 
     nodes: int = 0
     max_depth: int = 0

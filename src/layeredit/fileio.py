@@ -84,22 +84,22 @@ def parse_instance(text: str) -> Instance:
     line_no, toks = take("mlg header")
     if toks not in (["mlg", "1"], ["mlg", "2"]):
         raise ParseError(line_no, f"expected 'mlg 1' or 'mlg 2', found {' '.join(toks)!r}")
-    header: dict[str, list[str]] = {}
+    # each field is checked as it is read, so an error names the line that holds it
+    header: dict[str, str | tuple[int, ...]] = {}
     for field in ("mode", "n", "ell", "k", "d") + (("budgets",) if toks[1] == "2" else ()):
         line_no, toks = take(field)
         if toks[0] != field or (len(toks) != 2 and field != "budgets"):
             raise ParseError(line_no, f"expected '{field} <value>', found {' '.join(toks)!r}")
-        header[field] = toks[1:]
-    mode = header["mode"][0]
-    if mode not in MODES:
-        raise ParseError(line_no, f"unknown mode {mode!r}")
-    try:
-        n, ell, k, d = (int(header[f][0]) for f in ("n", "ell", "k", "d"))
-        budgets = tuple(int(b) for b in header.get("budgets", ()))
-    except ValueError as exc:
-        raise ParseError(line_no, f"non-integer header field: {exc}") from None
-    if n < 0 or ell < 1 or k < 0 or d < 0:
-        raise ParseError(line_no, "header values out of range")
+        if field == "mode" and toks[1] not in MODES:
+            raise ParseError(line_no, f"unknown mode {toks[1]!r}")
+        try:
+            header[field] = toks[1] if field == "mode" else tuple(map(int, toks[1:]))
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer header field: {exc}") from None
+        if field in ("n", "ell", "k", "d") and header[field][0] < (1 if field == "ell" else 0):
+            raise ParseError(line_no, f"header value out of range: {' '.join(toks)!r}")
+    mode, (n,), (ell,), (k,), (d,) = (header[f] for f in ("mode", "n", "ell", "k", "d"))
+    budgets = header.get("budgets", ())
     if "budgets" in header and (len(budgets) != ell or max(budgets) > k):
         raise ParseError(line_no, f"expected {ell} budgets of at most k={k}, found {budgets}")
 

@@ -156,10 +156,11 @@ def drifted_planted(n: int, ell: int, noise: int, seed: int) -> Instance:
     return generate_planted(PlantedParams(n, ell, n // 3 + 1, 2, noise, seed), "mlce")
 
 
-def test_disagreement_bound_changes_no_solution(monkeypatch):
-    # at the stored budgets and with one mark fewer; both answers occur.
-    # The bound only cuts subtrees, so the search with it enters no node
-    # that the search without it does not
+def bound_changes_no_solution(monkeypatch, bound: str) -> None:
+    """The search with ``branching.<bound>`` forced to False finds the same
+    solution files, on drifted instances at the stored budgets and with one
+    mark fewer (both answers occur).  The bound only cuts subtrees, so the
+    search with it enters no node that the search without it does not."""
     instances = [replace(inst, d=inst.d - fewer)
                  for inst in (drifted_planted(30, 4, 4, seed) for seed in range(8))
                  for fewer in (0, 1)]
@@ -172,12 +173,20 @@ def test_disagreement_bound_changes_no_solution(monkeypatch):
         return runs
 
     bounded = solve_all()
-    monkeypatch.setattr(branching, "disagreement_rejects", lambda *args: False)
+    monkeypatch.setattr(branching, bound, lambda *args: False)
     unbounded = solve_all()
     assert [text for text, _ in bounded] == [text for text, _ in unbounded]
     assert all(on <= off for (_, on), (_, off) in zip(bounded, unbounded))
     assert sum(on for _, on in bounded) < sum(off for _, off in unbounded)
     assert {text.split()[3] for text, _ in bounded} == {"yes", "no"}
+
+
+def test_disagreement_bound_changes_no_solution(monkeypatch):
+    bound_changes_no_solution(monkeypatch, "disagreement_rejects")
+
+
+def test_frozen_edit_bound_changes_no_solution(monkeypatch):
+    bound_changes_no_solution(monkeypatch, "bound_rejects")
 
 
 def test_drifted_planted_instances_are_yes_at_their_stored_budgets():

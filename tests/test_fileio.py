@@ -152,6 +152,20 @@ class TestInstanceErrors:
         assert err.value.line_no == 8  # the budgets line, or the line in its place
 
 
+    @pytest.mark.parametrize("text,line,bad,line_no,message", [
+        (REF_TEXT, "mode mlce", "mode xyz", 3, "unknown mode 'xyz'"),
+        (REF_TEXT, "n 5", "n x", 4, "non-integer header field"),
+        (REF_TEXT, "ell 3", "ell 0", 5, "out of range: 'ell 0'"),
+        (REF_TEXT_2, "k 1", "k -1", 6, "out of range: 'k -1'"),
+        (REF_TEXT_2, "budgets 1 0 -1", "budgets 1 0 2", 8, "3 budgets of at most k=1"),
+    ], ids=["mode", "non-integer", "range", "range before budgets", "budgets"])
+    def test_header_error_names_its_own_line(self, text, line, bad, line_no, message):
+        assert text.count(line + "\n") == 1
+        with pytest.raises(ParseError) as err:
+            parse_instance(text.replace(line + "\n", bad + "\n"))
+        assert err.value.line_no == line_no
+        assert message in str(err.value)
+
 class TestSolutionRoundTrip:
     def test_ref_tce_solution(self):
         inst = ref_instance("tce", 1, 1)

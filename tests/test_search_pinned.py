@@ -7,7 +7,7 @@ SAT-reduction instances, and so are the outputs of the per-layer kernel
 tests its constraints must leave every value here as it is; a change that
 means to alter the search updates the table and says why.
 
-The node, depth, trace-kind and prune counts were last repinned when the
+The node, depth and other trace-kind counts were last repinned when the
 search began to check a second bound before entering each child, the
 disagreement between layers (``branching.disagreement_rejects``), beside
 the frozen-edit bound (``branching.frozen_edit_bound``).  Nine planted rows
@@ -24,9 +24,13 @@ them by a vertex cover of the pairs on which the layers differ
 route, whose nodes are the cover's calls, and ``FORCED`` pins the
 constraint search run directly on the same instances.
 
-``PRUNED`` pins the children each search drops before entering them
-(``SearchStats.pruned_bound``, both bounds), for the same planted and
-SAT-reduction instances.
+The last trace kind, ``pruned``, is one line per child the search reached
+and dropped by either bound, so it also pins ``SearchStats.pruned_bound``.
+The bounds are tested when the search reaches a child, not when its parent
+branches, so a yes search no longer tests the siblings after the child that
+leads to its solution.  That moved only the pruned counts of yes rows:
+planted seeds 3 (20 to 19), 6 (12 to 11), 7 (5 to 4), 9 (7 to 5) and 15
+(11 to 8), and the satisfiable ``FORCED`` search (97 to 96).
 """
 
 from __future__ import annotations
@@ -53,32 +57,32 @@ from layeredit.fileio import (
     serialize_solution,
 )
 
-KINDS = ("rule0", "rule1", "rule2", "rule3", "accept", "seen")
+KINDS = ("rule0", "rule1", "rule2", "rule3", "accept", "seen", "pruned")
 
 NO = "33d1589fe9b3e131"  # digest of the "answer no" solution file
 
 # seed -> (nodes, max_depth, trace lines per kind in KINDS order, solution digest, yes)
 PLANTED = [
-    (0, (9, 2, (0, 2, 5, 0, 1, 1), "91689b6135131f2f", True)),
-    (1, (15, 2, (0, 0, 5, 2, 0, 8), NO, False)),
-    (2, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (3, (8, 3, (0, 0, 5, 2, 1, 0), "8b0e030c90ef8657", True)),
-    (4, (2, 1, (0, 0, 1, 0, 1, 0), "b8b6c4cfe8548a80", True)),
-    (5, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (6, (4, 2, (0, 0, 3, 0, 1, 0), "ee03f98a856990f5", True)),
-    (7, (2, 1, (0, 1, 0, 0, 1, 0), "91d0e5e3c1f17cad", True)),
-    (8, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (9, (4, 3, (0, 0, 3, 0, 1, 0), "d56a7f51cd196a9e", True)),
-    (10, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (11, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (12, (6, 2, (0, 1, 3, 1, 1, 0), "694d3ab0ace1c93d", True)),
-    (13, (3, 2, (0, 1, 1, 0, 1, 0), "3413a013295edc26", True)),
-    (14, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (15, (4, 3, (0, 1, 2, 0, 1, 0), "f97bb6556e2ddb4a", True)),
-    (16, (2, 1, (0, 0, 1, 0, 1, 0), "79b5ecb95fb88a2e", True)),
-    (17, (1, 0, (1, 0, 0, 0, 0, 0), NO, False)),
-    (18, (4, 2, (0, 0, 3, 0, 1, 0), "2ca7f52056d8ecbe", True)),
-    (19, (28, 3, (0, 4, 16, 1, 0, 7), NO, False)),
+    (0, (9, 2, (0, 2, 5, 0, 1, 1, 19), "91689b6135131f2f", True)),
+    (1, (15, 2, (0, 0, 5, 2, 0, 8, 29), NO, False)),
+    (2, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (3, (8, 3, (0, 0, 5, 2, 1, 0, 19), "8b0e030c90ef8657", True)),
+    (4, (2, 1, (0, 0, 1, 0, 1, 0, 3), "b8b6c4cfe8548a80", True)),
+    (5, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (6, (4, 2, (0, 0, 3, 0, 1, 0, 11), "ee03f98a856990f5", True)),
+    (7, (2, 1, (0, 1, 0, 0, 1, 0, 4), "91d0e5e3c1f17cad", True)),
+    (8, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (9, (4, 3, (0, 0, 3, 0, 1, 0, 5), "d56a7f51cd196a9e", True)),
+    (10, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (11, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (12, (6, 2, (0, 1, 3, 1, 1, 0, 10), "694d3ab0ace1c93d", True)),
+    (13, (3, 2, (0, 1, 1, 0, 1, 0, 6), "3413a013295edc26", True)),
+    (14, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (15, (4, 3, (0, 1, 2, 0, 1, 0, 8), "f97bb6556e2ddb4a", True)),
+    (16, (2, 1, (0, 0, 1, 0, 1, 0, 2), "79b5ecb95fb88a2e", True)),
+    (17, (1, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
+    (18, (4, 2, (0, 0, 3, 0, 1, 0, 6), "2ca7f52056d8ecbe", True)),
+    (19, (28, 3, (0, 4, 16, 1, 0, 7, 57), NO, False)),
 ]
 
 SATISFIABLE = ((1, 2, 3), (-1, -2, -3), (1, 2, 3), (-1, -2, -3))
@@ -86,20 +90,15 @@ UNSATISFIABLE = ((1, 2), (1, -2), (-1, 2), (-1, -2))
 
 # clauses -> same fields, for the solve that the cover decides
 SAT = [
-    (SATISFIABLE, (9, 0, (0, 0, 0, 0, 1, 0), "f7742dcfdf3f43e1", True)),
-    (UNSATISFIABLE, (10, 0, (1, 0, 0, 0, 0, 0), NO, False)),
+    (SATISFIABLE, (9, 0, (0, 0, 0, 0, 1, 0, 0), "f7742dcfdf3f43e1", True)),
+    (UNSATISFIABLE, (10, 0, (1, 0, 0, 0, 0, 0, 0), NO, False)),
 ]
 
 # clauses -> same fields, for the constraint search run directly
 FORCED = [
-    (SATISFIABLE, (133, 14, (0, 0, 119, 0, 1, 13), "f7742dcfdf3f43e1", True)),
-    (UNSATISFIABLE, (17, 5, (0, 0, 17, 0, 0, 0), NO, False)),
+    (SATISFIABLE, (133, 14, (0, 0, 119, 0, 1, 13, 96), "f7742dcfdf3f43e1", True)),
+    (UNSATISFIABLE, (17, 5, (0, 0, 17, 0, 0, 0, 18), NO, False)),
 ]
-
-
-# pruned_bound: the 20 planted seeds in order, then the two SAT formulas,
-# solved by the cover, then searched directly
-PRUNED = [19, 29, 0, 20, 3, 0, 12, 5, 0, 7, 0, 0, 10, 6, 0, 11, 2, 0, 6, 57, 0, 0, 97, 18]
 
 
 def planted_instance(seed: int):
@@ -124,6 +123,7 @@ def observe(inst, solve=solve_mlce):
     sol = solve(inst, trace=lines.append, stats=stats)
     kinds = Counter(line.split()[2] for line in lines)
     assert set(kinds) <= set(KINDS)
+    assert kinds["pruned"] == stats.pruned_bound
     digest = hashlib.sha256(serialize_solution(sol, inst).encode()).hexdigest()[:16]
     return stats.nodes, stats.max_depth, tuple(kinds[k] for k in KINDS), digest, sol is not None
 
@@ -149,28 +149,20 @@ def test_sat_reduction_constraint_search_is_pinned(clauses, expected):
     assert observe(sat_instance(clauses), search) == expected
 
 
-def test_pruned_children_are_pinned():
-    solves = [(solve_mlce, planted_instance(seed)) for seed, _ in PLANTED]
-    solves += [(solve, sat_instance(clauses)) for solve in (solve_mlce, search)
-               for clauses, _ in SAT]
-    pruned = []
-    for solve, inst in solves:
-        stats = SearchStats()
-        solve(inst, stats=stats)
-        pruned.append(stats.pruned_bound)
-    assert pruned == PRUNED
-
-
 def test_no_instance_counts_pruned_children():
-    lines: list[str] = []
-    stats = SearchStats()
-    assert solve_mlce(planted_instance(1), trace=lines.append, stats=stats) is None
-    assert stats.pruned_bound > 0
-    rules = [line.split() for line in lines if line.split()[2].startswith("rule")]
-    assert rules and all(parts[3].startswith("children=") and parts[4].startswith("pruned=")
-                         for parts in rules)
-    pruned = sum(int(parts[4].removeprefix("pruned=")) for parts in rules)
-    assert pruned == stats.pruned_bound
+    # and so does a yes instance: one pruned line per child dropped
+    for seed, yes in ((0, True), (1, False)):
+        lines: list[str] = []
+        stats = SearchStats()
+        assert (solve_mlce(planted_instance(seed), trace=lines.append, stats=stats)
+                is not None) == yes
+        assert stats.pruned_bound > 0
+        pruned = [line.split() for line in lines if line.split()[2] == "pruned"]
+        assert len(pruned) == stats.pruned_bound
+        assert all(len(parts) == 3 and int(parts[1]) > 0 for parts in pruned)
+        rules = [line.split() for line in lines if line.split()[2].startswith("rule")]
+        assert rules and all(len(parts) == 4 and parts[3].startswith("children=")
+                             for parts in rules)
 
 
 def test_pinned_set_has_both_answers():
