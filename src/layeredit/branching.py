@@ -24,22 +24,25 @@ new mark when it is built.  A ``SearchContext`` is one search of one
 instance: a ``core.PairIndex`` (the pair list, each pair's bit and the
 pairs touching each vertex, shared between solves of the same n) that also
 holds the instance's tables, built once per solve (every layer's edge set
-as a pair bitmask and edit budget k_i, and one pair mask per disagreement
-weight, ``weight_masks``), the search's memos, each capped at
-``FAILED_CAP`` entries (P3 rows, failed constraints, the verdicts of each
-bound), and
-its trace and stats hooks; its ``run`` is the search.  The search reads
-masks only: the greedy root takes the majority of the layers' pair masks
-with bit-sliced counters (``majority_mask``); rule 1 runs ``core.first_p3``
-on layer 0's ``LayerGraph.adj`` with its edits toggled in
-(``toggled_adj``), and is skipped on a mark child of a constraint it did
-not apply to; the frozen-edit bound and rule 3's per-layer kernel
-(``kernel_k``) read a layer's P3 rows (``toggled_p3s``, derived from the
-rows with one toggled pair fewer, down to the layer's ``core.adj_p3s``);
-rule 3 runs ``min_marked_completion`` (``core.is_cluster_adj`` for its
+as a pair bitmask and edit budget k_i; one count table, ``count_masks``,
+the pairs present in exactly c layers for each c, whose entries the greedy
+root ORs into its majority and the disagreement bound groups into one
+pair mask per weight), the search's memos, each capped at ``FAILED_CAP``
+entries (P3 rows, failed constraints, the verdicts of each bound), and its
+trace and stats hooks; its ``run`` is the search.  The search reads masks
+only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj`` with
+its edits toggled in (``toggled_adj``), and is skipped on a mark child of
+a constraint it did not apply to; the frozen-edit bound and rule 3's
+per-layer kernel (``kernel_k``) read a layer's P3 rows (``toggled_p3s``,
+derived from the rows with one toggled pair fewer, down to the layer's
+``core.adj_p3s``); rule 3 runs ``min_marked_completion`` (``core.is_cluster_adj`` for its
 cluster tests, ``core.first_p3`` for the P3 it branches on) on toggled
 adjacencies, once per layer, and an accepted constraint's solution is
-assembled from the completions rule 3 found for it.  Only the returned
+assembled from the completions rule 3 found for it.  Rule 3's loose-edit
+children come first and cover every solution that undoes a loose edit of
+the layer or marks one of its ends, so it tells its kernel that the
+layer's edits and the permanent pairs stay (``obligatory``): each kernel
+child then extends its parent and raises its quality.  Only the returned
 ``Solution`` decodes to frozensets, and ``core.verify`` checks it on masks
 of its own.
 
@@ -115,7 +118,10 @@ class SearchContext(PairIndex):
     once per solve, its reporting hooks, and its memos (the P3 rows, the
     failed constraints, the frozen-edit verdicts by (permanent, frozen
     edits) and the disagreement verdicts by (marks, permanent, frozen edit
-    count))."""
+    count)).  The layers are counted once per solve, into ``counts``
+    (``count_masks``); the greedy root's majority and ``weights``, (w, the
+    pairs in c layers with min(c, ell - c) = w) for each w > 0 that some
+    pair has, both read that one table."""
 
     def __init__(self, inst: Instance, trace: Optional[TraceFn] = None, check: bool = False,
                  stats: Optional[SearchStats] = None):
@@ -125,7 +131,11 @@ class SearchContext(PairIndex):
         self.vertices = ((1 << (inst.n + 1)) - 1) ^ 1
         self.budgets = inst.edit_budgets
         self.layer_masks = tuple(self.pair_mask(g.edges) for g in inst.layers)
-        self.weights = weight_masks(self.layer_masks)
+        self.counts = count_masks(self.layer_masks)
+        by_weight = [0] * (inst.ell // 2 + 1)
+        for c, mask in enumerate(self.counts):
+            by_weight[min(c, inst.ell - c)] |= mask
+        self.weights = tuple((w, mask) for w, mask in enumerate(by_weight) if w and mask)
         self.total_budget = sum(self.budgets)
         self._p3_rows = {(i, 0): [((b, a, c), pair_bit[a][b] | pair_bit[b][c] | pair_bit[a][c])
                                   for a, b, c in adj_p3s(g.adj)]
@@ -278,48 +288,24 @@ def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     is added everywhere, any other pair is deleted everywhere."""
     if ctx.inst.mode != MLCE:
         raise InputError("greedy alignment is defined for mlce instances")
-    majority = majority_mask(ctx.layer_masks)
+    majority = reduce(or_, ctx.counts[(ctx.inst.ell + 1) // 2:])
     return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
 
 
-def bit_counts(masks: Sequence[int]) -> list[int]:
-    """The number of ``masks`` holding each bit, bit-sliced: bit j of
-    ``count[t]`` is bit t of the count of bit j, with len(masks).bit_length()
-    slices.  Adding a mask is a ripple carry over the slices."""
+def count_masks(masks: Sequence[int]) -> list[int]:
+    """Entry c is the bits set in exactly c of the ``masks``, for c from 0
+    to len(masks); entry 0, the complement of their union, is negative.
+    The bits are counted bit-sliced: bit j of ``count[t]`` is bit t of
+    the count of bit j, and adding a mask is a ripple carry over the
+    len(masks).bit_length() slices."""
     count = [0] * len(masks).bit_length()
     for carry in masks:
         for t, slice_ in enumerate(count):
             count[t], carry = slice_ ^ carry, slice_ & carry
             if not carry:
                 break
-    return count
-
-
-def majority_mask(masks: Sequence[int]) -> int:
-    """The bits set in at least half of the (at least one) ``masks``: their
-    ``bit_counts`` compared with the threshold slice by slice, highest
-    first."""
-    count = bit_counts(masks)
-    need = (len(masks) + 1) // 2
-    above, equal = 0, -1  # bits whose higher count slices exceed / match need's
-    for t in reversed(range(len(count))):
-        if need >> t & 1:
-            equal &= count[t]
-        else:
-            above |= equal & count[t]
-            equal &= ~count[t]
-    return above | equal
-
-
-def weight_masks(masks: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """(w, the bits set in c of the ``masks`` with min(c, len(masks) - c)
-    = w) for each weight w > 0 that some bit has, lowest first."""
-    ell, count = len(masks), bit_counts(masks)
-    by_weight = [0] * (ell // 2 + 1)
-    for c in range(1, ell):  # c > 0 sets some slice's bit, so each AND is nonnegative
-        by_weight[min(c, ell - c)] |= reduce(and_, [slice_ if c >> t & 1 else ~slice_
-                                                    for t, slice_ in enumerate(count)])
-    return tuple((w, mask) for w, mask in enumerate(by_weight) if w and mask)
+    return [reduce(and_, [slice_ if c >> t & 1 else ~slice_ for t, slice_ in enumerate(count)])
+            for c in range(len(masks) + 1)]
 
 
 def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
@@ -482,6 +468,9 @@ def kernel_k(ctx: SearchContext, i: int, x: int, budget: int, marked: int,
     vertices of the remaining P3s; fails if there are more than
     budget**2 + 2*budget of them.  Returns pair masks (forced unmarked
     edits, remaining unmarked non-obligatory pairs), or None for failure.
+    Neither mask holds an obligatory pair, so rule 3, which passes its
+    constraint's permanent pairs and the layer's edits as obligatory,
+    builds only children that leave those pairs as they are.
     """
     at_marks = ctx.touching_mask(marked)
     forced = 0
@@ -567,10 +556,17 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
     left of its budget k_i.  Otherwise branches on undoing a loose edit of
     the layer, on marking an endpoint of an edit forced by the per-layer
     kernel, on committing all kernel decisions at once, and on each open
-    kernel pair.  An empty list signals a dead branch.  ``completions``, if
-    given, receives each layer's ``min_marked_completion`` up to the first
-    layer that has none, so it holds every layer's when the rule returns
-    None.
+    kernel pair.  The loose-edit children cover every solution that undoes
+    a loose edit of the layer or marks one of its ends, so the kernel only
+    serves solutions that keep all of the layer's edits and every permanent
+    pair, and is told so (``obligatory`` = permanent | m_i).  A kernel that
+    must toggle such a pair, or meets a P3 made only of them, fails, and the
+    kernel children are dead.  Otherwise none of them touches a permanent
+    pair or a mark, and each marks a vertex or makes a pair permanent, so
+    each extends c and raises its quality.  An empty list signals a dead
+    branch.  ``completions``, if given, receives each layer's
+    ``min_marked_completion`` up to the first layer that has none, so it
+    holds every layer's when the rule returns None.
     """
     found = [] if completions is None else completions
     for i, (m_i, k_i) in enumerate(zip(c.edits, ctx.budgets)):
@@ -583,7 +579,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
         return None
 
     permanent = c.permanent
-    kernel = kernel_k(ctx, i, m_i, k_i - m_i.bit_count(), c.marked, m_i & permanent)
+    kernel = kernel_k(ctx, i, m_i, k_i - m_i.bit_count(), c.marked, permanent | m_i)
 
     children: list[Constraint] = []
     for j in bits(m_i & ~permanent):
@@ -594,21 +590,14 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
         return children  # empty when no loose edits exist: dead branch
 
     forced, open_pairs = kernel
-    base_quality = constraint_quality(c)
-    extra: list[Constraint] = []
     for j in bits(forced):
-        extra += _mark_children(ctx, c, ctx.pairs[j])
+        children += _mark_children(ctx, c, ctx.pairs[j])
     if forced:
-        extra.append(Constraint(c.marked, tuple(m ^ forced for m in c.edits),
-                                permanent | m_i | forced))
+        children.append(Constraint(c.marked, tuple(m ^ forced for m in c.edits),
+                                   permanent | m_i | forced))
     for j in bits(open_pairs):
-        extra += _mark_children(ctx, c, ctx.pairs[j])
-        extra.append(_toggle_child(c, 1 << j))
-    # The kernel ignores permanent pairs it was not told about, so on dead
-    # branches it can propose undoing one; such children neither extend the
-    # parent nor make progress and are never needed for completeness.
-    children.extend(ch for ch in extra
-                    if extends(ch, c) and constraint_quality(ch) > base_quality)
+        children += _mark_children(ctx, c, ctx.pairs[j])
+        children.append(_toggle_child(c, 1 << j))
     return children
 
 

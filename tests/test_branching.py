@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -20,10 +21,8 @@ from layeredit.branching import (
     greedy_initial_constraint,
     is_aligning,
     kernel_k,
-    majority_mask,
     min_marked_completion,
     solve_mlce,
-    weight_masks,
 )
 from layeredit.core import (
     Instance,
@@ -42,7 +41,13 @@ from layeredit.core import (
 )
 from layeredit.oracle import oracle_mlce, set_partitions
 
-from conftest import drifted_cluster_layers, ref_instance, random_instance, random_layers
+from conftest import (
+    drifted_cluster_layers,
+    random_instance,
+    random_layers,
+    ref_instance,
+    with_random_budgets,
+)
 
 
 def empty_constraint(ell):
@@ -129,17 +134,21 @@ class TestGreedy:
         assert ctx.vertex_set(c.marked) == frozenset() and ctx.pair_set(c.permanent) == frozenset()
 
     def test_mask_majority_is_the_counter_rule(self, rng):
-        # a pair in at least half of the layers, ties (2 * count == ell) included
+        # a pair in at least half of the layers, ties (2 * count == ell)
+        # included; ell = 8 takes the count table to four bit slices
         ties = 0
-        for ell in range(1, 7):
+        for ell in range(1, 9):
             for _ in range(30):
                 n = rng.randint(2, 7)
                 density = rng.choice((0.0, 0.5, 1.0, rng.random()))
                 layers = random_layers(rng, n, ell, density=density)
                 counts = Counter(p for g in layers for p in g.edges)
                 ctx = SearchContext(Instance("mlce", n, layers, 0, 0))
+                for c in range(1, ell + 1):
+                    assert ctx.counts[c] == ctx.pair_mask(p for p in counts if counts[p] == c)
                 want = ctx.pair_mask(p for p, cnt in counts.items() if 2 * cnt >= ell)
-                assert majority_mask(ctx.layer_masks) == want
+                root = greedy_initial_constraint(ctx)
+                assert {e ^ m for e, m in zip(ctx.layer_masks, root.edits)} == {want}
                 ties += any(2 * cnt == ell for cnt in counts.values())
         assert ties > 15
 
@@ -300,7 +309,7 @@ class TestFrozenEditBound:
 
 class TestDisagreementBound:
     def test_weights_are_the_counter_rule(self, rng):
-        for ell in range(1, 8):
+        for ell in range(1, 9):
             for _ in range(20):
                 n = rng.randint(2, 7)
                 layers = random_layers(rng, n, ell, density=rng.random())
@@ -310,7 +319,7 @@ class TestDisagreementBound:
                 for p, cnt in counts.items():
                     want[min(cnt, ell - cnt)] |= ctx.pair_mask([p])
                 del want[0]
-                assert weight_masks(ctx.layer_masks) == tuple(sorted(want.items()))
+                assert ctx.weights == tuple(sorted(want.items()))
 
     def test_rejects_only_when_no_mark_set_fits(self, rng):
         # brute force over the mark sets D the bound allows: each pays the
@@ -859,6 +868,29 @@ class TestRule3:
             forced, open_pairs = kernel
             bound = 3 * 1 + 2 * forced.bit_count() + 1 + 3 * open_pairs.bit_count()
         assert len(children) <= bound
+
+    def test_kernel_children_pass_the_invariant_checks(self, monkeypatch):
+        # rule 3 tells its kernel that the layer's edits and the permanent
+        # pairs stay, so every kernel child extends its parent and raises its
+        # quality, which check mode asserts of each child; a kernel told only
+        # the layer's permanent edits, its children unfiltered, can propose
+        # undoing a permanent pair, and InvariantViolation is raised here
+        results = []
+        kernel = branching.kernel_k
+        monkeypatch.setattr(branching, "kernel_k",
+                            lambda *args: results.append(kernel(*args)) or results[-1])
+        rng, compared = random.Random(11), 0
+        for _ in range(3000):
+            n, ell = rng.randint(4, 9), rng.randint(2, 4)
+            inst = Instance("mlce", n, random_layers(rng, n, ell, density=rng.random()),
+                            rng.randint(1, 3), rng.randint(0, 3))
+            if rng.random() < 1 / 3:
+                inst = with_random_budgets(rng, inst)
+            got = solve_mlce(inst, check_invariants=True)
+            if n <= 5:  # the oracle's cost grows fast with n
+                assert (got is None) == (oracle_mlce(inst) is None)
+                compared += 1
+        assert sum(out is not None for out in results) >= 100 and compared > 900
 
 
 class TestQuality:

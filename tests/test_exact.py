@@ -102,13 +102,19 @@ def test_cover_route_matches_the_constraint_search():
 
 def test_cover_matches_the_oracle_branching():
     rng = random.Random(25)
-    answers, branched = {True: 0, False: 0}, 0
+    inputs = []
     for _ in range(400):
         n = rng.randint(2, 11)
-        index = PairIndex(n)
         pairs = rng.sample(list(combinations(range(1, n + 1), 2)),
                            rng.randint(0, min(18, n * (n - 1) // 2)))
-        d = rng.randint(0, 8)
+        inputs.append((n, pairs, rng.randint(0, 8)))
+    # K7 beside K_{2,11}: the smaller side, K7, needs 6 marks alone, so d = 5
+    # fails on it before the other side is tried, and d = 8 covers both
+    split = list(combinations(range(1, 8), 2)) + [(u, v) for u in (8, 9) for v in range(10, 21)]
+    inputs += [(20, split, 5), (20, split, 8)]
+    answers, branched, sizes = {True: 0, False: 0}, 0, []
+    for n, pairs, d in inputs:
+        index = PairIndex(n)
         stats = SearchStats()
         mask = index.pair_mask(pairs)
         cover = index.cover(mask, d, stats)
@@ -117,7 +123,8 @@ def test_cover_matches_the_oracle_branching():
             assert cover.bit_count() <= d and not mask & ~index.touching_mask(cover)
         answers[cover is not None] += 1
         branched += stats.nodes > 1
-    assert min(answers.values()) >= 100 and branched >= 100
+        sizes.append(None if cover is None else cover.bit_count())
+    assert min(answers.values()) >= 100 and branched >= 100 and sizes[-2:] == [None, 8]
 
 
 def test_joined_formula_is_solved_part_by_part():
