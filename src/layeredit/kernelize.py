@@ -3,22 +3,25 @@
 The rules work on ``Instance`` with one edit budget per layer
 (``Instance.budgets``); an edit spends its layer's budget and replaces that
 layer alone, so only its P3s (``LayerGraph.p3s``, the layer's
-``core.adj_p3s``) are scanned again.  Rules 5 and 6 read the union and the
+``core.adj_p3s``) are scanned again, while a removal renumbers every layer,
+and each is scanned again once.  Rules 5 and 6 read the union and the
 intersection of the layers, both built by ``_merged``.  Eight
 reduction rules shrink the instance (or reject it outright); what is left,
 with its per-layer budgets, is the decision-equivalent kernel.  In temporal
 mode every occurrence of the mark budget inside the rules is d*ell instead
 of d.
 
-Rules, in application order (lower id first; after every change restart
-at rule 1, or at rule 5 after rule 5 or 6, which leave rules 1-4
+Rules, in application order (lower id first; after an edit by rule 2 or 3
+start again at rule 1, else go on to the next rule: rules 5 and 6 remove
+all they qualify at once, and their removals leave every rule up to 6
 inapplicable):
  1 reject on a negative budget
  2 delete an edge sitting in more P3s than the layer budget allows
  3 add a non-edge sitting in more P3s than the layer budget allows
  4 reject a layer whose P3-touched vertex set is too large
- 5 remove a P3-free component that is identical in every layer
- 6 shrink a large P3-free vertex group sharing a component in every layer
+ 5 remove every P3-free component that is identical in every layer
+ 6 shrink every large P3-free vertex group sharing a component in every
+   layer to its k+d+2 largest vertices
  7 reject on an oversized component
  8 reject once the vertex count exceeds the kernel bound
 """
@@ -71,20 +74,19 @@ def _merged(inst: Instance, op) -> LayerGraph:
     return LayerGraph(inst.n, reduce(op, (g.edges for g in inst.layers)))
 
 
-def _remove_vertices(inst: Instance, doomed: frozenset[int]) -> Instance:
-    """Drop vertices that lie on no induced P3 of any layer, renumbering the
-    rest in order.  Every P3 survives, so scanned P3s carry over renamed."""
+def _remove_vertices(inst: Instance, rule_id: int,
+                     doomed: frozenset[int]) -> tuple[str, Optional[Instance], str, frozenset[int]]:
+    """Rule ``rule_id``'s removal of ``doomed``, renumbering the rest in
+    order; not applicable when nothing is doomed."""
+    if not doomed:
+        return NOT_APPLICABLE, None, "", KEEP_ALL
     keep = [v for v in range(1, inst.n + 1) if v not in doomed]
     renum = {old: new for new, old in enumerate(keep, start=1)}
-    layers = []
-    for g in inst.layers:
-        h = LayerGraph(len(keep), frozenset(
-            pair(renum[u], renum[v]) for u, v in g.edges
-            if u not in doomed and v not in doomed))
-        if "p3s" in g.__dict__:
-            h.__dict__["p3s"] = tuple((renum[a], renum[b], renum[c]) for a, b, c in g.p3s)
-        layers.append(h)
-    return replace(inst, n=len(keep), layers=tuple(layers))
+    layers = tuple(LayerGraph(len(keep), frozenset(
+        pair(renum[u], renum[v]) for u, v in g.edges if u not in doomed and v not in doomed))
+        for g in inst.layers)
+    return APPLIED, replace(inst, n=len(keep), layers=layers), \
+        f"rule {rule_id}: removed vertices {sorted(doomed)}", doomed
 
 
 def _edit_layer(inst: Instance, i: int, p: Pair) -> Instance:
@@ -143,23 +145,16 @@ def apply_rule(inst: Instance,
         # A union component is connected in the intersection graph iff it is
         # one of that graph's components, which refine the union's.
         inter_comps = set(_merged(inst, and_).components())
-        for comp in _merged(inst, or_).components():
-            if comp & dirty_all:
-                continue
-            if comp in inter_comps:
-                return APPLIED, _remove_vertices(inst, comp), \
-                    f"rule 5: removed shared component {sorted(comp)}", comp
-        return NOT_APPLICABLE, None, "", KEEP_ALL
+        return _remove_vertices(inst, 5, frozenset().union(
+            *(comp for comp in _merged(inst, or_).components()
+              if comp in inter_comps and not comp & dirty_all)))
 
     if rule_id == 6:
+        # each group keeps its threshold - 1 largest clean vertices
         threshold = k + deff + 3
-        for comp in _merged(inst, and_).components():
-            clean = comp - dirty_all
-            if len(clean) >= threshold:
-                victim = frozenset({min(clean)})
-                return APPLIED, _remove_vertices(inst, victim), \
-                    f"rule 6: removed vertex {min(clean)} from a group of {len(clean)}", victim
-        return NOT_APPLICABLE, None, "", KEEP_ALL
+        cleans = (sorted(comp - dirty_all) for comp in _merged(inst, and_).components())
+        return _remove_vertices(inst, 6, frozenset(
+            v for clean in cleans for v in clean[:max(0, len(clean) - threshold + 1)]))
 
     if rule_id == 7:
         threshold = k + 2 * deff + 3
@@ -186,30 +181,26 @@ def kernelize(inst: Instance) -> KernelResult:
     The reduced instance, with one edit budget per layer, is
     decision-equivalent to the input; it may have no vertex left.  Solutions
     are not lifted back.  ``id_map`` sends every original vertex to its id
-    in the output (or None if it was removed).
+    in the output (or None if it was removed); it is ``{}`` on a trivial no.
     """
     orig_ids = list(range(1, inst.n + 1))  # orig_ids[v - 1]: input id of vertex v
     id_map: dict[int, Optional[int]] = {v: None for v in orig_ids}
     log: list[str] = []
-    first = 1  # the rule to try first
-    while True:
-        for rule_id in range(first, RULE_COUNT + 1):
-            status, nxt, note, dropped = apply_rule(inst, rule_id)
-            if status == TRIVIAL_NO:
-                log.append(note)
-                return KernelResult(None, rule_id, {}, tuple(log))
-            if status == APPLIED:
-                log.append(note)
-                inst = nxt
-                orig_ids = [v for i, v in enumerate(orig_ids, start=1) if i not in dropped]
-                # Rules 5 and 6 remove vertices on no P3 of any layer, so the
-                # budgets, the P3s through every surviving pair and each
-                # layer's P3-touched set stay as they were: rules 1-4, which
-                # did not apply before, still do not.
-                first = 5 if rule_id in (5, 6) else 1
-                break
-        else:
-            break
+    rule_id = 1
+    while rule_id <= RULE_COUNT:
+        status, nxt, note, dropped = apply_rule(inst, rule_id)
+        if status == TRIVIAL_NO:
+            log.append(note)
+            return KernelResult(None, rule_id, {}, tuple(log))
+        if status == APPLIED:
+            log.append(note)
+            inst = nxt
+            orig_ids = [v for i, v in enumerate(orig_ids, start=1) if i not in dropped]
+        # Only an edit can make an earlier rule apply again: a vertex that
+        # rule 5 or 6 removes lies on no P3 and in a clique of every layer,
+        # so removing it changes no P3, budget or other union or
+        # intersection component, and rules 1-6 keep their verdicts.
+        rule_id = 1 if status == APPLIED and rule_id in (2, 3) else rule_id + 1
     for new_id, orig in enumerate(orig_ids, start=1):
         id_map[orig] = new_id
     return KernelResult(inst, None, id_map, tuple(log))

@@ -150,70 +150,95 @@ class TestIndividualRules:
 
 
 # Kernel pins: (mode, n, ell, clusters (None: n//2+1), noise, seed, k, d,
-# per-layer budgets or None, sha256 of ``kernel_record``) for planted
-# instances with drift 1.  The comments name the rules applied and the
-# trivial-no rule.
+# per-layer budgets or None, sha256 of ``kernel_record``, sha256 of the rule
+# log joined by newlines) for planted instances with drift 1.  The kernel
+# digests were computed when rules 5 and 6 still removed one component or
+# vertex per application, and must not move.  The comments name the rules
+# applied and the trivial-no rule.
 KERNEL_PINS = [
     ("mlce", 20, 3, None, 3, 1, 2, 0, None,
-     "a38d217411c0b4affbc4542ca46b2abe8a150be132134f964b6ab4fc0cef6957"),  # rules [1, 2, 3], no=1
+     "62077691f84d98d2785138d90c409d74fb27b87cdd9dd6ecfe0cd7ceed7c0674",
+     "0666a4cbf35dc24c8a226a021a71f246ebe811e2fdb2aba5737e4561f31eb20a"),  # rules [1, 2, 3], no=1
     ("mlce", 20, 3, 6, 3, 0, 3, 1, None,
-     "169a65788db5a4265264b31d4164cc10d79e476fa2a2c34b0ea41fefbd15c73c"),  # rules [2, 3, 5, 6, 8], no=8
+     "317bc101addbdfefa8e4739e5bcf2edc15c87104b48b50edfe893c22ffef44af",
+     "200da949635bc995746a702ce10495333e080586b3b92162624bc47f4f2b047b"),  # rules [2, 3, 5, 6, 8], no=8
     ("mlce", 20, 3, 6, 3, 0, 3, 2, None,
-     "2243e4f39520a6788d036b7f0e9c7003f409e2a2a1a6ab6b92ce7412a2528540"),  # rules [2, 3, 5, 6], no=None
+     "2bcb042cdf030a80047093a712bb5a06eee5400ce4cb3a4d23cfa1a26b315c04",
+     "509088a8075d7aacf5bf53f409b263346cb2b36c227a40e4c9ef8bfc7009fc34"),  # rules [2, 3, 5, 6], no=None
     ("mlce", 20, 4, 3, 1, 0, 3, 0, None,
-     "6fa815c903744f24c622a1f2c14e6a2561754ebf9a890c8f6c48b6e54a1ae998"),  # rules [2, 3, 6, 7], no=7
+     "a8e817ef936435b4f687dab3aa436042971120a51c360dc15411c2dd5fbb4d6c",
+     "0df48fd0135e5bad2280c9f2185fd48024bcde07b2c8a01bfe624a53cb0dfdc7"),  # rules [2, 3, 6, 7], no=7
     ("mlce", 20, 4, 6, 3, 0, 3, 2, None,
-     "ab8a3d5b57441a5e6ca9bea86e3ada5c4dd9d7f578a1969396a198cf9bc6f793"),  # rules [2, 3, 6], no=None
+     "f2075c44110f2ee69248c54b04a856e1325f9c06c7bc5b8b61df4ebd0a648a08",
+     "fb20976f4d5eb8b367aa25fb8cae758873e1da969597701f48fe414dc0d731ce"),  # rules [2, 3, 6], no=None
     ("mlce", 40, 3, 6, 1, 0, 1, 1, None,
-     "80a99c74cfa69eb4624a711d2bd024c190e85f2ac67d5c69ba8f900ee5234beb"),  # rules [2, 5, 6, 8], no=8
+     "317bc101addbdfefa8e4739e5bcf2edc15c87104b48b50edfe893c22ffef44af",
+     "51b27f40b258b1805594ef9aa251c4654785837835843fbb65976aaf627ff251"),  # rules [2, 5, 6, 8], no=8
     ("mlce", 48, 4, None, 1, 5, 3, 3, None,
-     "5b8f0f5e87769087da0f8c055a45770ec28b32f6aa1c633942841c1d9e4ff9ad"),  # rules [2, 5], no=None
+     "3d1bd54bd525d9fc7961d4070e099ae53e197b251340bfcc1e26ebb3ef54abb4",
+     "7710d94a5e91ef013f060e9b7db607ca7b244864bdfc1595d157ef25525daebc"),  # rules [2, 5], no=None
     ("mlce", 60, 4, None, 1, 0, 3, 2, None,
-     "cee385fc36c97d4da6b28cc295cf2ea4d7c5cda3f210ae9a25f680da78242869"),  # rules [5], no=None
+     "f22f30d3e51d93bd54443d704cbcd23f4a62796b9848a69c271fb7e0ffabe423",
+     "44bafff939c4b34b014266b3f63c4328301ccc6a9cd1ced1cbbe67822c3fe353"),  # rules [5], no=None
     ("tce", 24, 3, None, 4, 2, 2, 1, None,
-     "dc7ea8f53abaa12cd0db89961f0ea8cb9d8e3d8194a7d46b1c271c695486bda5"),  # rules [1, 2], no=1
+     "62077691f84d98d2785138d90c409d74fb27b87cdd9dd6ecfe0cd7ceed7c0674",
+     "7dd9d0609a49552eba43436ad87d9641fd83b8f213f77bbcf2ac3ff16d6cfdd8"),  # rules [1, 2], no=1
     ("tce", 20, 3, 6, 3, 0, 3, 0, None,
-     "c155730443b5b6247d1d128017d62fc5d1f38e2b561042816cb03694c8d109b3"),  # rules [2, 3, 5, 6, 7], no=7
+     "a8e817ef936435b4f687dab3aa436042971120a51c360dc15411c2dd5fbb4d6c",
+     "6ea63733816a3049079affea55d2ba3426029f71f93fbd0ea308b74b887f0cdd"),  # rules [2, 3, 5, 6, 7], no=7
     ("tce", 20, 4, 6, 1, 0, 1, 2, None,
-     "42aee5ed78dfb426437c7a893d9c58775a40d14016d73e29acf2c6fef8cf438f"),  # rules [2, 3, 5], no=None
+     "190091d6f41c53e4e88fb07640696ba6e003781aaf9c33d180019ad558a658d8",
+     "8d419af6b92cd54ca4a29a20ae4e8b7c7ee134ead56d11ca504da79b8f191cbb"),  # rules [2, 3, 5], no=None
     ("tce", 20, 3, 3, 1, 1, 3, 1, None,
-     "3e220f9e1583abf17cefeb906e27715eadb8de06c6efe325667c8a40bbb9bc0d"),  # rules [2, 5, 6], no=None
+     "a30c4e4f6f4751caa8d935f320815faf9d5d69ec68482337afb0803630ef41a7",
+     "c40f4fa1b710886dce76bcdb082f2ce41458a48ef4101d30d3bc87c829a5cd35"),  # rules [2, 5, 6], no=None
     ("tce", 30, 3, None, 1, 10, 3, 2, None,
-     "b325719a11a5a0726925c623ec0d3d22c0100816102f972be7a534628f2894b0"),  # rules [2, 5], no=None
+     "8dfa33af45c04bff71ef4da4cb6852d1df5049d26485eefe297f17f27c92e1a9",
+     "3c9e1bfc0d2fcdbaba8051b8f7dc2233a1f57c439b6151a9cfb56ba5a35fb0c5"),  # rules [2, 5], no=None
     ("tce", 40, 4, 6, 1, 1, 3, 1, None,
-     "5b94b4442e133b6cf1e654bd3f9d174641965147419e36816f188f6519286f38"),  # rules [2, 3, 5, 6], no=None
+     "c5616bd93ddacbd08a85d482834d74e734c3e1f4a9ad145df5173695dfcb0573",
+     "a00993f43c02ae6e65a30341370e75eff42b72c5e6318027bfdd973b6653cf67"),  # rules [2, 3, 5, 6], no=None
     ("tce", 54, 3, None, 1, 14, 3, 1, None,
-     "190fcfa1a81269709c547976b9413c98a3382a2e116e3b29de11c08182b7203e"),  # rules [2, 5], no=None
+     "bd3deca50df7686cb3a2acedebaab4f8ca7300fd57918b8a56d0911c85f2498f",
+     "c1c21e7c17c00c99fde5cc3dec2e74ce4581c859e9671848a2de933eebabad77"),  # rules [2, 5], no=None
     ("tce", 60, 3, None, 1, 0, 3, 1, None,
-     "da241baeba30a7f191f68ec9e44053a4a38ded0f6b3ad13d49f319865f6db5c3"),  # rules [5], no=None
+     "5e279b6c2f22ffa710480301eb5c70c9d6b7d653e25e99a6d7fb8915950171cc",
+     "7332c50ea0eecea09b0377e45b0476b89d6c94bba70ac4946f009c4324e57e7d"),  # rules [5], no=None
     ("mlce", 24, 3, None, 1, 20, 3, 1, (3, 1, 2),
-     "18f47c60fccb26020785241f48bb4a7637d6e6c30b2c1c02a498c9f7ecc059e2"),  # rules [2, 5], no=None
+     "5ec70487f9d962c3f9c33f59b23b4eecf020a4a79fa078b2484a88888a3994b1",
+     "9b430d495a50fe0428642db9ad72dd429e03f2a95b566d0e11fe43c56fd308b2"),  # rules [2, 5], no=None
     ("mlce", 30, 4, 6, 3, 22, 3, 2, (3, 2, 3, 1),
-     "e62dc3987d08aa5a110da3dc2d5e030e816a0b7c443870e7b9b813434a773991"),  # rules [1, 2], no=1
+     "62077691f84d98d2785138d90c409d74fb27b87cdd9dd6ecfe0cd7ceed7c0674",
+     "ec0481df950f0ec9fbd3ebd4511a8e8f4e0b0c2d6f07f6f3ddaaac5ee39d5f64"),  # rules [1, 2], no=1
     ("tce", 30, 3, None, 1, 21, 3, 1, (2, 3, 0),
-     "9492aeeb20d70368c90b476503d7c54b1bd02a4aeb11140526baf7654fd9a1fa"),  # rules [1, 2], no=1
+     "62077691f84d98d2785138d90c409d74fb27b87cdd9dd6ecfe0cd7ceed7c0674",
+     "e9a17dcf317b730585814fdb59d7eaab64c1177fdbc5017a8c0421a37365f79d"),  # rules [1, 2], no=1
     ("tce", 20, 4, 6, 1, 23, 2, 1, (2, 2, 1, 2),
-     "a6b5220f105c5202d761c0b25548666be06a3588a1b8d1fccbb941f4b9454da3"),  # rules [2, 5], no=None
+     "f6010033eac3a4f6b95bcbb62d1c82c85de8e1d29b6d467863e59493c777c488",
+     "7367adfb400ba87d9857bf27e705665490b9d4e2b570b6c449a13de9eafe3aba"),  # rules [2, 5], no=None
 ]
 
 
-def kernel_record(inst) -> str:
-    """The serialized kernel (or "answer no"), the rule log, the id map and
-    the trivial-no rule of ``kernelize(inst)``."""
-    result = kernelize(inst)
+def kernel_record(result) -> str:
+    """The serialized kernel (or "answer no"), the id map and the trivial-no
+    rule of a ``kernelize`` result."""
     kernel = "answer no" if result.reduced is None else serialize_instance(result.reduced)
-    return "\n".join([kernel, *result.rule_log, repr(sorted(result.id_map.items())),
-                      repr(result.trivial_no_rule)])
+    return "\n".join([kernel, repr(sorted(result.id_map.items())), repr(result.trivial_no_rule)])
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_kernels_are_pinned():
-    for mode, n, ell, clusters, noise, seed, k, d, budgets, digest in KERNEL_PINS:
+    for mode, n, ell, clusters, noise, seed, k, d, budgets, kernel, log in KERNEL_PINS:
         params = PlantedParams(n, ell, n // 2 + 1 if clusters is None else clusters, 1, noise, seed)
         inst = replace(generate_planted(params, mode), k=k, d=d)
         if budgets is not None:
             inst = replace(inst, budgets=budgets)
-        record = kernel_record(inst).encode()
-        assert hashlib.sha256(record).hexdigest() == digest, (mode, n, ell, seed)
+        result = kernelize(inst)
+        assert sha256(kernel_record(result)) == kernel, (mode, n, ell, seed)
+        assert sha256("\n".join(result.rule_log)) == log, (mode, n, ell, seed)
 
 
 class TestKernelize:
@@ -243,8 +268,8 @@ class TestKernelize:
 
     def test_dirty_vertices_computed_once_per_instance(self, rng, monkeypatch):
         # rule 3 and rules 4-8 share one P3 scan per layer; an edit rescans
-        # only the layer it changed, and a removal rescans none: it renames
-        # the scanned P3s (here a shared triangle below a P3 goes first)
+        # only the layer it changed, and a removal rescans each surviving
+        # layer once (here a shared triangle below a P3 goes first)
         calls = []
         monkeypatch.setattr(core, "adj_p3s", lambda adj: calls.append(adj) or adj_p3s(adj))
         edges = list(combinations([1, 2, 3], 2)) + [(4, 5), (5, 6)]
@@ -264,7 +289,7 @@ class TestKernelize:
                 for g in nxt.layers:
                     assert g.p3s == tuple(adj_p3s(g.adj))
                 changed = [g for g, h in zip(nxt.layers, sb.layers) if g is not h]
-                assert calls == ([g.adj for g in changed] if rule_id in (2, 3) else [])
+                assert calls == [g.adj for g in changed]
                 assert len(changed) == (1 if rule_id in (2, 3) else sb.ell)
                 applied.add(rule_id)
                 break
@@ -456,3 +481,102 @@ class TestPerRuleSoundness:
             status, _, _, _ = apply_rule(sb, 1)
             assert status == TRIVIAL_NO
             assert oracle_decision(sb) is False
+
+
+def removed_one_at_a_time(inst, rule_id):
+    """Rule 5 removing the first shared P3-free component, or rule 6 the
+    least clean vertex of the first large group: (the instance left, the
+    kept ids), or None where the rule does not apply."""
+    dirty = {v for g in inst.layers for p3 in adj_p3s(g.adj) for v in p3}
+    union = layer_from_edges(inst.n, frozenset().union(*(g.edges for g in inst.layers)))
+    inter = layer_from_edges(inst.n, frozenset.intersection(*(g.edges for g in inst.layers)))
+    if rule_id == 5:
+        shared = [c for c in union.components() if c in inter.components() and not c & dirty]
+        doomed = shared[0] if shared else None
+    else:
+        threshold = max(inst.edit_budgets) + kernelize_module._d_effective(inst) + 3
+        groups = [c - dirty for c in inter.components() if len(c - dirty) >= threshold]
+        doomed = {min(groups[0])} if groups else None
+    if doomed is None:
+        return None
+    keep = [v for v in range(1, inst.n + 1) if v not in doomed]
+    renum = {old: new for new, old in enumerate(keep, start=1)}
+    layers = tuple(layer_from_edges(len(keep), [(renum[u], renum[v]) for u, v in g.edges
+                                                if u in renum and v in renum])
+                   for g in inst.layers)
+    return replace(inst, n=len(keep), layers=layers), keep
+
+
+def kernelize_one_at_a_time(inst):
+    """``kernelize`` with one removal per application of rule 5 or 6, after
+    which the rules start again at rule 5: (the reduced instance or None, the
+    id map, the trivial-no rule)."""
+    id_map = dict.fromkeys(range(1, inst.n + 1))
+    orig_ids = list(id_map)
+    first = 1
+    while True:
+        for rule_id in range(first, 9):
+            if rule_id in (5, 6):
+                step = removed_one_at_a_time(inst, rule_id)
+                if step is None:
+                    continue
+                inst, keep = step
+                orig_ids = [orig_ids[v - 1] for v in keep]
+                first = 5
+                break
+            status, nxt, _, _ = apply_rule(inst, rule_id)
+            if status == TRIVIAL_NO:
+                return None, {}, rule_id
+            if status == APPLIED:
+                inst, first = nxt, 1
+                break
+        else:
+            id_map.update((orig, new) for new, orig in enumerate(orig_ids, start=1))
+            return inst, id_map, None
+
+
+def cross_check_instance(rng, i):
+    """A planted instance with 1, 2, n/6 or n/2+1 clusters, a
+    ``clique_core_instance`` or a ``random_instance``, by ``i`` mod 3."""
+    if i % 3 == 0:
+        n, ell = rng.randint(4, 24), rng.randint(1, 4)
+        clusters = rng.choice([1, 2, max(1, n // 6), n // 2 + 1])
+        params = PlantedParams(n, ell, clusters, 1, rng.randint(0, 3), rng.randrange(1000))
+        return replace(generate_planted(params, rng.choice(["mlce", "tce"])),
+                       k=rng.randint(0, 3), d=rng.randint(0, 2))
+    if i % 3 == 1:
+        return clique_core_instance(rng)
+    return random_instance(rng, rng.choice(["mlce", "tce"]), max_n=8)
+
+
+class TestOneApplicationPerRemovalRule:
+    def test_same_kernel_as_one_removal_at_a_time(self, rng):
+        # Rules 5 and 6 remove all they qualify in one application; a
+        # removed vertex lies on no P3 and in a clique of every layer, so the
+        # one-at-a-time sequence ends at the same instance, and neither rule
+        # (nor an earlier one) applies right after either does.
+        hits = {5: 0, 6: 0}
+        for i in range(300):
+            inst = cross_check_instance(rng, i)
+            result = kernelize(inst)
+            assert (result.reduced, result.id_map, result.trivial_no_rule) == \
+                kernelize_one_at_a_time(inst), inst
+            sb = reduce_up_to(inst, 5)
+            for rule_id in (5, 6):
+                if sb is None:
+                    break
+                status, nxt, _, _ = apply_rule(sb, rule_id)
+                if status == APPLIED:
+                    hits[rule_id] += 1
+                    assert all(apply_rule(nxt, r)[0] == NOT_APPLICABLE
+                               for r in range(1, rule_id + 1)), inst
+                    sb = nxt
+        assert hits[5] >= 100 and hits[6] >= 30, hits
+
+    def test_edgeless_instance_goes_in_one_rule_5_line(self):
+        g = layer_from_edges(800, [])
+        result = kernelize(Instance("mlce", 800, (g, g), 1, 0))
+        assert result.reduced.n == 0
+        assert set(result.id_map) == set(range(1, 801))
+        assert all(v is None for v in result.id_map.values())
+        assert len(result.rule_log) == 1 and result.rule_log[0].startswith("rule 5: ")
