@@ -11,8 +11,7 @@ import types
 # export name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "core": ("MLCE", "TCE", "CapabilityError", "InputError", "Instance", "LayerGraph",
-             "P3Witness", "SearchStats", "Solution", "VerifyReport", "apply_edits",
-             "consistent_after_removal", "count_p3_through_pair", "find_p3",
+             "SearchStats", "Solution", "VerifyReport", "apply_edits", "find_p3",
              "is_cluster_graph", "layer_from_edges", "pair", "replace", "verify"),
     "branching": ("Constraint", "solve_mlce"),
     "kernelize": ("KernelResult", "kernelize"),

@@ -180,10 +180,6 @@ class SearchContext(PairIndex):
             self._p3_rows[(i, x)] = rows
         return rows
 
-    @staticmethod
-    def vertex_set(mask: int) -> frozenset[int]:
-        return frozenset(bits(mask))
-
     def run(self, c: Constraint, depth: int, p3_free: bool = False,
             grew: bool = True) -> Optional[Solution]:
         """Depth-first search below ``c``, which is dropped first if either
@@ -656,7 +652,7 @@ def _extract_solution(ctx: SearchContext, c: Constraint,
     marked-only completion rule 3 found for it."""
     return Solution(tuple([ctx.pair_set(m) | completion
                            for m, completion in zip(c.edits, completions)]),
-                    marked=ctx.vertex_set(c.marked))
+                    marked=frozenset(bits(c.marked)))
 
 
 def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None:

@@ -10,17 +10,18 @@ component and P3-count routines below, and the callers in ``branching``,
 ``tcepath`` and ``twolayer``, all read the masks; ``first_p3`` is the one
 P3 scan, ``adj_p3s`` the one P3 enumeration (``LayerGraph.p3s`` keeps its
 result for the kernel) and ``p3_through_pair`` the one set of P3s through
-a vertex pair, on any such mask list.
+a vertex pair (its ``bit_count`` their number), on any such mask list and,
+for the first two, any vertex mask ``inside``.
 ``is_cluster_adj`` is the one cluster test and needs no P3: it compares
 closed neighbourhoods, O(n) mask operations (each vertex's N[] must equal
 that of its smallest member, so adjacent vertices share N[] and every
-component is a clique); ``is_cluster_graph`` runs it on a layer, and
-``verify`` on each edited layer's masks, so the cluster tests of
-``twolayer``, the oracles and ``verify`` stay cheap.  ``_toggled_adj`` is
-the one check-and-toggle of an edit set into a copy of a layer's masks:
-``apply_edits`` builds the edited layer on it, and ``verify`` builds no
-``LayerGraph``, frozenset or ``PairIndex`` but compares the toggled copies
-row by row.
+component is a clique); ``is_cluster_graph`` runs it on a whole layer, as
+``find_p3`` runs ``first_p3``, and ``verify`` on each edited layer's masks,
+so the cluster tests of ``twolayer``, the oracles and ``verify`` stay
+cheap.  ``_toggled_adj`` is the one check-and-toggle of an edit set into a
+copy of a layer's masks: ``apply_edits`` builds the edited layer on it, and
+``verify`` builds no ``LayerGraph``, frozenset or ``PairIndex`` but
+compares the toggled copies row by row.
 ``PairIndex`` is the one pair encoding: a pair set as an int bitmask over
 the positions in ``all_pairs(n)``, with ``cover``, the one vertex-cover
 routine on such masks, which the tce sweep's checks and ``branching``'s
@@ -178,9 +179,6 @@ class LayerGraph(Record):
     def p3s(self) -> tuple[tuple[int, int, int], ...]:
         """``adj_p3s`` of this layer, scanned once."""
         return tuple(adj_p3s(self.adj))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (pair(u, v)) in self.edges
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest contained vertex."""
@@ -380,17 +378,6 @@ def _toggled_adj(g: LayerGraph, m: Iterable[Pair]) -> list[int]:
     return adj
 
 
-class P3Witness(Record):
-    """An induced path a - b - c (edge a-b, edge b-c, non-edge a-c)."""
-
-    a: int
-    b: int
-    c: int
-
-    def pairs(self) -> tuple[Pair, Pair, Pair]:
-        return pair(self.a, self.b), pair(self.b, self.c), pair(self.a, self.c)
-
-
 def first_p3(adj: Sequence[int], inside: int) -> Optional[tuple[int, int, int]]:
     """First induced P3 (a, b, c) of the graph with bitmask adjacency ``adj``
     (index 0 unused) restricted to the vertex mask ``inside``: centers b
@@ -413,22 +400,16 @@ def first_p3(adj: Sequence[int], inside: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def find_p3(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> Optional[P3Witness]:
-    """First induced P3 of g[restrict] in ``first_p3``'s scan order.
-    Deterministic; None if the restriction is a cluster graph."""
-    inside = (1 << (g.n + 1)) - 2 if restrict is None else vertex_mask(restrict)
-    witness = first_p3(g.adj, inside)
-    return None if witness is None else P3Witness(*witness)
+def find_p3(g: LayerGraph) -> Optional[tuple[int, int, int]]:
+    """``first_p3`` on all of g: its first induced P3 (a, b, c), or None if
+    g is a cluster graph."""
+    return first_p3(g.adj, (1 << (g.n + 1)) - 2)
 
 
-def is_cluster_graph(g: LayerGraph, restrict: Optional[frozenset[int]] = None) -> bool:
-    """True iff every connected component of g[restrict] is a clique
-    (``is_cluster_adj`` on g's masks).  ``find_p3`` names a P3 where one is
-    needed."""
-    inside = (1 << (g.n + 1)) - 2
-    if restrict is not None:
-        inside &= vertex_mask(restrict)
-    return is_cluster_adj(g.adj, inside)
+def is_cluster_graph(g: LayerGraph) -> bool:
+    """Whether every connected component of g is a clique
+    (``is_cluster_adj`` on all of g)."""
+    return is_cluster_adj(g.adj, (1 << (g.n + 1)) - 2)
 
 
 def is_cluster_adj(adj: Sequence[int], inside: int) -> bool:
@@ -478,22 +459,6 @@ def p3_through_pair(adj: Sequence[int], u: int, v: int) -> int:
     edge, and both if not."""
     au, av = adj[u], adj[v]
     return (au ^ av if au >> v & 1 else au & av) & ~(1 << u | 1 << v)
-
-
-def count_p3_through_pair(g: LayerGraph, p: Pair) -> int:
-    """Number of vertices w for which g[{u, v, w}] is an induced P3."""
-    return p3_through_pair(g.adj, *p).bit_count()
-
-
-def consistent_after_removal(g1: LayerGraph, g2: LayerGraph,
-                             removed: frozenset[int] | set[int]) -> bool:
-    """True iff the two edge sets agree on all pairs disjoint from ``removed``."""
-    if g1.n != g2.n:
-        raise InputError("layer size mismatch")
-    for u, v in g1.edges ^ g2.edges:
-        if u not in removed and v not in removed:
-            return False
-    return True
 
 
 class Instance(Record):

@@ -39,7 +39,7 @@ from .core import (
     Pair,
     Record,
     apply_edits,
-    count_p3_through_pair,
+    p3_through_pair,
     pair,
     replace,
 )
@@ -123,7 +123,7 @@ def apply_rule(inst: Instance,
             candidates = sorted(g.edges) if want_edge else \
                 sorted({(a, c) for a, _, c in g.p3s})
             for p in candidates:
-                if count_p3_through_pair(g, p) >= budgets[i] + 1:
+                if p3_through_pair(g.adj, *p).bit_count() > budgets[i]:
                     verb = "deleted" if want_edge else "added"
                     return APPLIED, _edit_layer(inst, i, p), \
                         f"rule {rule_id}: {verb} {p} in layer {i + 1}", KEEP_ALL

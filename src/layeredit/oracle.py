@@ -11,7 +11,8 @@ Two interchangeable enumeration routes decide an instance exactly:
 Both are exhaustive.  Edits-first runs when its combinations number at most
 the mark sets and at most ``COMBINATIONS_CAP``; otherwise mark-first runs
 when the mark sets number at most ``MARK_SETS_CAP``; otherwise a capability
-error is raised.
+error is raised.  Edits-first also refuses a cover question whose 2^d
+branches pass ``MARK_SETS_CAP``, unless d takes every touched vertex.
 
 A second, fully independent oracle for the multi-layer mode enumerates the
 definition itself: for each mark set and each partition of the unmarked
@@ -124,6 +125,12 @@ def _solve_mlce_exhaustive(inst: Instance) -> Optional[Solution]:
             disagree: set[Pair] = set()
             for i, j in combinations(range(len(layers)), 2):
                 disagree |= edited[i][combo[i]] ^ edited[j][combo[j]]
+            # _cover_within branches two ways per level, up to d levels deep,
+            # unless d takes every touched vertex: refuse past MARK_SETS_CAP
+            touched = len({v for p in disagree for v in p})
+            if d < touched and 2 ** d > MARK_SETS_CAP:
+                raise CapabilityError(f"oracle guard: a cover of {touched} vertices "
+                                      f"within d={d} may branch 2^{d} ways")
             cover = _cover_within(frozenset(disagree), d)
             if cover is not None:
                 return Solution(tuple(cands[i][j] for i, j in enumerate(combo)),

@@ -5,16 +5,16 @@ set of each gap whose two edited layers differ (a gap of equal layers needs
 no marks and gets no solve).  Both layers must be cluster graphs; the
 solver checks that itself, in O(n) per layer (``is_cluster_graph``), as
 direct callers rely on it, though the search's layers always are.
-In each layer every vertex is named by its cluster's smallest vertex
-(``cluster_labels``), and the bipartite weights count the vertices of each
-(left label, right label) cell.  A marking set of size at most d exists iff
-the maximum matching weight is at least n - d, and the marked set is the
-vertices whose cell is not matched.  n - (maximum matching weight) is the
-partition distance of the two clusterings (Gusfield, IPL 2002).  Only the
-t touched vertices, those in a pair where the layers differ, can be marked:
-any other vertex's cluster is whole and equal in both layers, a cell alone
-in its row and column.  So the solver weighs the touched vertices' cells
-alone and asks for weight t - d.
+In each layer every vertex is named by its cluster's smallest vertex, the
+lowest bit of its closed neighbourhood, and the bipartite weights count the
+vertices of each (left label, right label) cell.  A marking set of size at
+most d exists iff the maximum matching weight is at least n - d, and the
+marked set is the vertices whose cell is not matched.  n - (maximum
+matching weight) is the partition distance of the two clusterings
+(Gusfield, IPL 2002).  Only the t touched vertices, those in a pair where
+the layers differ, can be marked: any other vertex's cluster is whole and
+equal in both layers, a cell alone in its row and column.  So the solver
+weighs the touched vertices' cells alone and asks for weight t - d.
 
 The assignment is solved by successive shortest augmenting paths, one row
 at a time, as in Kuhn's Hungarian method, but on the sparse weight dict and
@@ -31,13 +31,6 @@ from collections import Counter
 from typing import Optional
 
 from .core import InputError, LayerGraph, is_cluster_graph
-
-
-def cluster_labels(g: LayerGraph) -> tuple[int, ...]:
-    """Each vertex's cluster in the cluster graph g, named by the cluster's
-    smallest vertex: the lowest bit of the vertex's closed neighbourhood."""
-    closed = [nbrs | 1 << v for v, nbrs in enumerate(g.adj)]
-    return tuple((x & -x).bit_length() - 1 for x in closed[1:])
 
 
 def linear_sum_assignment(weights: dict[tuple[int, int], int]) -> tuple[int, dict[int, int]]:
@@ -133,8 +126,8 @@ def solve_two_layer_zero_edit(g1: LayerGraph, g2: LayerGraph, d: int) -> Optiona
     if not is_cluster_graph(g1) or not is_cluster_graph(g2):
         return None
     # Cells of the t touched vertices, those in a pair of g1.edges ^ g2.edges
-    # (their neighbourhoods differ): their ``cluster_labels``, computed for
-    # these vertices alone.
+    # (their neighbourhoods differ): each layer's label of each, the lowest
+    # bit of its closed neighbourhood.
     cells = {}
     for v, (a, b) in enumerate(zip(g1.adj, g2.adj)):
         if a != b:

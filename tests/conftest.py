@@ -90,6 +90,22 @@ def random_cluster_graph(rng: random.Random, n: int) -> LayerGraph:
     return layer_from_edges(n, edges)
 
 
+def has_edge(g: LayerGraph, u: int, v: int) -> bool:
+    """Edge lookup in the layer's edge set, not its masks."""
+    return pair(u, v) in g.edges
+
+
+def consistent_after_removal(g1: LayerGraph, g2: LayerGraph, removed) -> bool:
+    """Whether the two edge sets agree on every pair disjoint from ``removed``."""
+    return all(u in removed or v in removed for u, v in g1.edges ^ g2.edges)
+
+
+def cluster_labels(g: LayerGraph) -> tuple[int, ...]:
+    """Each vertex's component in g, named by the component's smallest vertex."""
+    label = {v: min(comp) for comp in g.components() for v in comp}
+    return tuple(label[v] for v in range(1, g.n + 1))
+
+
 def check_solution_independently(inst: Instance, sol: Solution) -> list[str]:
     """Re-derivation of the problem conditions, sharing no code with verify().
 

@@ -11,14 +11,14 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from layeredit.branching import SearchStats, solve_mlce
-from layeredit.core import Instance, consistent_after_removal, layer_from_edges, verify
+from layeredit.core import Instance, layer_from_edges, verify
 from layeredit.fileio import Formula223, generate_sat_reduction
 from layeredit.kernelize import kernelize
 from layeredit.oracle import oracle_mlce, oracle_tce, structured_mlce
 from layeredit.tcepath import solve_tce_xp
 from layeredit.twolayer import solve_two_layer_zero_edit
 
-from conftest import ref_instance, random_cluster_graph, random_layers
+from conftest import consistent_after_removal, ref_instance, random_cluster_graph, random_layers
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

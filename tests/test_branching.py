@@ -30,9 +30,11 @@ from layeredit.core import (
     adj_p3s,
     all_pairs,
     apply_edits,
-    count_p3_through_pair,
+    bits,
     find_p3,
+    first_p3,
     layer_from_edges,
+    p3_through_pair,
     pair,
     pairs_of,
     replace,
@@ -43,6 +45,7 @@ from layeredit.oracle import oracle_mlce, set_partitions
 
 from conftest import (
     drifted_cluster_layers,
+    has_edge,
     random_instance,
     random_layers,
     ref_instance,
@@ -80,8 +83,8 @@ def encode(ctx, marked=(), edits=None, permanent=()):
 class TestEncoding:
     def test_pair_bits_follow_lexicographic_order(self):
         ctx = context(5)
-        bits = [ctx.pair_mask([p]) for p in sorted(combinations(range(1, 6), 2))]
-        assert bits == [1 << i for i in range(10)]
+        masks = [ctx.pair_mask([p]) for p in sorted(combinations(range(1, 6), 2))]
+        assert masks == [1 << i for i in range(10)]
         for n in range(8):
             assert context(n).pairs == all_pairs(n)
 
@@ -93,7 +96,7 @@ class TestEncoding:
                                     if rng.random() < 0.3) for _ in range(2))
             permanent = frozenset(p for p in combinations(range(1, 8), 2) if rng.random() < 0.2)
             c = encode(ctx, marked, edits, permanent)
-            assert ctx.vertex_set(c.marked) == marked
+            assert frozenset(bits(c.marked)) == marked
             assert tuple(ctx.pair_set(m) for m in c.edits) == edits
             assert ctx.pair_set(c.permanent) == permanent
 
@@ -131,7 +134,7 @@ class TestGreedy:
             frozenset(),
             frozenset({(4, 5), (2, 5), (3, 5)}))
         assert is_aligning(ctx, c)
-        assert ctx.vertex_set(c.marked) == frozenset() and ctx.pair_set(c.permanent) == frozenset()
+        assert not c.marked and ctx.pair_set(c.permanent) == frozenset()
 
     def test_mask_majority_is_the_counter_rule(self, rng):
         # a pair in at least half of the layers, ties (2 * count == ell)
@@ -381,7 +384,7 @@ class TestCleanChildren:
         g = layer_from_edges(4, [])
         ctx = SearchContext(Instance("mlce", 4, (g,), 1, 1))
         c = encode(ctx, (), ({(1, 2), (1, 3)},))
-        by_mark = {ctx.vertex_set(ch.marked): ctx.pair_set(ch.edits[0])
+        by_mark = {frozenset(bits(ch.marked)): ctx.pair_set(ch.edits[0])
                    for ch in branching_rule_2(ctx, c) if ch.marked}
         assert by_mark == {frozenset({1}): frozenset(),
                            frozenset({2}): frozenset({(1, 3)}),
@@ -537,7 +540,7 @@ class TestRule1:
         toggles = [ch for ch in children
                    if ctx.pair_set(ch.permanent) > ctx.pair_set(c.permanent)]
         marks = [ch for ch in children
-                 if ctx.vertex_set(ch.marked) > ctx.vertex_set(c.marked)]
+                 if frozenset(bits(ch.marked)) > frozenset(bits(c.marked))]
         assert len(toggles) == 3 and len(marks) == 3
         for ch in children:
             assert is_aligning(ctx, ch)
@@ -546,7 +549,7 @@ class TestRule1:
 
     def test_witness_matches_core_find_p3(self, rng):
         # rule 1's toggle children flip exactly the witness's pairs that are
-        # not permanent, so with nothing permanent they name find_p3's P3 of
+        # not permanent, so with nothing permanent they name first_p3's P3 of
         # the edited layer restricted to the unmarked vertices
         for _ in range(200):
             n = rng.randint(1, 9)
@@ -556,16 +559,18 @@ class TestRule1:
             edits = frozenset(p for p in combinations(range(1, n + 1), 2)
                               if rng.random() < 0.2)
             c = encode(ctx, marked, (edits,))
-            want = find_p3(apply_edits(g, edits),
-                           frozenset(range(1, n + 1)) - marked)
+            witness = first_p3(apply_edits(g, edits).adj,
+                               vertex_mask(range(1, n + 1)) & ~vertex_mask(marked))
             children = branching_rule_1(ctx, c)
-            if want is None:
+            if witness is None:
                 assert children is None
                 continue
+            a, b, w = witness
+            want = [pair(a, b), pair(b, w), pair(a, w)]
             toggled = [ctx.pair_set(ch.permanent) for ch in children if ch.permanent]
-            assert toggled == [frozenset({p}) for p in want.pairs()]
+            assert toggled == [frozenset({p}) for p in want]
             assert [ch.edits[0] for ch in children if ch.permanent] == \
-                [c.edits[0] ^ ctx.pair_mask([p]) for p in want.pairs()]
+                [c.edits[0] ^ ctx.pair_mask([p]) for p in want]
 
     def test_fully_blocked_p3_rejects(self):
         # one layer, a P3 whose pairs are all permanent and whose vertices
@@ -687,7 +692,7 @@ class TestKernelK:
         # the kernel agrees with a frozenset reference on g xor x
         def reference(ctx, x, budget, marked, obligatory):
             out = reference_kernel(apply_edits(ctx.inst.layers[0], ctx.pair_set(x)), budget,
-                                   ctx.vertex_set(marked), ctx.pair_set(obligatory))
+                                   frozenset(bits(marked)), ctx.pair_set(obligatory))
             return out and (ctx.pair_mask(out[0]), ctx.pair_mask(out[1]))
 
         cases, seen = [], Counter()
@@ -730,7 +735,8 @@ def reference_kernel(g, budget, marked, obligatory):
         if any({pair(a, b), pair(b, c), (a, c)} <= oblig for a, b, c in p3s):
             return None
         candidates = sorted({p for a, b, c in p3s for p in (pair(a, b), pair(b, c), (a, c))})
-        hit = next((p for p in candidates if count_p3_through_pair(g, p) > budget), None)
+        hit = next((p for p in candidates if p3_through_pair(g.adj, *p).bit_count() > budget),
+                   None)
         if hit is None:
             break
         if hit in oblig:
@@ -751,7 +757,7 @@ def count_p3s(g, p):
     for w in range(1, g.n + 1):
         if w in p:
             continue
-        cnt = sum(g.has_edge(a, b) for a, b in combinations(sorted({*p, w}), 2))
+        cnt = sum(has_edge(g, a, b) for a, b in combinations(sorted({*p, w}), 2))
         if cnt == 2:
             expected += 1
     return expected
@@ -851,8 +857,8 @@ class TestRule3:
             assert extends(ch, c)
             assert constraint_quality(ch) > constraint_quality(c)
         # the undo options: mark 1, mark 2, or freeze the deletion
-        assert any(ctx.vertex_set(ch.marked) == frozenset({1, 4}) for ch in children)
-        assert any(ctx.vertex_set(ch.marked) == frozenset({2, 4}) for ch in children)
+        assert any(ch.marked == vertex_mask({1, 4}) for ch in children)
+        assert any(ch.marked == vertex_mask({2, 4}) for ch in children)
         assert any((1, 2) in ctx.pair_set(ch.permanent) for ch in children)
 
     def test_child_count_bound(self):

@@ -10,26 +10,30 @@ from layeredit.core import (
     InputError,
     Instance,
     LayerGraph,
-    P3Witness,
     PairIndex,
     SearchStats,
     Solution,
+    VerifyReport,
     _pair_tables,
     adj_p3s,
     all_pairs,
     apply_edits,
-    consistent_after_removal,
-    count_p3_through_pair,
     find_p3,
+    first_p3,
+    is_cluster_adj,
     is_cluster_graph,
     layer_from_edges,
+    p3_through_pair,
+    pair,
     replace,
     verify,
+    vertex_mask,
 )
 from layeredit.tcepath import solve_tce_xp
 
 from conftest import (
     check_solution_independently,
+    has_edge,
     ref_instance,
     ref_mlce_solution_k1_d2,
     ref_mlce_solution_k3_d1,
@@ -44,19 +48,19 @@ from conftest import (
 def brute_force_p3_free(g, restrict=None):
     verts = sorted(restrict) if restrict is not None else range(1, g.n + 1)
     for a, b, c in combinations(verts, 3):
-        cnt = g.has_edge(a, b) + g.has_edge(a, c) + g.has_edge(b, c)
+        cnt = has_edge(g, a, b) + has_edge(g, a, c) + has_edge(g, b, c)
         if cnt == 2:
             return False
     return True
 
 
 def first_p3_in_scan_order(g, restrict=None):
-    """find_p3's contract spelled out: centers, then neighbour pairs, ascending."""
+    """first_p3's contract spelled out: centers, then neighbour pairs, ascending."""
     verts = sorted(restrict) if restrict is not None else range(1, g.n + 1)
     for b in verts:
         for a, c in combinations([v for v in verts if v != b], 2):
-            if g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c):
-                return P3Witness(a, b, c)
+            if has_edge(g, a, b) and has_edge(g, b, c) and not has_edge(g, a, c):
+                return a, b, c
     return None
 
 
@@ -98,28 +102,29 @@ class TestFindP3:
 
     def test_ref_layer3_witness(self):
         g = ref_instance("mlce", 1, 1).layers[2]
-        w = find_p3(g)
-        assert w == P3Witness(4, 2, 5)
-        assert g.has_edge(w.a, w.b) and g.has_edge(w.b, w.c) and not g.has_edge(w.a, w.c)
+        a, b, c = find_p3(g)
+        assert (a, b, c) == (4, 2, 5)
+        assert has_edge(g, a, b) and has_edge(g, b, c) and not has_edge(g, a, c)
 
     def test_ref_layer1_witness_uses_pendant_edge(self):
         g = ref_instance("mlce", 1, 1).layers[0]
-        w = find_p3(g)
-        assert w == P3Witness(1, 4, 5)
-        assert (4, 5) in w.pairs()
+        a, b, c = find_p3(g)
+        assert (a, b, c) == (1, 4, 5)
+        assert (4, 5) == pair(b, c)
 
     def test_matches_triple_enumeration(self, rng):
         for _ in range(100):
             g = random_layers(rng, rng.randint(2, 8), 1)[0]
             restrict = frozenset(v for v in range(1, g.n + 1) if rng.random() < 0.7)
-            assert (find_p3(g, restrict) is None) == brute_force_p3_free(g, restrict)
+            assert (first_p3(g.adj, vertex_mask(restrict)) is None) == \
+                brute_force_p3_free(g, restrict)
 
     def test_witness_is_first_in_scan_order(self, rng):
         for _ in range(200):
             g = random_layers(rng, rng.randint(2, 9), 1)[0]
             restrict = frozenset(v for v in range(1, g.n + 1) if rng.random() < 0.7)
             assert find_p3(g) == first_p3_in_scan_order(g)
-            assert find_p3(g, restrict) == first_p3_in_scan_order(g, restrict)
+            assert first_p3(g.adj, vertex_mask(restrict)) == first_p3_in_scan_order(g, restrict)
 
     def test_deterministic(self, rng):
         g = random_layers(rng, 7, 1)[0]
@@ -133,16 +138,16 @@ class TestIsClusterGraph:
     def test_ref_layer2_is_not(self):
         g = ref_instance("mlce", 1, 1).layers[1]
         assert not is_cluster_graph(g)
-        assert find_p3(g) == P3Witness(2, 4, 5)
+        assert find_p3(g) == (2, 4, 5)
 
     def test_ref_layer2_restricted_to_triangle(self):
         g = ref_instance("mlce", 1, 1).layers[1]
-        assert is_cluster_graph(g, frozenset({2, 3, 4}))
+        assert is_cluster_adj(g.adj, vertex_mask({2, 3, 4}))
 
     def test_agrees_with_find_p3(self, rng):
         # the closed-neighbourhood test against the P3 scan: cluster graphs a
         # few toggles off (near the boundary) and dense random graphs, each
-        # under no restriction, the empty one, singletons and random sets
+        # whole and restricted to the empty set, singletons and random sets
         yes = 0
         for _ in range(600):
             n = rng.randint(1, 12)
@@ -152,54 +157,32 @@ class TestIsClusterGraph:
                 g = apply_edits(g, frozenset(flips))
             else:
                 g = random_layers(rng, n, 1, density=rng.random())[0]
-            restricts = [None, frozenset(), frozenset({rng.randint(1, n)}),
+            got = is_cluster_graph(g)
+            assert got == (find_p3(g) is None), g
+            yes += got
+            restricts = [frozenset(), frozenset({rng.randint(1, n)}),
                          frozenset(v for v in range(1, n + 1) if rng.random() < 0.6)]
             for restrict in restricts:
-                got = is_cluster_graph(g, restrict)
-                assert got == (find_p3(g, restrict) is None), (g, restrict)
+                inside = vertex_mask(restrict)
+                got = is_cluster_adj(g.adj, inside)
+                assert got == (first_p3(g.adj, inside) is None), (g, restrict)
                 yes += got
         assert 600 < yes < 2400  # both answers are well represented
-
-
-class TestConsistentAfterRemoval:
-    def test_identical_layers(self):
-        g = layer_from_edges(3, [(1, 2)])
-        assert consistent_after_removal(g, g, frozenset())
-
-    def test_ref_tce_edited_pair(self):
-        inst = ref_instance("tce", 1, 1)
-        g1 = apply_edits(inst.layers[0], frozenset({(4, 5)}))
-        g2 = apply_edits(inst.layers[1], frozenset({(4, 5)}))
-        assert consistent_after_removal(g1, g2, frozenset({1}))
-
-    def test_ref_raw_layers_disagree(self):
-        inst = ref_instance("tce", 1, 1)
-        assert not consistent_after_removal(inst.layers[0], inst.layers[1], frozenset())
-
-    def test_symmetric_and_monotone(self, rng):
-        for _ in range(60):
-            g1, g2 = random_layers(rng, 5, 2)
-            removed = frozenset(v for v in range(1, 6) if rng.random() < 0.4)
-            fwd = consistent_after_removal(g1, g2, removed)
-            assert fwd == consistent_after_removal(g2, g1, removed)
-            if fwd:
-                bigger = removed | {rng.randint(1, 5)}
-                assert consistent_after_removal(g1, g2, bigger)
 
 
 class TestCountP3ThroughPair:
     def test_triangle_pairs(self):
         g = layer_from_edges(3, [(1, 2), (1, 3), (2, 3)])
         for p in [(1, 2), (1, 3), (2, 3)]:
-            assert count_p3_through_pair(g, p) == 0
+            assert p3_through_pair(g.adj, *p).bit_count() == 0
 
     def test_ref_layer1_pendant(self):
         g = ref_instance("mlce", 1, 1).layers[0]
-        assert count_p3_through_pair(g, (4, 5)) == 3
+        assert p3_through_pair(g.adj, 4, 5).bit_count() == 3
 
     def test_path_endpoints(self):
         g = layer_from_edges(3, [(1, 2), (2, 3)])
-        assert count_p3_through_pair(g, (1, 3)) == 1
+        assert p3_through_pair(g.adj, 1, 3).bit_count() == 1
 
     def test_matches_triple_enumeration(self, rng):
         # a triple {u, v, w} with exactly two edges is an induced P3
@@ -214,11 +197,11 @@ class TestCountP3ThroughPair:
                     if w in p:
                         continue
                     triple = sorted([p[0], p[1], w])
-                    cnt = sum(g.has_edge(a, b) for a, b in combinations(triple, 2))
+                    cnt = sum(has_edge(g, a, b) for a, b in combinations(triple, 2))
                     if cnt == 2:
                         expected += 1
-                assert count_p3_through_pair(g, p) == expected
-                hits[g.has_edge(*p)] += expected > 0
+                assert p3_through_pair(g.adj, *p).bit_count() == expected
+                hits[has_edge(g, *p)] += expected > 0
         assert hits[True] > 50 and hits[False] > 50
 
 
@@ -229,7 +212,7 @@ class TestInducedP3s:
             g = random_layers(rng, n, 1, density=rng.random())[0]
             want = [(a, b, c) for b in range(1, n + 1)
                     for a, c in combinations([v for v in range(1, n + 1) if v != b], 2)
-                    if g.has_edge(a, b) and g.has_edge(b, c) and not g.has_edge(a, c)]
+                    if has_edge(g, a, b) and has_edge(g, b, c) and not has_edge(g, a, c)]
             assert list(adj_p3s(g.adj)) == want
 
 
@@ -245,7 +228,7 @@ class TestComponents:
             seen.add(start)
             for x in queue:
                 for w in range(1, g.n + 1):
-                    if w not in seen and w != x and g.has_edge(x, w):
+                    if w not in seen and w != x and has_edge(g, x, w):
                         seen.add(w)
                         comp.append(w)
                         queue.append(w)
@@ -404,7 +387,7 @@ class TestInstanceValidation:
         inst = ref_instance("mlce", 1, 1)
         report = verify(inst, Solution((frozenset(),) * 3, frozenset()))
         for record, name in ((inst, "k"), (inst, "other"), (inst.layers[0], "edges"),
-                             (P3Witness(1, 2, 3), "a"), (report, "violations")):
+                             (report, "violations")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -412,12 +395,12 @@ class TestInstanceValidation:
         assert inst.k == 1
 
     def test_records_of_different_classes_never_compare_equal(self):
-        assert P3Witness(1, 2, 3) != (1, 2, 3)
+        assert VerifyReport(()) != ((),)
 
-        class Witness(P3Witness):
+        class Report(VerifyReport):
             pass
 
-        assert Witness(1, 2, 3) != P3Witness(1, 2, 3) and P3Witness(1, 2, 3) != Witness(1, 2, 3)
+        assert Report(()) != VerifyReport(()) and VerifyReport(()) != Report(())
 
     def test_search_stats_are_mutable_and_unhashable(self):
         stats = SearchStats()

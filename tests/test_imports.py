@@ -23,13 +23,12 @@ from conftest import ref_instance, ref_mlce_solution_k1_d2
 ROOT = Path(__file__).resolve().parents[1]
 CLI_BASE = {"cli", "core", "fileio"}
 
-# the package's public names: 38 exports and the six submodules that its
+# the package's public names: 35 exports and the six submodules that its
 # eager imports bound before its exports became lazy
 PUBLIC_NAMES = [
     "CapabilityError", "Constraint", "Formula223", "InputError", "Instance", "KernelResult",
-    "LayerGraph", "MLCE", "P3Witness", "ParseError", "PlantedParams", "SearchStats",
-    "Solution", "TCE", "VerifyReport", "apply_edits", "branching",
-    "consistent_after_removal", "core", "count_p3_through_pair",
+    "LayerGraph", "MLCE", "ParseError", "PlantedParams", "SearchStats",
+    "Solution", "TCE", "VerifyReport", "apply_edits", "branching", "core",
     "enumerate_cluster_editing_sets", "fileio", "find_p3", "generate_planted",
     "generate_sat_reduction", "is_cluster_graph", "kernelize", "layer_from_edges",
     "max_weight_matching", "oracle", "oracle_mlce", "oracle_tce", "pair", "parse_instance",

@@ -12,6 +12,7 @@ from layeredit.core import Instance, InputError, layer_from_edges, replace, veri
 from layeredit.fileio import Formula223, generate_sat_reduction
 from layeredit.oracle import (
     CapabilityError,
+    MARK_SETS_CAP,
     oracle_mlce,
     oracle_tce,
     set_partitions,
@@ -53,6 +54,25 @@ class TestGuards:
         inst = Instance("mlce", 60, (g,), 2, 1)
         with pytest.raises(CapabilityError):
             oracle_mlce(inst)
+
+    def test_cover_guard_on_unsatisfiable_sat_reductions(self):
+        # every budget is 0, so edits-first asks one cover question, with d
+        # 2-4 per variable; its 2^d branches pass MARK_SETS_CAP from 5
+        # variables (d = 21), and 11 variables (d = 47) once ran for minutes
+        four = Formula223(4, ((-3, -2), (1, 3), (2, -4, 1), (4, -3), (-2, 4), (-4, -1, 2),
+                              (3, -1)))
+        assert oracle_mlce(generate_sat_reduction(four)) is None
+        five = Formula223(5, ((3, -5, -4), (-3, 2, 5), (-4, -2), (4, -2), (1, 3), (4, 5),
+                              (-5, 1), (-3, -1), (-1, 2)))
+        eleven = Formula223(11, (
+            (3, -9), (9, 7), (-4, -8), (-11, -10), (9, -2), (11, 6), (-7, 6, -2), (-11, -3),
+            (4, -8), (-1, 2, -9), (-5, 3, 8), (8, -10, 11), (1, 10), (-6, 7), (-1, 4, 10),
+            (1, -4), (-5, -7), (2, 5), (-6, -3, 5)))
+        for formula in (five, eleven):
+            inst = generate_sat_reduction(formula)
+            assert not formula.satisfiable() and 2 ** inst.d > MARK_SETS_CAP
+            with pytest.raises(CapabilityError, match=f"within d={inst.d} "):
+                oracle_mlce(inst)
 
     def test_mode_mismatch(self):
         with pytest.raises(InputError):

@@ -15,9 +15,10 @@ from layeredit.oracle import _cluster_editing_sets as brute_force_editing_sets, 
 from layeredit.oracle import _cover_within as brute_force_cover
 from layeredit import tcepath
 from layeredit.tcepath import enumerate_cluster_editing_sets, enumerate_edit_masks, solve_tce_xp
-from layeredit.twolayer import cluster_labels, solve_two_layer_zero_edit
+from layeredit.twolayer import solve_two_layer_zero_edit
 
-from conftest import random_cluster_graph, ref_instance, random_instance, random_layers
+from conftest import (cluster_labels, random_cluster_graph, ref_instance, random_instance,
+                      random_layers)
 
 
 def graph_of(labels):

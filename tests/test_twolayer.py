@@ -7,10 +7,10 @@ from pathlib import Path
 
 import layeredit
 from layeredit import twolayer
-from layeredit.core import consistent_after_removal, layer_from_edges
-from layeredit.twolayer import cluster_labels, max_weight_matching, solve_two_layer_zero_edit
+from layeredit.core import layer_from_edges
+from layeredit.twolayer import max_weight_matching, solve_two_layer_zero_edit
 
-from conftest import random_cluster_graph
+from conftest import cluster_labels, consistent_after_removal, random_cluster_graph
 
 
 def clusters(n, *groups):

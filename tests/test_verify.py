@@ -58,7 +58,7 @@ def reference_verify(inst, sol) -> VerifyReport:
         w = find_p3(g)
         if w is not None:
             violations.append(
-                f"layer {i} is not a cluster graph after edits: induced P3 ({w.a},{w.b},{w.c})")
+                f"layer {i} is not a cluster graph after edits: induced P3 ({w[0]},{w[1]},{w[2]})")
 
     if inst.mode == MLCE:
         for i, j in combinations(range(inst.ell), 2):
