@@ -6,28 +6,33 @@ otherwise a yes exactly when at most d vertices touch every pair on which
 the layers differ (``PairIndex.cover`` finds them; see
 ``_solve_by_cover``).  Every other instance goes to the search below.
 
-The solver keeps a constraint (marked vertices, per-layer edit sets, and
-permanent pairs whose status is frozen) that always aligns all edited
-layers outside the marked set.  Starting from a greedy majority-vote
+The solver keeps a constraint (marked vertices, one target graph, and
+permanent pairs whose status is frozen): every layer is edited to equal
+the target outside the marked set.  Starting from a greedy majority-vote
 alignment, it applies, in order, three branching rules (destroy a P3,
 repair an edit-budget overflow, repair a layer that cannot be completed by
 marked-only edits), and drops each child that a lower bound declares dead
 when the search reaches it.  When no rule applies, a full solution is
 assembled from the constraint.
 
-Constraints are immutable tuples of ints.  ``marked`` is a vertex bitmask
-(bit v for vertex v); each edit set and the permanent set is a bitmask over
+Constraints are immutable tuples of three ints.  ``marked`` is a vertex
+bitmask (bit v for vertex v); ``target`` and ``permanent`` are bitmasks over
 pair indices, a pair's index being its position in ``all_pairs(n)``, so
-ascending bits are lexicographic pair order.  Every constraint is clean: no
-edit touches a marked vertex, because a mark child drops the edits at its
-new mark when it is built.  A ``SearchContext`` is one search of one
-instance: a ``core.PairIndex`` (the pair list, each pair's bit and the
-pairs touching each vertex, shared between solves of the same n) that also
-holds the instance's tables, built once per solve (every layer's edge set
-as a pair bitmask and edit budget k_i; one count table, ``count_masks``,
-the pairs present in exactly c layers for each c, whose entries the greedy
-root ORs into its majority and the disagreement bound groups into one
-pair mask per weight), the search's memos, each capped at ``FAILED_CAP``
+ascending bits are lexicographic pair order.  The target is canonical: no
+pair of it touches a mark, because a mark child drops the target's pairs at
+its new mark when it is built.  Layer i's edits are the pairs on which its
+edge set E_i and the target differ, less those at a mark
+(``SearchContext.edits``), and its frozen edits are those on permanent
+pairs (``SearchContext.frozen``).  So no edit touches a mark, and the
+edited layers agree outside the marks, by construction.  A
+``SearchContext`` is one search of one instance: a ``core.PairIndex``
+(the pair list, each pair's bit and the pairs touching each vertex,
+shared between solves of the same n) that also holds the instance's
+tables, built once per solve (every layer's edge set as a pair bitmask
+and edit budget k_i; one count table, ``count_masks``, the pairs present
+in exactly c layers for each c, whose entries the greedy root ORs into
+its majority and the disagreement bound groups into one pair mask per
+weight), the search's memos, each capped at ``FAILED_CAP``
 entries (P3 rows, failed constraints, the verdicts of each bound), and its
 trace and stats hooks; its ``run`` is the search.  The search reads masks
 only: rule 1 runs ``core.first_p3`` on layer 0's ``LayerGraph.adj`` with
@@ -55,12 +60,12 @@ that leads to a solution are never tested.  The frozen-edit bound
 rejecting a layer with more frozen edits than k_i.  It reads only the
 permanent pairs and the frozen edits, which mark children leave alone, so
 it is tested on a child whose permanent set grew (a toggle child, or rule
-3's commit child), once per (permanent, frozen edits) of a search.  The
-disagreement bound (``disagreement_rejects``) counts what the layers must
-pay to agree outside the marks, against the summed budget; it reads the
-marks too, so it is tested on every child, after the frozen-edit bound,
-once per (marks, permanent, frozen edit count).  Both are tested at the
-root, which counts as a node when they reject it.
+3's commit child), once per (permanent, the target's permanent pairs) of
+a search.  The disagreement bound (``disagreement_rejects``) counts what
+the layers must pay to agree outside the marks, against the summed
+budget; it reads the marks too, so it is tested on every child, after the
+frozen-edit bound, once per (marks, permanent, frozen edit count).  Both
+are tested at the root, which counts as a node when they reject it.
 ``SearchStats.pruned_bound`` counts the children the search reached and
 dropped, and each logs a ``pruned`` trace line.  Pruned subtrees hold no
 solution and the surviving children keep their order, so the first
@@ -99,27 +104,28 @@ class InvariantViolation(RuntimeError):
 
 
 class Constraint(NamedTuple):
-    """Branching state: marked vertices, per-layer edits, permanent pairs,
-    as bitmasks (see the module docstring)."""
+    """Branching state as bitmasks (see the module docstring): the marked
+    vertices, the target graph that every edited layer equals outside them
+    (no pair of it touches a mark), and the permanent pairs."""
 
     marked: int
-    edits: tuple[int, ...]
+    target: int
     permanent: int
 
 
 TraceFn = Callable[[str], None]
 
-FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~36 MB at n = 24, ell = 5
+FAILED_CAP = 1 << 16  # failed constraints remembered per search: ~12 MB at n = 24, ell = 5
                       # (also caps the bound verdicts and the P3 rows kept per search)
 
 
 class SearchContext(PairIndex):
     """One depth-first search of one instance: the tables it reads, built
     once per solve, its reporting hooks, and its memos (the P3 rows, the
-    failed constraints, the frozen-edit verdicts by (permanent, frozen
-    edits) and the disagreement verdicts by (marks, permanent, frozen edit
-    count)).  The layers are counted once per solve, into ``counts``
-    (``count_masks``); the greedy root's majority and ``weights``, (w, the
+    failed constraints, the frozen-edit verdicts by (permanent, the
+    target's permanent pairs) and the disagreement verdicts by (marks,
+    permanent, frozen edit count)).  The layers are counted once per
+    solve, into ``counts`` (``count_masks``); the greedy root's majority and ``weights``, (w, the
     pairs in c layers with min(c, ell - c) = w) for each w > 0 that some
     pair has, both read that one table."""
 
@@ -144,8 +150,20 @@ class SearchContext(PairIndex):
         self.check = check
         self.stats = SearchStats() if stats is None else stats
         self.failed: set[Constraint] = set()
-        self.dead: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.dead: dict[tuple[int, int], bool] = {}
         self.disagreeing: dict[tuple[int, int, int], bool] = {}
+
+    def edits(self, c: Constraint) -> list[int]:
+        """Each layer's edits: the pairs on which it and ``c.target`` differ,
+        less those at a mark."""
+        target, keep = c.target, ~self.touching_mask(c.marked)
+        return [(e ^ target) & keep for e in self.layer_masks]
+
+    def frozen(self, c: Constraint) -> list[int]:
+        """Each layer's frozen edits: its edits on permanent pairs, none of
+        which touches a mark."""
+        permanent, target = c.permanent, c.target & c.permanent
+        return [(e & permanent) ^ target for e in self.layer_masks]
 
     def toggled_adj(self, i: int, mask: int) -> list[int]:
         """Layer i's ``LayerGraph.adj`` with the pairs of ``mask`` toggled."""
@@ -186,11 +204,13 @@ class SearchContext(PairIndex):
         bound rejects it; the frozen-edit bound is tested only if ``grew``,
         as a mark child keeps its parent's permanent pairs and frozen edits
         and so its verdict.  A constraint's subtree depends on it alone, so
-        one in ``failed`` is not expanded again.  Rule 1 is skipped when
+        one in ``failed``, which passed both bounds before it entered, is
+        neither tested nor expanded again.  Rule 1 is skipped when
         ``p3_free``: c marks one more vertex than a parent it did not apply
         to, and an induced subgraph of a cluster graph is one."""
         trace, stats = self.trace, self.stats
-        if (grew and self.dead_by_bound(c)) or self.dead_by_disagreement(c):
+        seen = c in self.failed
+        if not seen and ((grew and self.dead_by_bound(c)) or self.dead_by_disagreement(c)):
             if depth:
                 stats.pruned_bound += 1
             else:
@@ -201,7 +221,7 @@ class SearchContext(PairIndex):
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
-        if c in self.failed:
+        if seen:
             if trace:
                 trace(f"TRACE {depth} seen")
             return None
@@ -238,9 +258,10 @@ class SearchContext(PairIndex):
         return None
 
     def dead_by_bound(self, c: Constraint) -> bool:
-        """``bound_rejects``, remembered by (permanent, frozen edits)."""
+        """``bound_rejects``, remembered by (permanent, the target's
+        permanent pairs), which give every layer's frozen edits."""
         permanent = c.permanent
-        key = (permanent, tuple([m & permanent for m in c.edits]))
+        key = (permanent, c.target & permanent)
         dead = self.dead.get(key)
         if dead is None:
             dead = bound_rejects(self, c)
@@ -251,8 +272,7 @@ class SearchContext(PairIndex):
     def dead_by_disagreement(self, c: Constraint) -> bool:
         """``disagreement_rejects``, remembered by (marks, permanent pairs,
         frozen edit count)."""
-        permanent = c.permanent
-        key = (c.marked, permanent, sum([(m & permanent).bit_count() for m in c.edits]))
+        key = (c.marked, c.permanent, sum([m.bit_count() for m in self.frozen(c)]))
         dead = self.disagreeing.get(key)
         if dead is None:
             dead = disagreement_rejects(self, *key)
@@ -261,17 +281,11 @@ class SearchContext(PairIndex):
         return dead
 
 
-def is_aligning(ctx: SearchContext, c: Constraint) -> bool:
-    """All edited layers agree on the unmarked vertices."""
-    keep = ~ctx.touching_mask(c.marked)
-    return len({(e ^ m) & keep for e, m in zip(ctx.layer_masks, c.edits)}) == 1
-
-
 def extends(child: Constraint, parent: Constraint) -> bool:
-    """Marked and permanent sets grow; edits agree on the parent's permanent pairs."""
+    """Marked and permanent sets grow; the targets agree on the parent's permanent pairs."""
     if parent.marked & ~child.marked or parent.permanent & ~child.permanent:
         return False
-    return not any((cm ^ pm) & parent.permanent for cm, pm in zip(child.edits, parent.edits))
+    return not (child.target ^ parent.target) & parent.permanent
 
 
 def constraint_quality(c: Constraint) -> int:
@@ -285,7 +299,7 @@ def greedy_initial_constraint(ctx: SearchContext) -> Constraint:
     if ctx.inst.mode != MLCE:
         raise InputError("greedy alignment is defined for mlce instances")
     majority = reduce(or_, ctx.counts[(ctx.inst.ell + 1) // 2:])
-    return Constraint(0, tuple(e ^ majority for e in ctx.layer_masks), 0)
+    return Constraint(0, majority, 0)
 
 
 def count_masks(masks: Sequence[int]) -> list[int]:
@@ -344,8 +358,8 @@ def frozen_edit_bound(ctx: SearchContext, i: int, frozen: int, permanent: int,
 def bound_rejects(ctx: SearchContext, c: Constraint) -> bool:
     """Some layer's ``frozen_edit_bound`` exceeds its budget k_i."""
     permanent, budgets = c.permanent, ctx.budgets
-    for i, m in enumerate(c.edits):
-        if frozen_edit_bound(ctx, i, m & permanent, permanent, budgets[i]) is None:
+    for i, frozen in enumerate(ctx.frozen(c)):
+        if frozen_edit_bound(ctx, i, frozen, permanent, budgets[i]) is None:
             return True
     return False
 
@@ -387,17 +401,17 @@ def disagreement_rejects(ctx: SearchContext, marked: int, permanent: int, frozen
 
 
 def _toggle_child(c: Constraint, bit: int) -> Constraint:
-    return Constraint(c.marked, tuple([m ^ bit for m in c.edits]), c.permanent | bit)
+    return Constraint(c.marked, c.target ^ bit, c.permanent | bit)
 
 
 def _mark_children(ctx: SearchContext, c: Constraint, vertices: Iterable[int]) -> list[Constraint]:
     """Mark each of ``vertices`` that carries no permanent pair, dropping
-    every edit at it so the child stays clean; none once c has d marks, as
-    no solution has more."""
+    the target's pairs at it so the child's target stays canonical; none
+    once c has d marks, as no solution has more."""
     if c.marked.bit_count() >= ctx.inst.d:
         return []
     touching = ctx.touching
-    return [Constraint(c.marked | 1 << x, tuple([m & ~touching[x] for m in c.edits]), c.permanent)
+    return [Constraint(c.marked | 1 << x, c.target & ~touching[x], c.permanent)
             for x in vertices if not c.permanent & touching[x]]
 
 
@@ -405,13 +419,13 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     """Destroy an induced P3 among unmarked vertices.
 
     None if every edited layer restricted to the unmarked vertices is a
-    cluster graph.  The constraint aligns the edited layers there, so the
+    cluster graph.  The edited layers all equal the target there, so the
     first one decides.  Otherwise up to six children: toggle-and-freeze each
     of the three pairs not yet permanent, and mark each of the three
     vertices that carry no permanent pair.  An empty list signals a dead
     branch.
     """
-    witness = first_p3(ctx.toggled_adj(0, c.edits[0]), ctx.vertices & ~c.marked)
+    witness = first_p3(ctx.toggled_adj(0, ctx.edits(c)[0]), ctx.vertices & ~c.marked)
     if witness is None:
         return None
     a, b, w = witness
@@ -430,7 +444,8 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
     one endpoint and drop the edit everywhere.  A layer whose frozen edits
     fill its budget admits only toggles of its own edits (the others overrun it).
     """
-    for over, k_i in zip(c.edits, ctx.budgets):
+    edits = ctx.edits(c)
+    for over, k_i in zip(edits, ctx.budgets):
         if over.bit_count() > k_i:
             break
     else:
@@ -443,7 +458,7 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
         low = rest & -rest
         loose.append(low)
         rest ^= low
-    allowed = reduce(and_, (m for m, k_j in zip(c.edits, ctx.budgets)
+    allowed = reduce(and_, (m for m, k_j in zip(edits, ctx.budgets)
                             if (m & permanent).bit_count() >= k_j), -1)
     children = [_toggle_child(c, bit) for bit in loose if bit & allowed]
     for bit in loose:
@@ -565,7 +580,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
     holds every layer's when the rule returns None.
     """
     found = [] if completions is None else completions
-    for i, (m_i, k_i) in enumerate(zip(c.edits, ctx.budgets)):
+    for i, (m_i, k_i) in enumerate(zip(ctx.edits(c), ctx.budgets)):
         completion = min_marked_completion(ctx.toggled_adj(i, m_i), c.marked,
                                            k_i - m_i.bit_count())
         if completion is None:
@@ -589,8 +604,7 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
     for j in bits(forced):
         children += _mark_children(ctx, c, ctx.pairs[j])
     if forced:
-        children.append(Constraint(c.marked, tuple(m ^ forced for m in c.edits),
-                                   permanent | m_i | forced))
+        children.append(Constraint(c.marked, c.target ^ forced, permanent | m_i | forced))
     for j in bits(open_pairs):
         children += _mark_children(ctx, c, ctx.pairs[j])
         children.append(_toggle_child(c, 1 << j))
@@ -610,10 +624,7 @@ def solve_mlce(inst: Instance, *, trace: Optional[TraceFn] = None,
         sol = _solve_by_cover(inst, trace, stats)
     else:
         ctx = SearchContext(inst, trace, check_invariants, stats)
-        root = greedy_initial_constraint(ctx)
-        if check_invariants and not is_aligning(ctx, root):
-            raise InvariantViolation("greedy constraint is not aligning")
-        sol = ctx.run(root, 0)
+        sol = ctx.run(greedy_initial_constraint(ctx), 0)
     if sol is not None:
         report = verify(inst, sol)
         if not report.ok:
@@ -651,7 +662,7 @@ def _extract_solution(ctx: SearchContext, c: Constraint,
     """The solution of an accepted constraint: each layer's edits plus the
     marked-only completion rule 3 found for it."""
     return Solution(tuple([ctx.pair_set(m) | completion
-                           for m, completion in zip(c.edits, completions)]),
+                           for m, completion in zip(ctx.edits(c), completions)]),
                     marked=frozenset(bits(c.marked)))
 
 
@@ -660,12 +671,13 @@ def _check_bound_holds(ctx: SearchContext, c: Constraint, sol: Solution) -> None
     and all of them reach its frozen edits plus the weight W of the
     non-permanent pairs that touch no mark (``disagreement_rejects`` with
     S = 0, as no mark is left to place)."""
+    frozen = ctx.frozen(c)
     for i, m in enumerate(sol.edits):
-        if frozen_edit_bound(ctx, i, c.edits[i] & c.permanent, c.permanent, len(m)) is None:
+        if frozen_edit_bound(ctx, i, frozen[i], c.permanent, len(m)) is None:
             raise InvariantViolation(f"layer {i + 1}'s {len(m)} extracted edits fall below "
                                      f"the accepted constraint's bound")
     free = ~c.permanent & ~ctx.touching_mask(c.marked)
-    least = sum([(m & c.permanent).bit_count() for m in c.edits])
+    least = sum([m.bit_count() for m in frozen])
     least += sum([w * (mask & free).bit_count() for w, mask in ctx.weights])
     if sum(map(len, sol.edits)) < least:
         raise InvariantViolation(f"the extracted edits fall below the accepted "
@@ -682,11 +694,8 @@ def _check_children(ctx: SearchContext, parent: Constraint,
     for child in children:
         if child.marked.bit_count() > inst.d:
             raise InvariantViolation("child has more than d marks")
-        touched = ctx.touching_mask(child.marked)
-        if any(m & touched for m in child.edits):
-            raise InvariantViolation("child has an edit at a marked vertex")
-        if not is_aligning(ctx, child):
-            raise InvariantViolation("child constraint is not aligning")
+        if child.target & ctx.touching_mask(child.marked):
+            raise InvariantViolation("child's target has a pair at a mark")
         if not extends(child, parent):
             raise InvariantViolation("child does not extend its parent")
         if constraint_quality(child) <= pq:
@@ -696,9 +705,10 @@ def _check_children(ctx: SearchContext, parent: Constraint,
 
 def _check_loose_edit_spread(ctx: SearchContext, c: Constraint) -> None:
     """A non-permanent unmarked edit may occur in at most half of the layers."""
-    loose = reduce(or_, c.edits) & ~c.permanent & ~ctx.touching_mask(c.marked)
+    edits = ctx.edits(c)
+    loose = reduce(or_, edits) & ~c.permanent
     for i in bits(loose):
-        occurrences = sum(m >> i & 1 for m in c.edits)
+        occurrences = sum(m >> i & 1 for m in edits)
         if 2 * occurrences > ctx.inst.ell:
             raise InvariantViolation(
                 f"loose edit {ctx.pairs[i]} occurs in {occurrences} of {ctx.inst.ell} layers")

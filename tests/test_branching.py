@@ -19,7 +19,6 @@ from layeredit.branching import (
     extends,
     frozen_edit_bound,
     greedy_initial_constraint,
-    is_aligning,
     kernel_k,
     min_marked_completion,
     solve_mlce,
@@ -53,8 +52,8 @@ from conftest import (
 )
 
 
-def empty_constraint(ell):
-    return Constraint(0, (0,) * ell, 0)
+def empty_constraint():
+    return Constraint(0, 0, 0)
 
 
 def context(n, ell=1, budgets=(), d=0):
@@ -70,14 +69,20 @@ def layer_context(g):
     return SearchContext(Instance("mlce", g.n, (g,), 0, 0))
 
 
-def encode(ctx, marked=(), edits=None, permanent=()):
-    """The constraint with these marked vertices, per-layer edit pairs
-    (default: none) and permanent pairs."""
-    if edits is None:
-        edits = [()] * ctx.inst.ell
-    return Constraint(vertex_mask(marked),
-                      tuple(ctx.pair_mask(m) for m in edits),
+def encode(ctx, marked=(), target=(), permanent=()):
+    """The constraint with these marked vertices, target pairs (less those
+    at a mark, which no constraint's target holds) and permanent pairs."""
+    marked = vertex_mask(marked)
+    return Constraint(marked, ctx.pair_mask(target) & ~ctx.touching_mask(marked),
                       ctx.pair_mask(permanent))
+
+
+def agree_outside_marks(ctx, c):
+    """The layers with their edits applied, as edge sets, agree on every
+    pair that touches no mark."""
+    unmarked = frozenset(v for v in range(1, ctx.inst.n + 1) if not c.marked >> v & 1)
+    return len({frozenset(p for p in apply_edits(g, ctx.pair_set(m)).edges if set(p) <= unmarked)
+                for g, m in zip(ctx.inst.layers, ctx.edits(c))}) == 1
 
 
 class TestEncoding:
@@ -92,12 +97,14 @@ class TestEncoding:
         ctx = context(7, 2)
         for _ in range(30):
             marked = frozenset(v for v in range(1, 8) if rng.random() < 0.3)
-            edits = tuple(frozenset(p for p in combinations(range(1, 8), 2)
-                                    if rng.random() < 0.3) for _ in range(2))
+            target = frozenset(p for p in combinations(range(1, 8), 2)
+                               if rng.random() < 0.3 and not marked & set(p))
             permanent = frozenset(p for p in combinations(range(1, 8), 2) if rng.random() < 0.2)
-            c = encode(ctx, marked, edits, permanent)
+            c = encode(ctx, marked, target, permanent)
             assert frozenset(bits(c.marked)) == marked
-            assert tuple(ctx.pair_set(m) for m in c.edits) == edits
+            assert ctx.pair_set(c.target) == target
+            # both layers are edgeless, so each one's edits are the target
+            assert tuple(ctx.pair_set(m) for m in ctx.edits(c)) == (target, target)
             assert ctx.pair_set(c.permanent) == permanent
 
     def test_touching_mask(self):
@@ -113,27 +120,27 @@ class TestGreedy:
         inst = Instance("mlce", 4, (g, g, g), 1, 1)
         ctx = SearchContext(inst)
         c = greedy_initial_constraint(ctx)
-        assert all(ctx.pair_set(m) == frozenset() for m in c.edits)
+        assert ctx.edits(c) == [0, 0, 0] and ctx.pair_set(c.target) == g.edges
 
     def test_ref_minority_pair_deleted(self):
         ctx = SearchContext(ref_instance("mlce", 1, 1))
         c = greedy_initial_constraint(ctx)
-        assert (1, 2) in ctx.pair_set(c.edits[0])  # present only in layer 1, below half
+        assert (1, 2) in ctx.pair_set(ctx.edits(c)[0])  # present only in layer 1, below half
 
     def test_ref_majority_pair_untouched(self):
         ctx = SearchContext(ref_instance("mlce", 1, 1))
         c = greedy_initial_constraint(ctx)
-        assert all((2, 3) not in ctx.pair_set(m) for m in c.edits)
+        assert all((2, 3) not in ctx.pair_set(m) for m in ctx.edits(c))
 
     def test_ref_full_alignment(self):
         inst = ref_instance("mlce", 1, 1)
         ctx = SearchContext(inst)
         c = greedy_initial_constraint(ctx)
-        assert tuple(ctx.pair_set(m) for m in c.edits) == (
+        assert tuple(ctx.pair_set(m) for m in ctx.edits(c)) == (
             frozenset({(1, 2), (1, 3), (1, 4)}),
             frozenset(),
             frozenset({(4, 5), (2, 5), (3, 5)}))
-        assert is_aligning(ctx, c)
+        assert agree_outside_marks(ctx, c)
         assert not c.marked and ctx.pair_set(c.permanent) == frozenset()
 
     def test_mask_majority_is_the_counter_rule(self, rng):
@@ -151,7 +158,8 @@ class TestGreedy:
                     assert ctx.counts[c] == ctx.pair_mask(p for p in counts if counts[p] == c)
                 want = ctx.pair_mask(p for p, cnt in counts.items() if 2 * cnt >= ell)
                 root = greedy_initial_constraint(ctx)
-                assert {e ^ m for e, m in zip(ctx.layer_masks, root.edits)} == {want}
+                assert root.target == want
+                assert {e ^ m for e, m in zip(ctx.layer_masks, ctx.edits(root))} == {want}
                 ties += any(2 * cnt == ell for cnt in counts.values())
         assert ties > 15
 
@@ -160,25 +168,34 @@ class TestRule0:
     # the budget tests of a dead branch: frozen edits over a layer's k_i are
     # the frozen-edit bound's first reject, and no child exceeds d marks
     def test_empty_constraint_passes(self):
-        assert not bound_rejects(context(2, ell=2), empty_constraint(2))
+        assert not bound_rejects(context(2, ell=2), empty_constraint())
 
     def test_too_many_marks(self):
         ctx = context(2, budgets=(5,), d=1)
         assert branching._mark_children(ctx, encode(ctx, {1}), [2]) == []
         with pytest.raises(InvariantViolation, match="more than d marks"):
-            branching._check_children(ctx, empty_constraint(1), [encode(ctx, {1, 2})], 0)
+            branching._check_children(ctx, empty_constraint(), [encode(ctx, {1, 2})], 0)
+
+    def test_target_pair_at_a_mark(self):
+        ctx = context(2, budgets=(5,), d=1)
+        child = Constraint(vertex_mask({1}), ctx.pair_mask([(1, 2)]), 0)
+        with pytest.raises(InvariantViolation, match="child's target has a pair at a mark"):
+            branching._check_children(ctx, empty_constraint(), [child], 0)
 
     def test_too_many_permanent_edits(self):
         m = frozenset({(1, 2), (3, 4)})
         for budgets, rejects in (((1,), True), ((2,), False)):
             ctx = context(4, budgets=budgets, d=5)
-            assert bound_rejects(ctx, encode(ctx, (), (m,), m)) == rejects
+            assert bound_rejects(ctx, encode(ctx, (), m, m)) == rejects
 
     def test_each_layer_against_its_own_budget(self):
+        # layer 1 is edgeless and layer 2 holds m, so under the target m
+        # layer 1 has the two frozen edits and layer 2 none
         m = frozenset({(1, 2), (3, 4)})
+        layers = layers_of(4, [], m)
         for budgets, rejects in (((1, 2), True), ((2, 1), False)):
-            ctx = context(4, ell=2, budgets=budgets, d=5)
-            assert bound_rejects(ctx, encode(ctx, (), (m, frozenset()), m)) == rejects
+            ctx = SearchContext(Instance("mlce", 4, layers, 2, 5, budgets=budgets))
+            assert bound_rejects(ctx, encode(ctx, (), m, m)) == rejects
 
 
 def fewest_free_toggles(ctx, h, permanent):
@@ -277,9 +294,9 @@ class TestFrozenEditBound:
         # three loose edits in an edgeless layer with budget 0: undoing them
         # costs nothing, so the bound must not reject
         ctx = context(4)
-        c = encode(ctx, (), ({(1, 2), (2, 3), (3, 4)},), {(1, 4)})
+        c = encode(ctx, (), {(1, 2), (2, 3), (3, 4)}, {(1, 4)})
         assert not bound_rejects(ctx, c)
-        frozen = encode(ctx, (), ({(1, 2), (2, 3), (3, 4)},), {(1, 2)})
+        frozen = encode(ctx, (), {(1, 2), (2, 3), (3, 4)}, {(1, 2)})
         assert bound_rejects(ctx, frozen)
 
     def test_verdict_does_not_depend_on_the_first_layer(self, rng):
@@ -292,7 +309,7 @@ class TestFrozenEditBound:
                 for child in children:
                     dead = [frozen_edit_bound(ctx, i, m & child.permanent, child.permanent,
                                               k_i) is None
-                            for i, (m, k_i) in enumerate(zip(child.edits, ctx.budgets))]
+                            for i, (m, k_i) in enumerate(zip(ctx.edits(child), ctx.budgets))]
                     assert bound_rejects(ctx, child) == any(dead)
                     verdicts[any(dead), sum(dead) > 1] += 1
         assert min(verdicts.values()) > 20 and len(verdicts) == 3
@@ -334,7 +351,7 @@ class TestDisagreementBound:
                                                 max_d=3))
             for _, children in descents(ctx, rng):
                 for c in children:
-                    frozen = sum((m & c.permanent).bit_count() for m in c.edits)
+                    frozen = sum((m & c.permanent).bit_count() for m in ctx.edits(c))
                     open_ = [v for v in range(1, ctx.inst.n + 1)
                              if not c.marked >> v & 1 and not c.permanent & ctx.touching[v]]
                     least = min(
@@ -383,12 +400,14 @@ class TestCleanChildren:
         # drops both, marking 2 drops only 1-2
         g = layer_from_edges(4, [])
         ctx = SearchContext(Instance("mlce", 4, (g,), 1, 1))
-        c = encode(ctx, (), ({(1, 2), (1, 3)},))
-        by_mark = {frozenset(bits(ch.marked)): ctx.pair_set(ch.edits[0])
+        c = encode(ctx, (), {(1, 2), (1, 3)})
+        by_mark = {frozenset(bits(ch.marked)): (ctx.pair_set(ch.target),
+                                                ctx.pair_set(ctx.edits(ch)[0]))
                    for ch in branching_rule_2(ctx, c) if ch.marked}
-        assert by_mark == {frozenset({1}): frozenset(),
-                           frozenset({2}): frozenset({(1, 3)}),
-                           frozenset({3}): frozenset({(1, 2)})}
+        # the layer is edgeless, so its edits are the target
+        assert by_mark == {frozenset({1}): (frozenset(),) * 2,
+                           frozenset({2}): (frozenset({(1, 3)}),) * 2,
+                           frozenset({3}): (frozenset({(1, 2)}),) * 2}
 
     def test_children_have_no_edit_at_a_mark_and_align(self, rng):
         seen = Counter()
@@ -398,8 +417,9 @@ class TestCleanChildren:
             for parent, children in descents(ctx, rng):
                 for child in children:
                     touching = ctx.touching_mask(child.marked)
-                    assert not any(m & touching for m in child.edits)
-                    assert is_aligning(ctx, child)
+                    assert not child.target & touching
+                    assert not any(m & touching for m in ctx.edits(child))
+                    assert agree_outside_marks(ctx, child)
                     seen["mark" if child.marked != parent.marked else "other"] += 1
         assert seen["mark"] > 100 and seen["other"] > 100
 
@@ -528,8 +548,8 @@ class TestMarkBound:
 class TestRule1:
     def test_absent_on_cluster_layers(self):
         g = layer_from_edges(3, [(1, 2)])
-        inst = Instance("mlce", 3, (g, g), 1, 1)
-        assert branching_rule_1(SearchContext(inst), empty_constraint(2)) is None
+        ctx = SearchContext(Instance("mlce", 3, (g, g), 1, 1))
+        assert branching_rule_1(ctx, encode(ctx, (), g.edges)) is None
 
     def test_ref_after_greedy_six_children(self):
         inst = ref_instance("mlce", 1, 1)
@@ -543,7 +563,7 @@ class TestRule1:
                  if frozenset(bits(ch.marked)) > frozenset(bits(c.marked))]
         assert len(toggles) == 3 and len(marks) == 3
         for ch in children:
-            assert is_aligning(ctx, ch)
+            assert agree_outside_marks(ctx, ch)
             assert extends(ch, c)
             assert constraint_quality(ch) == 1
 
@@ -557,8 +577,9 @@ class TestRule1:
             ctx = SearchContext(Instance("mlce", n, (g,), 0, 0))
             marked = frozenset(v for v in range(1, n + 1) if rng.random() < 0.2)
             edits = frozenset(p for p in combinations(range(1, n + 1), 2)
-                              if rng.random() < 0.2)
-            c = encode(ctx, marked, (edits,))
+                              if rng.random() < 0.2 and not marked & set(p))
+            c = encode(ctx, marked, g.edges ^ edits)
+            assert ctx.edits(c) == [ctx.pair_mask(edits)]
             witness = first_p3(apply_edits(g, edits).adj,
                                vertex_mask(range(1, n + 1)) & ~vertex_mask(marked))
             children = branching_rule_1(ctx, c)
@@ -569,8 +590,8 @@ class TestRule1:
             want = [pair(a, b), pair(b, w), pair(a, w)]
             toggled = [ctx.pair_set(ch.permanent) for ch in children if ch.permanent]
             assert toggled == [frozenset({p}) for p in want]
-            assert [ch.edits[0] for ch in children if ch.permanent] == \
-                [c.edits[0] ^ ctx.pair_mask([p]) for p in want]
+            assert [ctx.edits(ch)[0] for ch in children if ch.permanent] == \
+                [ctx.edits(c)[0] ^ ctx.pair_mask([p]) for p in want]
 
     def test_fully_blocked_p3_rejects(self):
         # one layer, a P3 whose pairs are all permanent and whose vertices
@@ -578,7 +599,7 @@ class TestRule1:
         g = layer_from_edges(3, [(1, 2), (2, 3)])
         inst = Instance("mlce", 3, (g,), 1, 1)
         ctx = SearchContext(inst)
-        blocked = encode(ctx, (), None, frozenset({(1, 2), (2, 3), (1, 3)}))
+        blocked = encode(ctx, (), g.edges, frozenset({(1, 2), (2, 3), (1, 3)}))
         assert branching_rule_1(ctx, blocked) == []
 
 
@@ -592,7 +613,7 @@ class TestRule2:
         g = layer_from_edges(4, [])
         inst = Instance("mlce", 4, (g,), 1, 1)
         ctx = SearchContext(inst)
-        c = encode(ctx, (), (frozenset({(1, 2), (3, 4)}),))
+        c = encode(ctx, (), frozenset({(1, 2), (3, 4)}))
         children = branching_rule_2(ctx, c)
         toggles = [ch for ch in children if ch.permanent]
         marks = [ch for ch in children if ch.marked]
@@ -605,10 +626,12 @@ class TestRule2:
         inst = Instance("mlce", 4, (g, g), 2, 1, budgets=(2, 1))
         ctx = SearchContext(inst)
         m = frozenset({(1, 2), (3, 4)})
-        c = encode(ctx, (), (m, m))
+        c = encode(ctx, (), m)
         children = branching_rule_2(ctx, c)
         assert len([ch for ch in children if ch.permanent]) == 2  # k_2 + 1
-        assert branching_rule_2(ctx, encode(ctx, (), (m, frozenset()))) is None
+        # with layer 2 holding m, the target m edits layer 1 alone
+        ctx = SearchContext(replace(inst, layers=layers_of(4, [], m)))
+        assert branching_rule_2(ctx, encode(ctx, (), m)) is None
 
     def test_builds_no_child_rule_0_drops(self, rng):
         # along random descents through children within budget, rule 2's
@@ -617,7 +640,8 @@ class TestRule2:
         def over_budget(ctx, ch):
             # more than d marks, or a layer with more frozen edits than k_i
             return ch.marked.bit_count() > ctx.inst.d or any(
-                (m & ch.permanent).bit_count() > k_i for m, k_i in zip(ch.edits, ctx.budgets))
+                (m & ch.permanent).bit_count() > k_i
+                for m, k_i in zip(ctx.edits(ch), ctx.budgets))
 
         seen = Counter()
         for _ in range(400):
@@ -629,7 +653,7 @@ class TestRule2:
                 if children is not None:
                     assert not any(over_budget(ctx, ch) for ch in children)
                     seen["full"] += any((m & c.permanent).bit_count() == k_i
-                                        for m, k_i in zip(c.edits, ctx.budgets))
+                                        for m, k_i in zip(ctx.edits(c), ctx.budgets))
                     seen["at d"] += c.marked.bit_count() == inst.d
                 for rule in (branching_rule_1, branching_rule_2, branching_rule_3):
                     children = rule(ctx, c)
@@ -649,10 +673,10 @@ class TestRule2:
                         0, 1)
         ctx = SearchContext(inst)
         c = greedy_initial_constraint(ctx)
-        assert ctx.pair_set(c.edits[1]) == frozenset({(1, 2)})
+        assert ctx.pair_set(ctx.edits(c)[1]) == frozenset({(1, 2)})
         children = branching_rule_2(ctx, c)
         assert children
-        assert any((1, 2) not in ctx.pair_set(ch.edits[1]) for ch in children)
+        assert any((1, 2) not in ctx.pair_set(ctx.edits(ch)[1]) for ch in children)
         # ... and the instance as a whole is solvable by marking one endpoint
         assert solve_mlce(inst) is not None
 
@@ -837,7 +861,7 @@ class TestRule3:
         g = layer_from_edges(7, edges)
         inst = Instance("mlce", 7, (g,), 0, 1)
         ctx = SearchContext(inst)
-        c = encode(ctx, {7})
+        c = encode(ctx, {7}, g.edges)
         assert min_marked_completion(g.adj, vertex_mask({7}), 0) is None
         assert branching_rule_3(ctx, c) == []
 
@@ -848,7 +872,8 @@ class TestRule3:
         g = layer_from_edges(4, [(1, 2), (1, 4), (3, 4)])
         inst = Instance("mlce", 4, (g,), 1, 2)
         ctx = SearchContext(inst)
-        c = encode(ctx, {4}, (frozenset({(1, 2)}),))
+        c = encode(ctx, {4}, g.edges ^ {(1, 2)})
+        assert ctx.edits(c) == [ctx.pair_mask([(1, 2)])]
         assert min_marked_completion(
             apply_edits(g, frozenset({(1, 2)})).adj, vertex_mask({4}), 0) is None
         children = branching_rule_3(ctx, c)
@@ -866,7 +891,8 @@ class TestRule3:
         g = layer_from_edges(4, [(1, 2), (1, 4), (3, 4)])
         inst = Instance("mlce", 4, (g,), 1, 2)
         ctx = SearchContext(inst)
-        c = encode(ctx, {4}, (frozenset({(1, 2)}),))
+        c = encode(ctx, {4}, g.edges ^ {(1, 2)})
+        assert ctx.edits(c) == [ctx.pair_mask([(1, 2)])]
         children = branching_rule_3(ctx, c)
         kernel = kernel_k(ctx, 0, ctx.pair_mask({(1, 2)}), 0, vertex_mask({4}), 0)
         bound = 3 * 1 + 1
@@ -901,10 +927,10 @@ class TestRule3:
 
 class TestQuality:
     def test_empty_is_zero(self):
-        assert constraint_quality(empty_constraint(2)) == 0
+        assert constraint_quality(empty_constraint()) == 0
 
     def test_counts_marks_and_permanent(self):
-        c = encode(context(3), {1, 2}, None, frozenset({(1, 2), (1, 3), (2, 3)}))
+        c = encode(context(3), {1, 2}, (), frozenset({(1, 2), (1, 3), (2, 3)}))
         assert constraint_quality(c) == 5
 
 
