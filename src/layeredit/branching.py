@@ -70,6 +70,17 @@ are tested at the root, which counts as a node when they reject it.
 dropped, and each logs a ``pruned`` trace line.  Pruned subtrees hold no
 solution and the surviving children keep their order, so the first
 solution found is the one an unpruned search finds.
+
+Each rule lists its mark children before its toggle children, each vertex
+once, the vertex at the most pairs where some edited layer differs from
+the target first (``_mark_children``); rule 3 lists its loose edits' marks,
+then their toggles, then its kernel children.  Marking a vertex undoes
+every edit at it, so this is the max-degree order of vertex cover
+branching, which ``PairIndex.cover`` follows too (Akiba and Iwata, TCS
+2016).  The order changes no answer: the search tries every child, the
+bounds and the memos read the constraint alone and ``run``'s flags the
+child and its parent, so only which solution is found first depends on
+it.
 """
 
 from __future__ import annotations
@@ -405,14 +416,19 @@ def _toggle_child(c: Constraint, bit: int) -> Constraint:
 
 
 def _mark_children(ctx: SearchContext, c: Constraint, vertices: Iterable[int]) -> list[Constraint]:
-    """Mark each of ``vertices`` that carries no permanent pair, dropping
-    the target's pairs at it so the child's target stays canonical; none
-    once c has d marks, as no solution has more."""
+    """Mark each of ``vertices`` once if it carries no permanent pair,
+    dropping the target's pairs at it so the child's target stays
+    canonical; none once c has d marks, as no solution has more.  The
+    vertex at the most pairs where some edited layer differs from the
+    target comes first, ties in the given order: its mark undoes the most
+    edits.  The order changes no answer, only which solution is found
+    first (see the module docstring)."""
     if c.marked.bit_count() >= ctx.inst.d:
         return []
-    touching = ctx.touching
-    return [Constraint(c.marked | 1 << x, c.target & ~touching[x], c.permanent)
-            for x in vertices if not c.permanent & touching[x]]
+    touching, differ = ctx.touching, reduce(or_, ctx.edits(c))
+    free = [x for x in dict.fromkeys(vertices) if not c.permanent & touching[x]]
+    free.sort(key=lambda x: -(differ & touching[x]).bit_count())
+    return [Constraint(c.marked | 1 << x, c.target & ~touching[x], c.permanent) for x in free]
 
 
 def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
@@ -420,19 +436,19 @@ def branching_rule_1(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
 
     None if every edited layer restricted to the unmarked vertices is a
     cluster graph.  The edited layers all equal the target there, so the
-    first one decides.  Otherwise up to six children: toggle-and-freeze each
-    of the three pairs not yet permanent, and mark each of the three
-    vertices that carry no permanent pair.  An empty list signals a dead
-    branch.
+    first one decides.  Otherwise up to six children: mark each of the
+    three vertices that carry no permanent pair, then toggle-and-freeze
+    each of the three pairs not yet permanent.  An empty list signals a
+    dead branch.
     """
     witness = first_p3(ctx.toggled_adj(0, ctx.edits(c)[0]), ctx.vertices & ~c.marked)
     if witness is None:
         return None
     a, b, w = witness
     pair_bit = ctx.pair_bit
-    children = [_toggle_child(c, bit) for bit in (pair_bit[a][b], pair_bit[b][w], pair_bit[a][w])
-                if not c.permanent & bit]
-    return children + _mark_children(ctx, c, witness)
+    return _mark_children(ctx, c, witness) + [
+        _toggle_child(c, bit) for bit in (pair_bit[a][b], pair_bit[b][w], pair_bit[a][w])
+        if not c.permanent & bit]
 
 
 def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constraint]]:
@@ -440,9 +456,11 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
 
     Picks the lexicographically smallest non-permanent pairs so that,
     together with the permanent ones, k_i+1 edits of the layer are covered,
-    and branches on undoing each of them: either freeze the edit, or mark
-    one endpoint and drop the edit everywhere.  A layer whose frozen edits
-    fill its budget admits only toggles of its own edits (the others overrun it).
+    and branches on undoing them: mark one of their endpoints (each once)
+    and drop the edits at it everywhere, or undo one edit and freeze its
+    pair.  A
+    layer whose frozen edits fill its budget admits only toggles of its own
+    edits (the others overrun it).
     """
     edits = ctx.edits(c)
     for over, k_i in zip(edits, ctx.budgets):
@@ -460,10 +478,8 @@ def branching_rule_2(ctx: SearchContext, c: Constraint) -> Optional[list[Constra
         rest ^= low
     allowed = reduce(and_, (m for m, k_j in zip(edits, ctx.budgets)
                             if (m & permanent).bit_count() >= k_j), -1)
-    children = [_toggle_child(c, bit) for bit in loose if bit & allowed]
-    for bit in loose:
-        children += _mark_children(ctx, c, ctx.pairs[bit.bit_length() - 1])
-    return children
+    ends = [x for bit in loose for x in ctx.pairs[bit.bit_length() - 1]]
+    return _mark_children(ctx, c, ends) + [_toggle_child(c, bit) for bit in loose if bit & allowed]
 
 
 def kernel_k(ctx: SearchContext, i: int, x: int, budget: int, marked: int,
@@ -565,7 +581,8 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
 
     None when every layer admits a marked-only completion within what is
     left of its budget k_i.  Otherwise branches on undoing a loose edit of
-    the layer, on marking an endpoint of an edit forced by the per-layer
+    the layer (marking an endpoint, each once, then undoing and freezing
+    one edit), on marking an endpoint of an edit forced by the per-layer
     kernel, on committing all kernel decisions at once, and on each open
     kernel pair.  The loose-edit children cover every solution that undoes
     a loose edit of the layer or marks one of its ends, so the kernel only
@@ -592,10 +609,9 @@ def branching_rule_3(ctx: SearchContext, c: Constraint,
     permanent = c.permanent
     kernel = kernel_k(ctx, i, m_i, k_i - m_i.bit_count(), c.marked, permanent | m_i)
 
-    children: list[Constraint] = []
-    for j in bits(m_i & ~permanent):
-        children += _mark_children(ctx, c, ctx.pairs[j])
-        children.append(_toggle_child(c, 1 << j))
+    loose = list(bits(m_i & ~permanent))
+    children = _mark_children(ctx, c, [x for j in loose for x in ctx.pairs[j]])
+    children += [_toggle_child(c, 1 << j) for j in loose]
 
     if kernel is None:
         return children  # empty when no loose edits exist: dead branch

@@ -40,6 +40,7 @@ from layeredit.core import (
     verify,
     vertex_mask,
 )
+from layeredit.fileio import PlantedParams, generate_planted
 from layeredit.oracle import oracle_mlce, set_partitions
 
 from conftest import (
@@ -454,12 +455,14 @@ class TestMarkBound:
 
     def test_a_layer_budget_of_one_adds_one_unit_of_slack(self):
         # three disjoint difference pairs and d = 2: no without edits, yes
-        # once layer 2 may delete 5-6, where the constraint search decides
+        # once layer 2 may spend one edit, where the constraint search
+        # decides; which difference pair it edits away is the search's choice
         layers = layers_of(8, [(1, 2), (3, 4)], [(5, 6)])
         assert solve_mlce(Instance("mlce", 8, layers, 0, 2)) is None
         inst = Instance("mlce", 8, layers, 1, 2, budgets=(0, 1))
         sol = solve_mlce(inst, check_invariants=True)
-        assert verify(inst, sol).ok and sol.edits[1] == {(5, 6)}
+        assert verify(inst, sol).ok and not sol.edits[0] and len(sol.edits[1]) == 1
+        assert sol.edits[1] <= {(1, 2), (3, 4), (5, 6)}
 
     def test_a_layer_with_a_p3_rejects_without_a_search(self):
         lines = []
@@ -925,6 +928,61 @@ class TestRule3:
         assert sum(out is not None for out in results) >= 100 and compared > 900
 
 
+def child_kinds(ctx, parent, children):
+    """Each child as ("mark", its new mark) or ("toggle", its new permanent pairs)."""
+    return [("mark", *bits(ch.marked & ~parent.marked)) if ch.marked != parent.marked else
+            ("toggle", *sorted(ctx.pair_set(ch.permanent & ~parent.permanent)))
+            for ch in children]
+
+
+class TestChildOrder:
+    """Every rule lists its mark children first, one per vertex, the vertex
+    at the most pairs where some edited layer differs from the target
+    first and ties in the rule's order, then its toggle children."""
+
+    def test_rule_1_marks_the_p3_by_disagreement(self):
+        # the target's P3 1-2-3 (center 2); the layer differs from it at
+        # 3-4 and 3-5, 2-4 and 1-5: vertex 3 twice, vertices 1 and 2 once
+        g = layer_from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5), (2, 4), (1, 5)])
+        ctx = SearchContext(Instance("mlce", 5, (g,), 4, 1))
+        c = encode(ctx, (), {(1, 2), (2, 3)})
+        assert first_p3(ctx.toggled_adj(0, ctx.edits(c)[0]), ctx.vertices) == (1, 2, 3)
+        assert child_kinds(ctx, c, branching_rule_1(ctx, c)) == [
+            ("mark", 3), ("mark", 1), ("mark", 2),
+            ("toggle", (1, 2)), ("toggle", (2, 3)), ("toggle", (1, 3))]
+
+    def test_rule_2_marks_a_shared_end_once(self):
+        # layer 1 (budget 1) holds the loose edits 1-2 and 1-3, which share
+        # vertex 1; the layers differ from the target at 1-2, 1-3, 2-4, 3-4
+        # and 3-5: vertex 3 three times, vertices 1 and 2 twice
+        layers = layers_of(5, [], [(2, 4), (3, 4), (3, 5)])
+        ctx = SearchContext(Instance("mlce", 5, layers, 5, 1, budgets=(1, 5)))
+        c = encode(ctx, (), {(1, 2), (1, 3)})
+        assert child_kinds(ctx, c, branching_rule_2(ctx, c)) == [
+            ("mark", 3), ("mark", 1), ("mark", 2), ("toggle", (1, 2)), ("toggle", (1, 3))]
+
+    def test_rule_3_marks_its_loose_ends_before_their_toggles(self):
+        # vertex 4 marked; the loose edits 1-3 and 2-3 share vertex 3, and
+        # the layer cannot be finished by edits at vertex 4 alone
+        g = layer_from_edges(5, [(1, 2), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)])
+        ctx = SearchContext(Instance("mlce", 5, (g,), 2, 2))
+        c = encode(ctx, {4}, g.edges ^ {(1, 3), (2, 3)})
+        assert branching_rule_1(ctx, c) is None and branching_rule_2(ctx, c) is None
+        assert kernel_k(ctx, 0, ctx.edits(c)[0], 0, c.marked, ctx.edits(c)[0]) is None
+        assert child_kinds(ctx, c, branching_rule_3(ctx, c)) == [
+            ("mark", 3), ("mark", 1), ("mark", 2), ("toggle", (1, 3)), ("toggle", (2, 3))]
+
+    def test_no_mark_child_at_a_permanent_pair_or_past_d(self):
+        layers = layers_of(5, [], [(2, 4), (3, 4), (3, 5)])
+        ctx = SearchContext(Instance("mlce", 5, layers, 5, 1, budgets=(1, 5)))
+        c = encode(ctx, (), {(1, 2), (1, 3)}, {(3, 5)})
+        assert child_kinds(ctx, c, branching_rule_2(ctx, c)) == [
+            ("mark", 1), ("mark", 2), ("toggle", (1, 2)), ("toggle", (1, 3))]
+        c = encode(ctx, {5}, {(1, 2), (1, 3)})
+        assert child_kinds(ctx, c, branching_rule_2(ctx, c)) == [
+            ("toggle", (1, 2)), ("toggle", (1, 3))]
+
+
 class TestQuality:
     def test_empty_is_zero(self):
         assert constraint_quality(empty_constraint()) == 0
@@ -960,6 +1018,12 @@ class TestSolveMlce:
     def test_skipping_failed_repeats_keeps_the_solution(self, rng, monkeypatch):
         insts = [ref_instance("mlce", k, d) for k in range(4) for d in range(4)]
         insts += [random_instance(rng, "mlce", max_n=6) for _ in range(60)]
+        # drift-2 planted instances, at their stored budgets and with one
+        # mark fewer, where the search meets a failed constraint again
+        for n in (14, 16, 18, 20):
+            for seed in range(6):
+                inst = generate_planted(PlantedParams(n, 4, n // 3 + 1, 2, 2, seed), "mlce")
+                insts += [inst, replace(inst, d=inst.d - 1)]
         with_memo = []
         for inst in insts:
             stats = SearchStats()
@@ -972,6 +1036,18 @@ class TestSolveMlce:
             assert stats.nodes >= nodes
             skipped += stats.nodes - nodes
         assert skipped > 0
+
+    def test_drift_2_wall_decides_in_few_nodes(self):
+        # n = 40, ell = 6, drift 2, stored k = 8 and d = 9: with the marks
+        # in witness order the search enters 167,891 nodes here (283,170
+        # with the toggles first as well); the most-disagreeing vertex
+        # first reaches a solution in 23
+        inst = generate_planted(PlantedParams(40, 6, 14, 2, 8, 0), "mlce")
+        assert (inst.k, inst.d) == (8, 9)
+        stats = SearchStats()
+        sol = solve_mlce(inst, stats=stats)
+        assert sol is not None and verify(inst, sol).ok
+        assert stats.nodes <= 1000
 
     def test_accepted_leaf_completes_each_layer_once(self, rng, monkeypatch):
         calls = []
